@@ -6,14 +6,14 @@ resolutions with the fitted gradient and a CSV sidecar).
 
 Exit codes: 0 success, 2 usage error, 3 input load error, 4 estimation error.
 A no-object result is a successful run that prints a prominent warning.
-QBENCH_THREADS caps how many resolutions are processed in parallel.
+``curve`` estimates the input volume once and reuses that estimate for both
+the report and the curve's factor-1 point.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -110,15 +110,6 @@ def _warn_no_object(report: dict) -> None:
         print("WARNING: no object separated from the background; SNR is zero", file=sys.stderr)
 
 
-def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("QBENCH_THREADS", "")
-    try:
-        cap_n = int(cap) if cap else (os.cpu_count() or 1)
-    except ValueError:
-        cap_n = 1
-    return max(1, min(n_jobs, cap_n))
-
-
 def _parse_factors(text: str) -> list[float]:
     try:
         factors = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -170,8 +161,8 @@ def _cmd_curve(args) -> int:
     cfg = _config_from(args)
     factors = _parse_factors(args.factors)
     volume, fmt, load_warnings = _load(args.input)
-    curve = noise_resolution_curve(volume, factors, cfg, max_workers=_worker_count(len(factors)))
     est = estimate(volume, cfg)
+    curve = noise_resolution_curve(volume, factors, cfg, full=est)
     score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
     report = build_report(
         digest=input_digest(args.input),

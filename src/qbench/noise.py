@@ -186,7 +186,7 @@ def positive_noise(sl: Slice, t: float, f_e: float = CORRECTION_FACTOR) -> float
 
 def mean_positive_noise(volume: Volume, t: float, f_e: float = CORRECTION_FACTOR) -> float:
     """Average the per-slice corrected noise over slices that retain pixels."""
-    values = [v for sl in volume.slices if (v := positive_noise(sl, t, f_e)) is not None]
+    values = [v for img in volume.data if (v := positive_noise(Slice(img), t, f_e)) is not None]
     if not values:
         raise EstimationError(f"no background found at t={t!r}: all slices empty after thresholding")
     return float(np.mean(values))
@@ -201,19 +201,31 @@ def homogeneity_variance(volume: Volume, t: float) -> tuple[float, float]:
     """
     if t < 0:
         raise ValueError("threshold must be >= 0")
-    stds = np.array([np.where(sl.pixels <= t, sl.pixels, 0.0).std() for sl in volume.slices])
+    stds = np.array([np.where(img <= t, img, 0.0).std() for img in volume.data])
     mean_sigma = float(stds.mean())
     return float(((stds - mean_sigma) ** 2).mean()), mean_sigma
 
 
 class _VolumeScan:
-    """Sorted per-slice positive values with prefix sums.
+    """Cumulative count, sum and sum of squares of each slice's values, by threshold.
 
-    Thresholding only reweights which sorted prefix of each slice's positive
-    values is retained, so every per-slice statistic at any t reduces to a
-    binary search plus two prefix-sum lookups. This makes full-curve
-    evaluation cheap enough that the exhaustive oracle costs about as much as
-    one pass over the volume.
+    Thresholding at t keeps each slice's values <= t, so every per-slice
+    statistic at any t is a lookup in three cumulative tables of shape
+    (n_slices, columns). The layout is chosen from the data alone:
+
+    * histogram: the values are integers, every prefix sum is exact in
+      float64 (pixels_per_slice * t_max**2 < 2**53) and the tables are no
+      larger than the volume. Column L then covers the values <= L, so a
+      lookup at t reads column floor(t). Each sum is an integer below 2**53,
+      so the tables equal the sorted prefix sums below bit for bit, and the
+      whole curve costs O(slices x levels) whatever the voxel count;
+    * sorted: any other volume. Each slice is sorted once (one
+      ``np.sort(axis=1)``) and column k covers its k smallest values; a
+      lookup binary-searches the sorted slices.
+
+    This is the histogram view of the background noise of Sijbers et al.,
+    "Automatic estimation of the noise variance from the histogram of a
+    magnitude MR image", MRI 25(1), 2007.
     """
 
     def __init__(self, volume: Volume):
@@ -221,34 +233,85 @@ class _VolumeScan:
         self.pixels_per_slice = h * w
         self.total_pixels = self.n_slices * self.pixels_per_slice
         self.t_max = volume.intensity_max
-        self._sorted: list[np.ndarray] = []
-        self._sum1: list[np.ndarray] = []
-        self._sum2: list[np.ndarray] = []
-        for sl in volume.slices:
-            flat = sl.pixels.ravel()
-            vals = np.sort(flat[flat > 0])
-            self._sorted.append(vals)
-            self._sum1.append(np.concatenate(([0.0], np.cumsum(vals))))
-            self._sum2.append(np.concatenate(([0.0], np.cumsum(vals * vals))))
+        flat = volume.data.reshape(self.n_slices, self.pixels_per_slice)
+        levels = self._integral_levels(flat)
+        if levels is not None:
+            self._build_histogram(levels)
+        else:
+            self._build_sorted(flat)
+        self._zeros_total = int(self._zeros.sum())
+
+    def _integral_levels(self, flat: np.ndarray) -> np.ndarray | None:
+        """The values as int64 levels when the histogram layout applies, else None."""
+        m = self.pixels_per_slice
+        if not (m * self.t_max**2 < 2.0**53 and self.t_max + 1 <= m):
+            return None
+        levels = flat.astype(np.int64)
+        return levels if np.array_equal(levels, flat) else None
+
+    def _build_histogram(self, levels: np.ndarray) -> None:
+        n, width = self.n_slices, int(self.t_max) + 1
+        levels += (np.arange(n) * width)[:, None]
+        hist = np.bincount(levels.ravel(), minlength=n * width).reshape(n, width)
+        values = np.arange(width, dtype=np.float64)
+        self._sorted = None
+        self._zeros = hist[:, 0].copy()
+        self._count = np.cumsum(hist, axis=1)
+        self._sum1 = np.cumsum(hist * values, axis=1)
+        self._sum2 = np.cumsum(hist * (values * values), axis=1)
+        self._global_count = self._count.sum(axis=0)
+
+    def _build_sorted(self, flat: np.ndarray) -> None:
+        n, m = flat.shape
+        self._sorted = np.sort(flat, axis=1)
+        self._zeros = np.count_nonzero(self._sorted <= 0.0, axis=1)
+        self._sum1 = np.empty((n, m + 1))
+        self._sum2 = np.empty((n, m + 1))
+        self._sum1[:, 0] = 0.0
+        self._sum2[:, 0] = 0.0
+        # the squares go through _sum1's buffer first, so no temporary is needed
+        np.multiply(self._sorted, self._sorted, out=self._sum1[:, 1:])
+        np.cumsum(self._sum1[:, 1:], axis=1, out=self._sum2[:, 1:])
+        np.cumsum(self._sorted, axis=1, out=self._sum1[:, 1:])
+
+    def _columns(self, ts: np.ndarray) -> np.ndarray:
+        """Histogram column of each t: the highest level <= t."""
+        return np.clip(np.floor(ts), 0, self._count.shape[1] - 1).astype(np.intp)
+
+    def _ranks(self, ts: np.ndarray) -> np.ndarray:
+        """Sorted layout: count of values <= t per (slice, t), zeros included.
+
+        numpy has no batched searchsorted; one call per slice over all of ts
+        costs what any vectorised form would.
+        """
+        k = np.empty((self.n_slices, ts.size), dtype=np.intp)
+        for j, row in enumerate(self._sorted):
+            k[j] = np.searchsorted(row, ts, side="right")
+        return k
 
     def distinct_values(self) -> np.ndarray:
         """Sorted unique positive pixel values across the volume."""
-        return np.unique(np.concatenate(self._sorted)) if self._sorted else np.empty(0)
+        if self._sorted is None:
+            return np.flatnonzero(np.diff(self._global_count)).astype(np.float64) + 1.0
+        vals = self._sorted.ravel()
+        return np.unique(vals[vals > 0])
 
-    def positive_count(self, t: float) -> int:
-        return sum(int(np.searchsorted(v, t, side="right")) for v in self._sorted)
+    def positive_count(self, ts: np.ndarray) -> np.ndarray:
+        """Number of positive pixels <= t in the whole volume, for every t in ts."""
+        if self._sorted is None:
+            return self._global_count[self._columns(ts)] - self._zeros_total
+        return self._ranks(ts).sum(axis=0) - self._zeros_total
 
     def _moments(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Retained-count, sum and sum-of-squares per (slice, t)."""
-        k = np.empty((self.n_slices, ts.size), dtype=np.intp)
-        s1 = np.empty((self.n_slices, ts.size))
-        s2 = np.empty((self.n_slices, ts.size))
-        for j, vals in enumerate(self._sorted):
-            kj = np.searchsorted(vals, ts, side="right")
-            k[j] = kj
-            s1[j] = self._sum1[j][kj]
-            s2[j] = self._sum2[j][kj]
-        return k, s1, s2
+        """Retained positive count, sum and sum-of-squares per (slice, t)."""
+        if self._sorted is None:
+            cols = self._columns(ts)
+            k, s1, s2 = self._count[:, cols], self._sum1[:, cols], self._sum2[:, cols]
+        else:
+            k = self._ranks(ts)
+            s1 = np.take_along_axis(self._sum1, k, axis=1)
+            s2 = np.take_along_axis(self._sum2, k, axis=1)
+        return k - self._zeros[:, None], s1, s2
 
     def slice_stds(self, ts: np.ndarray) -> np.ndarray:
         """Population std per (slice, t) over all pixels, zeros included."""
@@ -257,20 +320,37 @@ class _VolumeScan:
         var = s2 / n - (s1 / n) ** 2
         return np.sqrt(np.maximum(var, 0.0))
 
+    @staticmethod
+    def _spread(stds: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        mean_sigma = stds.mean(axis=axis, keepdims=True)
+        return ((stds - mean_sigma) ** 2).mean(axis=axis), mean_sigma.squeeze(axis)
+
     def curve(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Variance-of-stds and mean-of-stds for every t in ts."""
-        stds = self.slice_stds(ts)
-        mean_sigma = stds.mean(axis=0)
-        return ((stds - mean_sigma) ** 2).mean(axis=0), mean_sigma
+        """Variance-of-stds and mean-of-stds for every t in ts (the grid).
+
+        The sums over slices run in slice order, one t per column.
+        """
+        return self._spread(self.slice_stds(ts), axis=0)
+
+    def points(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``point`` at every t in ts, in one evaluation.
+
+        Each t's slices are summed as one contiguous run, which numpy sums
+        pairwise, exactly as a single-point call does; ``curve`` sums in
+        slice order and can differ from this in the last bit.
+        """
+        return self._spread(np.ascontiguousarray(self.slice_stds(ts).T), axis=1)
 
     def point(self, t: float) -> tuple[float, float]:
-        var, mean_sigma = self.curve(np.array([float(t)]))
+        var, mean_sigma = self.points(np.array([float(t)]))
         return float(var[0]), float(mean_sigma[0])
 
     def positive_sigmas(self, t: float, f_e: float) -> list[float | None]:
         """Corrected positive-pixel std per slice at t (None when empty)."""
         k, s1, s2 = self._moments(np.array([float(t)]))
         out: list[float | None] = []
+        # scalar arithmetic on purpose: numpy's scalar ** 2 calls pow(), which
+        # can differ in the last bit from the array ** 2 (a product)
         for kj, a, b in zip(k[:, 0], s1[:, 0], s2[:, 0]):
             if kj == 0:
                 out.append(None)
@@ -284,23 +364,21 @@ def _stray_budget(scan: _VolumeScan) -> float:
     return max(_SATURATION_MIN_BUDGET, _SATURATION_STRAYS * scan.total_pixels)
 
 
-def _is_saturated(scan: _VolumeScan, t: float, epsilon: float) -> bool:
-    """True when the background is covered at t: most mass already below t
-    and an epsilon step adds at most a few stray pixels."""
-    retained = scan.positive_count(t)
-    if retained < _SATURATION_FLOOR * scan.total_pixels:
-        return False
-    return scan.positive_count(t + epsilon) - retained <= _stray_budget(scan)
+def _is_saturated(scan: _VolumeScan, ts: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per t: the background is covered at t, with most mass already below t
+    and an epsilon step adding at most a few stray pixels."""
+    retained = scan.positive_count(ts)
+    gained = scan.positive_count(ts + epsilon) - retained
+    return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
 
 
-def _background_covered(scan: _VolumeScan, t: float, epsilon: float) -> bool:
-    """True when the retained region below t is gap-free at its top: the last
+def _background_covered(scan: _VolumeScan, ts: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per t: the retained region below t is gap-free at its top, the last
     epsilon of it gained only stray pixels. Unlike _is_saturated this ignores
     what lies above t, so a minimum right before an object onset is valid."""
-    retained = scan.positive_count(t)
-    if retained < _SATURATION_FLOOR * scan.total_pixels:
-        return False
-    return retained - scan.positive_count(max(t - epsilon, 0.0)) <= _stray_budget(scan)
+    retained = scan.positive_count(ts)
+    gained = retained - scan.positive_count(np.maximum(ts - epsilon, 0.0))
+    return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
 
 
 def _probe_walk(scan: _VolumeScan, cfg: SearchConfig, start: float) -> float:
@@ -315,28 +393,32 @@ def _probe_walk(scan: _VolumeScan, cfg: SearchConfig, start: float) -> float:
     * background saturation: see _is_saturated. Once the background is
       covered without holes the minimum cannot lie further left.
 
-    Falls back to t_max when neither rule fires (curve never turns down).
+    The whole probe ladder is evaluated at once and the first probe at which
+    a rule fires wins, the descent rule first. Falls back to t_max when
+    neither rule fires (curve never turns down).
     """
     cfg = cfg.scaled_to(scan.t_max)
+    ladder = []
     t = start
-    run_max = -math.inf
-    streak = 0
-    t_fire = t
-    prev = None
-    while t < scan.t_max:
-        value, _ = scan.point(t)
-        run_max = max(run_max, value)
-        if prev is not None and value < prev and value < _DESCENT_DROP * run_max:
-            streak += 1
-            if streak >= _DESCENT_PERSIST:
-                return t_fire
-        else:
-            streak = 0
-            t_fire = t
-        if _is_saturated(scan, t, cfg.epsilon):
-            return t
-        prev = value
+    while t < scan.t_max:  # repeated addition places the probes bit for bit
+        ladder.append(t)
         t += cfg.epsilon
+    if not ladder:
+        return scan.t_max
+    ts = np.array(ladder)
+    values, _ = scan.points(ts)
+    run_max = np.maximum.accumulate(values)
+    descent = np.zeros(ts.size, dtype=bool)
+    descent[1:] = (values[1:] < values[:-1]) & (values[1:] < _DESCENT_DROP * run_max[1:])
+    # probe i fires when it ends a run of _DESCENT_PERSIST descents
+    runs = np.concatenate(([0], np.cumsum(descent)))
+    fires = np.flatnonzero(runs[_DESCENT_PERSIST:] - runs[:-_DESCENT_PERSIST] == _DESCENT_PERSIST)
+    fires += _DESCENT_PERSIST - 1
+    saturated = np.flatnonzero(_is_saturated(scan, ts, cfg.epsilon))
+    if fires.size and (not saturated.size or fires[0] <= saturated[0]):
+        return float(ts[fires[0] - _DESCENT_PERSIST])
+    if saturated.size:
+        return float(ts[saturated[0]])
     return scan.t_max
 
 
@@ -471,7 +553,9 @@ def _grid_argmin(scan: _VolumeScan, ts: np.ndarray, cfg: SearchConfig):
     return int(np.searchsorted(sampled, idx)), ts[sampled], variances, mean_sigmas, "bracketed"
 
 
-def find_t_opt(volume: Volume, cfg: SearchConfig = SearchConfig()) -> ThresholdResult:
+def find_t_opt(
+    volume: Volume, cfg: SearchConfig = SearchConfig(), *, scan: _VolumeScan | None = None
+) -> ThresholdResult:
     """Select the threshold minimizing the across-slice variance of stds.
 
     The minimum is searched on a grid over [t_lower, t_max] either
@@ -486,8 +570,11 @@ def find_t_opt(volume: Volume, cfg: SearchConfig = SearchConfig()) -> ThresholdR
       background is still filling up (offset backgrounds develop such false
       valleys mid-bulk) is replaced by the best minimum among thresholds
       whose retained region is gap-free, re-checked against the guard.
+
+    ``scan`` is a prebuilt scan of ``volume``; one is built when it is omitted.
     """
-    scan = _VolumeScan(volume)
+    if scan is None:
+        scan = _VolumeScan(volume)
     epsilon = cfg.scaled_to(scan.t_max).epsilon
     _, sigma_at_max = scan.point(scan.t_max)
 
@@ -497,7 +584,7 @@ def find_t_opt(volume: Volume, cfg: SearchConfig = SearchConfig()) -> ThresholdR
     t_star, sigma_at_star = float(ts_used[idx]), float(mean_sigmas[idx])
 
     def separating(t: float, sigma_at_t: float) -> bool:
-        return sigma_at_t <= _NEAR_FULL_FRACTION * sigma_at_max and _background_covered(scan, t, epsilon)
+        return sigma_at_t <= _NEAR_FULL_FRACTION * sigma_at_max and bool(_background_covered(scan, np.array([t]), epsilon)[0])
 
     t_rejected = None
     if sigma_at_star > sigma_at_max:
@@ -514,7 +601,7 @@ def find_t_opt(volume: Volume, cfg: SearchConfig = SearchConfig()) -> ThresholdR
             ts_used = ts
             mode = "exhaustive-fallback"
         mask = mean_sigmas <= _NEAR_FULL_FRACTION * sigma_at_max
-        mask &= np.array([_background_covered(scan, float(t), epsilon) for t in ts_used])
+        mask &= _background_covered(scan, ts_used, epsilon)
         sub = np.nonzero(mask)[0]
         if sub.size:
             idx2 = sub[_tied_argmin(variances[sub])]
@@ -540,8 +627,8 @@ def estimate(volume: Volume, cfg: SearchConfig = SearchConfig()) -> NoiseEstimat
     Signal is the mean of the original pixels above the threshold; with
     no_object there are no such pixels and signal/SNR are zero.
     """
-    threshold = find_t_opt(volume, cfg)
     scan = _VolumeScan(volume)
+    threshold = find_t_opt(volume, cfg, scan=scan)
     per_slice = tuple(scan.positive_sigmas(threshold.t_opt, cfg.correction_factor))
     present = [v for v in per_slice if v is not None]
     if not present:

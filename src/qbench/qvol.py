@@ -23,7 +23,14 @@ import numpy as np
 
 from .volume import Volume
 
-__all__ = ["VolumeFormatError", "read_container", "write_container", "read_pgm_stack", "load_volume"]
+__all__ = [
+    "VolumeFormatError",
+    "read_container",
+    "write_container",
+    "pgm_slice_paths",
+    "read_pgm_stack",
+    "load_volume",
+]
 
 _MAGIC = "QVOL1"
 _DTYPES = {"u16": np.dtype("<u2"), "f32": np.dtype("<f4")}
@@ -79,11 +86,11 @@ def read_container(path) -> Volume:
     if nl < 0:
         raise VolumeFormatError(f"{path}: missing header line")
     (w, h, n), voxel, dtype = _parse_header(raw[: nl + 1], path)
-    payload = raw[nl + 1 :]
+    payload_bytes = len(raw) - (nl + 1)
     expected = w * h * n * _DTYPES[dtype].itemsize
-    if len(payload) != expected:
-        raise VolumeFormatError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    samples = np.frombuffer(payload, dtype=_DTYPES[dtype]).astype(np.float64)
+    if payload_bytes != expected:
+        raise VolumeFormatError(f"{path}: payload is {payload_bytes} bytes, expected {expected}")
+    samples = np.frombuffer(raw, dtype=_DTYPES[dtype], offset=nl + 1).astype(np.float64)
     if dtype == "f32":
         if not np.all(np.isfinite(samples)):
             raise VolumeFormatError(f"{path}: f32 payload contains non-finite values")
@@ -166,10 +173,16 @@ def _read_pgm(path: Path) -> np.ndarray:
     return np.frombuffer(payload, dtype=sample).astype(np.float64).reshape(height, width)
 
 
+def pgm_slice_paths(directory) -> list[Path]:
+    """The slice files of a PGM stack, in load order: every ``*.pgm`` file
+    (suffix matched case-insensitively), sorted by name."""
+    return sorted(p for p in Path(directory).iterdir() if p.is_file() and p.suffix.lower() == ".pgm")
+
+
 def read_pgm_stack(directory) -> Volume:
     """Load a directory of PGM slices, ordered by filename."""
     directory = Path(directory)
-    paths = sorted(p for p in directory.iterdir() if p.is_file() and p.suffix.lower() == ".pgm")
+    paths = pgm_slice_paths(directory)
     if not paths:
         raise VolumeFormatError(f"{directory}: no .pgm files found")
     images = [_read_pgm(p) for p in paths]

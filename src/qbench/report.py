@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .noise import CORRECTION_FACTOR_ANALYTIC, NoiseEstimate, SearchConfig
+from .qvol import pgm_slice_paths
 from .resolution import QualityScore, ResolutionCurve
 from .volume import Volume
 
@@ -67,11 +68,15 @@ UNITS = {
 
 
 def input_digest(path) -> str:
-    """SHA-256 of the input bytes; directories hash (name, bytes) per file."""
+    """SHA-256 of the input bytes.
+
+    A PGM stack directory hashes (name, bytes) of each slice file the loader
+    reads, in load order; other files in the directory do not count.
+    """
     path = Path(path)
     digest = hashlib.sha256()
     if path.is_dir():
-        for p in sorted(q for q in path.iterdir() if q.is_file()):
+        for p in pgm_slice_paths(path):
             digest.update(p.name.encode())
             digest.update(b"\x00")
             digest.update(p.read_bytes())

@@ -11,12 +11,11 @@ resolution so volumes acquired at different voxel sizes become comparable.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import EstimationError, SearchConfig, estimate
+from .noise import EstimationError, NoiseEstimate, SearchConfig, estimate
 from .volume import Volume
 
 __all__ = [
@@ -178,14 +177,14 @@ def noise_resolution_curve(
     volume: Volume,
     factors,
     cfg: SearchConfig = SearchConfig(),
-    max_workers: int = 1,
+    full: NoiseEstimate | None = None,
 ) -> ResolutionCurve:
     """Downsample by each factor, estimate noise, fit the power law.
 
-    Factors of 1 keep the original volume. Per-factor estimation failures are
-    recorded and their points omitted; at least two points must survive. The
-    per-factor runs are independent; ``max_workers`` > 1 executes them in a
-    thread pool, with the curve assembled in factor order either way.
+    Factors of 1 keep the original volume; ``full``, an estimate of
+    ``volume`` with ``cfg`` already at hand, then stands in for estimating it
+    again. Per-factor estimation failures are recorded and their points
+    omitted; at least two points must survive.
     """
     factors = [float(f) for f in factors]
     if len(factors) < 2:
@@ -196,18 +195,14 @@ def noise_resolution_curve(
     def run_one(f: float) -> CurvePoint | str:
         try:
             vol = volume if f == 1.0 else downsample(volume, f)
-            est = estimate(vol, cfg)
+            est = full if f == 1.0 and full is not None else estimate(vol, cfg)
             if est.sigma <= 0:
                 raise EstimationError("estimated noise is not positive")
             return CurvePoint(effective_resolution(vol.voxel_size), est.sigma, est.snr)
         except (EstimationError, ValueError) as exc:
             return str(exc)
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run_one, factors))
-    else:
-        outcomes = [run_one(f) for f in factors]
+    outcomes = [run_one(f) for f in factors]
 
     points = [o for o in outcomes if isinstance(o, CurvePoint)]
     failures = [(f, o) for f, o in zip(factors, outcomes) if isinstance(o, str)]

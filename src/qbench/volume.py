@@ -1,32 +1,36 @@
 """Volumetric data model and pixel statistics primitives.
 
-A Volume is an ordered stack of same-sized magnitude slices plus voxel-size
-metadata. Slices and volumes are immutable after construction; all statistics
-are pure functions, so concurrent reads are safe.
+A Volume is one read-only (n_slices, height, width) float64 array of
+magnitudes plus voxel-size metadata. A Slice is a single read-only 2-d image;
+the per-slice statistics below work on it. Both are immutable after
+construction and all statistics are pure functions, so concurrent reads are
+safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 __all__ = ["Slice", "Volume", "PixelStats", "stats_all", "stats_positive"]
 
 
-def _as_readonly(pixels, ndim: int) -> np.ndarray:
+def _as_readonly(pixels, ndim: int) -> tuple[np.ndarray, float]:
+    """One float64 C-order copy of the pixels, validated and made read-only, and its maximum."""
     arr = np.array(pixels, dtype=np.float64, order="C", copy=True)
     if arr.ndim != ndim:
         raise ValueError(f"expected {ndim}-d pixel data, got {arr.ndim}-d")
     if arr.size == 0:
         raise ValueError("pixel data must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    # min and max propagate NaN and reach any infinity, so they check finiteness too
+    lo, hi = arr.min(), arr.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("pixel values must be finite")
-    if arr.min() < 0:
+    if lo < 0:
         raise ValueError("magnitude data is non-negative; found negative pixel")
     arr.flags.writeable = False
-    return arr
+    return arr, float(hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +40,7 @@ class Slice:
     pixels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", _as_readonly(self.pixels, 2))
+        object.__setattr__(self, "pixels", _as_readonly(self.pixels, 2)[0])
 
     @property
     def height(self) -> int:
@@ -49,50 +53,38 @@ class Slice:
 
 @dataclass(frozen=True, eq=False)
 class Volume:
-    """Ordered stack of same-sized slices with voxel size in mm per axis.
+    """A read-only (n_slices, height, width) float64 array with voxel size in mm per axis.
 
-    ``intensity_max`` is cached at construction; the pixel data is read-only,
-    so the cache stays consistent with a recomputation.
+    Construction copies the data once and validates it (3-d, non-empty,
+    finite, non-negative). ``intensity_max`` is cached at construction; the
+    array is read-only, so the cache stays consistent with a recomputation.
     """
 
-    slices: tuple[Slice, ...]
+    data: np.ndarray = field(repr=False)
     voxel_size: tuple[float, float, float] = (1.0, 1.0, 1.0)
     intensity_max: float = field(init=False)
 
     def __post_init__(self):
-        slices = tuple(self.slices)
-        if not slices:
-            raise ValueError("a volume needs at least one slice")
-        shape = slices[0].pixels.shape
-        if any(s.pixels.shape != shape for s in slices):
-            raise ValueError("all slices must share identical width/height")
+        data, intensity_max = _as_readonly(self.data, 3)
         voxel = tuple(float(v) for v in self.voxel_size)
         if len(voxel) != 3 or any(v <= 0 for v in voxel):
             raise ValueError("voxel_size must be three positive reals (mm)")
-        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "voxel_size", voxel)
-        object.__setattr__(self, "intensity_max", float(max(s.pixels.max() for s in slices)))
+        object.__setattr__(self, "intensity_max", intensity_max)
 
     @classmethod
     def from_array(cls, data, voxel_size=(1.0, 1.0, 1.0)) -> "Volume":
         """Build a volume from a (n_slices, height, width) array."""
-        arr = _as_readonly(data, 3)
-        return cls(tuple(Slice(a) for a in arr), voxel_size)
-
-    @cached_property
-    def data(self) -> np.ndarray:
-        """The full stack as a read-only (n_slices, height, width) array."""
-        stack = np.stack([s.pixels for s in self.slices])
-        stack.flags.writeable = False
-        return stack
+        return cls(data, voxel_size)
 
     @property
     def n_slices(self) -> int:
-        return len(self.slices)
+        return self.data.shape[0]
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return (self.n_slices, self.slices[0].height, self.slices[0].width)
+        return self.data.shape
 
 
 @dataclass(frozen=True)

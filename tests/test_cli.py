@@ -172,6 +172,18 @@ class TestCurve:
         assert lines[0] == "resolution_mm,noise,snr"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("factors, calls", [("1,1.5,2,3", 4), ("1.5,2", 3)])
+    def test_input_volume_is_estimated_once(self, const_container, tmp_path, monkeypatch, factors, calls):
+        from qbench import cli, noise, resolution
+
+        made = []
+        counted = lambda v, cfg: made.append(v) or noise.estimate(v, cfg)  # noqa: E731
+        monkeypatch.setattr(cli, "estimate", counted)
+        monkeypatch.setattr(resolution, "estimate", counted)
+        out = tmp_path / "c.json"
+        assert main(["curve", str(const_container), "--factors", factors, "--output", str(out)]) == EXIT_OK
+        assert len(made) == calls
+
     def test_single_factor_is_usage_error(self, const_container, tmp_path, capsys):
         code = main(["curve", str(const_container), "--factors", "2", "--output", str(tmp_path / "c.json")])
         assert code == EXIT_USAGE
@@ -181,23 +193,14 @@ class TestCurve:
         code = main(["curve", str(const_container), "--factors", "1,abc", "--output", str(tmp_path / "c.json")])
         assert code == EXIT_USAGE
 
-    def test_thread_cap_env(self, const_container, tmp_path, monkeypatch):
-        monkeypatch.setenv("QBENCH_THREADS", "1")
-        out1 = tmp_path / "c1.json"
-        assert main(["curve", str(const_container), "--factors", "1,2", "--output", str(out1)]) == EXIT_OK
-        monkeypatch.setenv("QBENCH_THREADS", "4")
-        out2 = tmp_path / "c2.json"
-        assert main(["curve", str(const_container), "--factors", "1,2", "--output", str(out2)]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
-
 
 class TestPgmInputWarning:
     def test_pgm_stack_warning_lands_in_report(self, tmp_path, capsys):
         vol = generate(PhantomSpec(width=16, height=16, n_slices=3, background_value=300.0, sigma=60.0, seed=5, quantize=True))
         stack = tmp_path / "stack"
         stack.mkdir()
-        for i, sl in enumerate(vol.slices):
-            img = sl.pixels.astype(">u2")
+        for i, pixels in enumerate(vol.data):
+            img = pixels.astype(">u2")
             header = f"P5\n16 16\n65535\n".encode()
             (stack / f"s{i}.pgm").write_bytes(header + img.tobytes())
         assert main(["estimate", str(stack)]) == EXIT_OK

@@ -76,7 +76,7 @@ class TestPositiveNoise:
     def test_rayleigh_calibration(self):
         # one large pure-noise slice: corrected std ~= 1.0024 * sigma
         vol = pure_noise(sigma=100.0, seed=12, width=512, height=512, n_slices=1)
-        sl = vol.slices[0]
+        sl = Slice(vol.data[0])
         got = positive_noise(sl, vol.intensity_max, CORRECTION_FACTOR)
         direct = CORRECTION_FACTOR * sl.pixels.std()  # all pixels positive here
         assert got == pytest.approx(direct, rel=1e-12)

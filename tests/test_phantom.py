@@ -33,8 +33,8 @@ class TestRenderTemplate:
     def test_slices_are_identical(self):
         disk = PhantomObject("disk", (10, 10), 4, 10.0)
         vol = render_template(PhantomSpec(width=20, height=20, n_slices=5, objects=(disk,)))
-        for sl in vol.slices[1:]:
-            assert np.array_equal(sl.pixels, vol.slices[0].pixels)
+        for img in vol.data[1:]:
+            assert np.array_equal(img, vol.data[0])
 
     def test_out_of_bounds_objects_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qbench import SearchConfig, estimate, noise_resolution_curve
-from qbench.report import UNITS, build_report, curve_csv, masked_zero_fraction, report_json
+from qbench.report import UNITS, build_report, curve_csv, input_digest, masked_zero_fraction, report_json
 from conftest import const_phantom, disk_phantom, volume_from
 
 import numpy as np
@@ -75,3 +75,15 @@ class TestCurveCsv:
         assert lines[0] == "resolution_mm,noise,snr"
         assert lines[1] == "1.0,100.0,10.0"
         assert len(lines) == 3
+
+
+class TestInputDigest:
+    def test_pgm_stack_hashes_only_the_slices_it_loads(self, tmp_path):
+        for i in range(2):
+            (tmp_path / f"s{i}.PGM").write_bytes(b"P5\n2 1\n255\n" + bytes([i, 7]))
+        before = input_digest(tmp_path)
+        (tmp_path / "README").write_text("notes")
+        (tmp_path / "report.json").write_text("{}")
+        assert input_digest(tmp_path) == before
+        (tmp_path / "s1.PGM").write_bytes(b"P5\n2 1\n255\n" + bytes([1, 8]))
+        assert input_digest(tmp_path) != before

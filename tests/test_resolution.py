@@ -140,17 +140,23 @@ class TestNoiseResolutionCurve:
         assert len(curve.points) == 2
         assert len(curve.failures) == 1 and curve.failures[0][0] == 64.0
 
+    def test_full_estimate_stands_in_for_factor_one(self, monkeypatch):
+        from qbench import resolution
+
+        vol = const_phantom(value=0.0, sigma=60.0, seed=46, width=32, height=32, n_slices=10)
+        fresh = noise_resolution_curve(vol, [1.0, 1.5, 2.0])
+        full = estimate(vol)
+        calls = []
+        monkeypatch.setattr(resolution, "estimate", lambda v, cfg: calls.append(v) or estimate(v, cfg))
+        reused = noise_resolution_curve(vol, [1.0, 1.5, 2.0], full=full)
+        assert reused == fresh
+        assert len(calls) == 2 and all(v is not vol for v in calls)
+
     def test_requires_two_factors(self, disk_volume):
         with pytest.raises(ValueError):
             noise_resolution_curve(disk_volume, [2.0])
         with pytest.raises(ValueError):
             noise_resolution_curve(disk_volume, [0.5, 2.0])
-
-    def test_thread_pool_matches_sequential(self):
-        vol = const_phantom(value=0.0, sigma=60.0, seed=46, width=32, height=32, n_slices=10)
-        seq = noise_resolution_curve(vol, [1.0, 1.5, 2.0])
-        par = noise_resolution_curve(vol, [1.0, 1.5, 2.0], max_workers=3)
-        assert seq == par
 
 
 class TestNormalizeQuality:

@@ -33,16 +33,34 @@ class TestSliceAndVolume:
 
     def test_volume_requires_matching_slices(self):
         with pytest.raises(ValueError):
-            Volume((make_slice(np.zeros((2, 2))), make_slice(np.zeros((3, 3)))))
+            Volume.from_array([np.zeros((2, 2)), np.zeros((3, 3))])
         with pytest.raises(ValueError):
-            Volume(())
+            Volume.from_array(np.zeros((0, 2, 2)))
+        with pytest.raises(ValueError):
+            Volume.from_array(np.zeros((2, 2)))
 
     def test_volume_voxel_size_validation(self):
-        sl = make_slice(np.zeros((2, 2)))
+        data = np.zeros((1, 2, 2))
         with pytest.raises(ValueError):
-            Volume((sl,), voxel_size=(1.0, 0.0, 1.0))
+            Volume.from_array(data, voxel_size=(1.0, 0.0, 1.0))
         with pytest.raises(ValueError):
-            Volume((sl,), voxel_size=(1.0, 1.0))
+            Volume.from_array(data, voxel_size=(1.0, 1.0))
+
+    def test_volume_rejects_negative_and_nonfinite(self):
+        for bad in (-1.0, np.nan, np.inf, -np.inf):
+            data = np.zeros((2, 2, 2))
+            data[1, 0, 1] = bad
+            with pytest.raises(ValueError):
+                Volume.from_array(data)
+
+    def test_volume_is_one_readonly_copy(self):
+        src = np.arange(8.0).reshape(2, 2, 2)
+        vol = Volume.from_array(src)
+        src[0, 0, 0] = 99.0
+        assert vol.data[0, 0, 0] == 0.0
+        assert vol.data.dtype == np.float64 and vol.data.flags.c_contiguous
+        with pytest.raises(ValueError):
+            vol.data[0, 0, 0] = 5.0
 
     def test_intensity_max_matches_recomputation(self):
         rng = np.random.default_rng(11)
