@@ -37,15 +37,9 @@ class _UsageError(ValueError):
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-start", type=float, default=40.0, help="first probed threshold (intensity units)")
-    parser.add_argument("--epsilon", type=float, default=10.0, help="probe step of the bracket search (intensity units)")
+    parser.add_argument("--epsilon", type=float, default=10.0, help="probe step of the walk that finds t_lower (intensity units)")
     parser.add_argument("--grid-step", type=float, default=1.0, help="threshold grid quantum (intensity units)")
     parser.add_argument("--correction-factor", type=float, default=1.53, help="background-std to sigma multiplier")
-    parser.add_argument(
-        "--search-mode",
-        choices=("bracketed", "exhaustive"),
-        default="bracketed",
-        help="minimum search strategy (bracketed falls back to exhaustive on non-unimodal curves)",
-    )
 
 
 def _add_quality_flags(parser: argparse.ArgumentParser) -> None:
@@ -83,7 +77,6 @@ def _config_from(args) -> SearchConfig:
             epsilon=args.epsilon,
             grid_step=args.grid_step,
             correction_factor=args.correction_factor,
-            search_mode=args.search_mode,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc

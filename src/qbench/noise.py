@@ -16,11 +16,11 @@ pixels above the threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .volume import PixelStats, Slice, Volume, stats_positive
+from .volume import Slice, Volume, stats_positive
 
 __all__ = [
     "CORRECTION_FACTOR",
@@ -97,7 +97,6 @@ class SearchConfig:
     epsilon: float = 10.0
     grid_step: float = 1.0
     correction_factor: float = CORRECTION_FACTOR
-    search_mode: str = "bracketed"
     grid: str = "uniform"
 
     def __post_init__(self):
@@ -107,8 +106,6 @@ class SearchConfig:
             raise ValueError("epsilon and grid_step must be > 0")
         if self.correction_factor <= 0:
             raise ValueError("correction_factor must be > 0")
-        if self.search_mode not in ("bracketed", "exhaustive"):
-            raise ValueError("search_mode must be 'bracketed' or 'exhaustive'")
         if self.grid not in ("uniform", "distinct"):
             raise ValueError("grid must be 'uniform' or 'distinct'")
 
@@ -124,10 +121,10 @@ class SearchConfig:
 class ThresholdResult:
     """Outcome of the threshold search.
 
-    ``curve`` holds the evaluated (t, variance-of-stds, mean-of-stds) samples,
-    sorted strictly ascending in t: the full grid in exhaustive mode, the
-    probed subset in bracketed mode. ``t_rejected`` is the interior minimum
-    discarded by the no-object guard, if the guard fired.
+    ``curve`` holds the (t, variance-of-stds, mean-of-stds) sample at every
+    grid point, sorted strictly ascending in t and ending at t_max.
+    ``t_rejected`` is the minimum discarded by the no-object guard, if the
+    guard fired.
     """
 
     t_opt: float
@@ -135,7 +132,6 @@ class ThresholdResult:
     t_max: float
     curve: np.ndarray
     no_object: bool
-    mode_used: str
     t_rejected: float | None = None
 
     def __post_init__(self):
@@ -218,9 +214,10 @@ class _VolumeScan:
       larger than the volume. Column L then covers the values <= L, so a
       lookup at t reads column floor(t). Each sum is an integer below 2**53,
       so the tables equal the sorted prefix sums below bit for bit, and the
-      whole curve costs O(slices x levels) whatever the voxel count;
-    * sorted: any other volume. Each slice is sorted once (one
-      ``np.sort(axis=1)``) and column k covers its k smallest values; a
+      whole curve costs O(slices x levels) whatever the voxel count. The
+      histogram is counted one slice at a time;
+    * sorted: any other volume. Each slice is sorted once (one in-place
+      ``sort(axis=1)``) and column k covers its k smallest values; a
       lookup binary-searches the sorted slices.
 
     This is the histogram view of the background noise of Sijbers et al.,
@@ -234,26 +231,30 @@ class _VolumeScan:
         self.total_pixels = self.n_slices * self.pixels_per_slice
         self.t_max = volume.intensity_max
         flat = volume.data.reshape(self.n_slices, self.pixels_per_slice)
-        levels = self._integral_levels(flat)
-        if levels is not None:
-            self._build_histogram(levels)
+        hist = self._histogram(flat)
+        if hist is not None:
+            self._build_histogram(hist)
         else:
             self._build_sorted(flat)
         self._zeros_total = int(self._zeros.sum())
 
-    def _integral_levels(self, flat: np.ndarray) -> np.ndarray | None:
-        """The values as int64 levels when the histogram layout applies, else None."""
+    def _histogram(self, flat: np.ndarray) -> np.ndarray | None:
+        """Per-slice counts of each integer level when the histogram layout applies, else None."""
         m = self.pixels_per_slice
         if not (m * self.t_max**2 < 2.0**53 and self.t_max + 1 <= m):
             return None
-        levels = flat.astype(np.int64)
-        return levels if np.array_equal(levels, flat) else None
+        width = int(self.t_max) + 1
+        hist = np.empty((self.n_slices, width), dtype=np.intp)
+        # slice by slice, so the integer levels never take a volume-sized copy
+        for j, row in enumerate(flat):
+            levels = row.astype(np.intp)
+            if not np.array_equal(levels, row):
+                return None
+            hist[j] = np.bincount(levels, minlength=width)
+        return hist
 
-    def _build_histogram(self, levels: np.ndarray) -> None:
-        n, width = self.n_slices, int(self.t_max) + 1
-        levels += (np.arange(n) * width)[:, None]
-        hist = np.bincount(levels.ravel(), minlength=n * width).reshape(n, width)
-        values = np.arange(width, dtype=np.float64)
+    def _build_histogram(self, hist: np.ndarray) -> None:
+        values = np.arange(hist.shape[1], dtype=np.float64)
         self._sorted = None
         self._zeros = hist[:, 0].copy()
         self._count = np.cumsum(hist, axis=1)
@@ -263,12 +264,14 @@ class _VolumeScan:
 
     def _build_sorted(self, flat: np.ndarray) -> None:
         n, m = flat.shape
-        self._sorted = np.sort(flat, axis=1)
+        # the sorted values and both prefix sums share one allocation, not three
+        tables = np.empty((3, n, m + 1))
+        tables[:, :, 0] = 0.0
+        self._sorted = tables[0, :, 1:]
+        self._sorted[...] = flat
+        self._sorted.sort(axis=1)
         self._zeros = np.count_nonzero(self._sorted <= 0.0, axis=1)
-        self._sum1 = np.empty((n, m + 1))
-        self._sum2 = np.empty((n, m + 1))
-        self._sum1[:, 0] = 0.0
-        self._sum2[:, 0] = 0.0
+        self._sum1, self._sum2 = tables[1], tables[2]
         # the squares go through _sum1's buffer first, so no temporary is needed
         np.multiply(self._sorted, self._sorted, out=self._sum1[:, 1:])
         np.cumsum(self._sum1[:, 1:], axis=1, out=self._sum2[:, 1:])
@@ -320,30 +323,18 @@ class _VolumeScan:
         var = s2 / n - (s1 / n) ** 2
         return np.sqrt(np.maximum(var, 0.0))
 
-    @staticmethod
-    def _spread(stds: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        mean_sigma = stds.mean(axis=axis, keepdims=True)
-        return ((stds - mean_sigma) ** 2).mean(axis=axis), mean_sigma.squeeze(axis)
-
     def curve(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Variance-of-stds and mean-of-stds for every t in ts (the grid).
+        """Variance-of-stds and mean-of-stds for every t in ts.
 
-        The sums over slices run in slice order, one t per column.
+        The probe ladder and the threshold grid are each evaluated in one
+        call. numpy sums each t's slices pairwise on the histogram layout
+        and, for two or more ts, in slice order on the sorted one; the
+        orders can differ in the last bit, so values are compared only
+        within one call, where every t is summed alike.
         """
-        return self._spread(self.slice_stds(ts), axis=0)
-
-    def points(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``point`` at every t in ts, in one evaluation.
-
-        Each t's slices are summed as one contiguous run, which numpy sums
-        pairwise, exactly as a single-point call does; ``curve`` sums in
-        slice order and can differ from this in the last bit.
-        """
-        return self._spread(np.ascontiguousarray(self.slice_stds(ts).T), axis=1)
-
-    def point(self, t: float) -> tuple[float, float]:
-        var, mean_sigma = self.points(np.array([float(t)]))
-        return float(var[0]), float(mean_sigma[0])
+        stds = self.slice_stds(ts)
+        mean_sigma = stds.mean(axis=0)
+        return ((stds - mean_sigma) ** 2).mean(axis=0), mean_sigma
 
     def positive_sigmas(self, t: float, f_e: float) -> list[float | None]:
         """Corrected positive-pixel std per slice at t (None when empty)."""
@@ -406,7 +397,7 @@ def _probe_walk(scan: _VolumeScan, cfg: SearchConfig, start: float) -> float:
     if not ladder:
         return scan.t_max
     ts = np.array(ladder)
-    values, _ = scan.points(ts)
+    values, _ = scan.curve(ts)
     run_max = np.maximum.accumulate(values)
     descent = np.zeros(ts.size, dtype=bool)
     descent[1:] = (values[1:] < values[:-1]) & (values[1:] < _DESCENT_DROP * run_max[1:])
@@ -443,10 +434,6 @@ def _build_grid(scan: _VolumeScan, cfg: SearchConfig, t_lower: float) -> np.ndar
     return ts
 
 
-def _is_tie(value: float, best: float) -> bool:
-    return value - best <= _TIE_REL_TOL * max(abs(value), abs(best))
-
-
 def _tied_argmin(values: np.ndarray) -> int:
     """Index of the smallest value; ties within tolerance go to the smallest index."""
     best = values.min()
@@ -454,114 +441,16 @@ def _tied_argmin(values: np.ndarray) -> int:
     return int(ties[0])
 
 
-_STRATIFIED_PROBES = 16
-
-
-def _bracketed_argmin(fn, size: int) -> tuple[int, dict[int, float], bool]:
-    """Locate the minimum of a discrete curve by interval halving.
-
-    ``fn(i)`` evaluates grid point i (memoized here). Each step compares the
-    probe pair (mid, mid+1) and keeps the half containing the descent, which
-    needs O(log size) evaluations on a unimodal curve. A fixed set of
-    stratified probe pairs is evaluated up front; they do not steer the
-    halving but feed the slope-pattern and best-seen checks, exposing
-    secondary valleys at 1/_STRATIFIED_PROBES resolution. Returns the
-    candidate index, the evaluation memo and a flag telling whether the
-    evidence stayed consistent with a single valley; callers must rerun
-    exhaustively when it did not.
-    """
-    memo: dict[int, float] = {}
-
-    def f(i: int) -> float:
-        if i not in memo:
-            memo[i] = fn(i)
-        return memo[i]
-
-    slopes: list[tuple[int, int]] = []
-
-    def probe_pair(i: int) -> tuple[float, float]:
-        a, b = f(i), f(i + 1)
-        if b != a:
-            slopes.append((i, 1 if b > a else -1))
-        return a, b
-
-    for i in np.linspace(0, size - 2, min(size - 1, _STRATIFIED_PROBES)).round().astype(int):
-        probe_pair(int(i))
-
-    lo, hi = 0, size - 1
-    f(lo)
-    f(hi)
-    while hi - lo >= 2:
-        mid = (lo + hi) // 2
-        a, b = probe_pair(mid)
-        if a <= b:
-            hi = mid
-        else:
-            lo = mid + 1
-    cand = lo if f(lo) <= f(hi) else hi
-
-    consistent = True
-    # A rise at i followed by a fall at j > i implies a second valley.
-    last_rise = None
-    for i, s in sorted(slopes):
-        if s > 0:
-            last_rise = i
-        elif last_rise is not None:
-            consistent = False
-    # The candidate must be a local minimum ...
-    for j in (cand - 1, cand + 1):
-        if 0 <= j < size and f(j) < f(cand) and not _is_tie(f(cand), f(j)):
-            consistent = False
-    # ... and no probed point may beat it.
-    best_seen = min(memo.values())
-    if f(cand) > best_seen and not _is_tie(f(cand), best_seen):
-        consistent = False
-
-    if consistent:
-        # Among probed ties, prefer the smallest index like the oracle does.
-        tied = [i for i, v in memo.items() if _is_tie(v, f(cand))]
-        cand = min(tied)
-    return cand, memo, consistent
-
-
-def _grid_argmin(scan: _VolumeScan, ts: np.ndarray, cfg: SearchConfig):
-    """Minimum of the variance curve over one grid, in the configured mode.
-
-    Returns (index, ts, variances, mean_sigmas, mode): in bracketed mode the
-    returned arrays hold only the probed samples (already sorted by t) and
-    the index points into them; a unimodality violation falls back to the
-    full scan.
-    """
-    if cfg.search_mode == "exhaustive":
-        variances, mean_sigmas = scan.curve(ts)
-        return _tied_argmin(variances), ts, variances, mean_sigmas, "exhaustive"
-
-    points: dict[int, tuple[float, float]] = {}
-
-    def fn(i: int) -> float:
-        if i not in points:
-            points[i] = scan.point(float(ts[i]))
-        return points[i][0]
-
-    idx, _, consistent = _bracketed_argmin(fn, ts.size)
-    if not consistent:
-        variances, mean_sigmas = scan.curve(ts)
-        return _tied_argmin(variances), ts, variances, mean_sigmas, "exhaustive-fallback"
-    sampled = np.array(sorted(points))
-    variances = np.array([points[i][0] for i in sampled])
-    mean_sigmas = np.array([points[i][1] for i in sampled])
-    return int(np.searchsorted(sampled, idx)), ts[sampled], variances, mean_sigmas, "bracketed"
-
-
 def find_t_opt(
     volume: Volume, cfg: SearchConfig = SearchConfig(), *, scan: _VolumeScan | None = None
 ) -> ThresholdResult:
     """Select the threshold minimizing the across-slice variance of stds.
 
-    The minimum is searched on a grid over [t_lower, t_max] either
-    exhaustively (the oracle) or by bracketed interval halving with a
-    fallback to the exhaustive scan whenever the probes are inconsistent
-    with a unimodal curve. Two degenerate outcomes are handled:
+    The variance curve is evaluated on the whole grid over [t_lower, t_max]
+    in one call, and its smallest value wins (ties within _TIE_REL_TOL go to
+    the smallest t). The grid ends at t_max, so its last sample is the mean
+    per-slice std of the unthresholded image, summed exactly as every other
+    sample. Two degenerate outcomes are handled:
 
     * no-object guard: when the mean per-slice std at the minimum exceeds
       its value at t_max, the image holds nothing but background and the
@@ -576,47 +465,43 @@ def find_t_opt(
     if scan is None:
         scan = _VolumeScan(volume)
     epsilon = cfg.scaled_to(scan.t_max).epsilon
-    _, sigma_at_max = scan.point(scan.t_max)
-
     t_lower = _probe_walk(scan, cfg, cfg.scaled_to(scan.t_max).t_start)
     ts = _build_grid(scan, cfg, t_lower)
-    idx, ts_used, variances, mean_sigmas, mode = _grid_argmin(scan, ts, cfg)
-    t_star, sigma_at_star = float(ts_used[idx]), float(mean_sigmas[idx])
-
-    def separating(t: float, sigma_at_t: float) -> bool:
-        return sigma_at_t <= _NEAR_FULL_FRACTION * sigma_at_max and bool(_background_covered(scan, np.array([t]), epsilon)[0])
+    variances, mean_sigmas = scan.curve(ts)
+    sigma_at_max = float(mean_sigmas[-1])
+    idx = _tied_argmin(variances)
+    t_star, sigma_at_star = float(ts[idx]), float(mean_sigmas[idx])
 
     t_rejected = None
     if sigma_at_star > sigma_at_max:
         # no-object guard on the raw minimum
         t_opt = scan.t_max
         t_rejected = t_star
-    elif t_star != scan.t_max and separating(t_star, sigma_at_star):
+    elif (
+        t_star != scan.t_max
+        and sigma_at_star <= _NEAR_FULL_FRACTION * sigma_at_max
+        and _background_covered(scan, np.array([t_star]), epsilon)[0]
+    ):
         t_opt = t_star
     else:
         # restrict to thresholds that truly separate: hole-free background
-        # and materially below the full image; needs the full grid evaluated
-        if mode != "exhaustive":
-            variances, mean_sigmas = scan.curve(ts)
-            ts_used = ts
-            mode = "exhaustive-fallback"
+        # and materially below the full image
         mask = mean_sigmas <= _NEAR_FULL_FRACTION * sigma_at_max
-        mask &= _background_covered(scan, ts_used, epsilon)
+        mask &= _background_covered(scan, ts, epsilon)
         sub = np.nonzero(mask)[0]
         if sub.size:
             idx2 = sub[_tied_argmin(variances[sub])]
-            t_opt = float(ts_used[idx2])
+            t_opt = float(ts[idx2])
         else:
             t_opt = scan.t_max
 
-    curve = np.column_stack((ts_used, variances, mean_sigmas))
+    curve = np.column_stack((ts, variances, mean_sigmas))
     return ThresholdResult(
         t_opt=float(t_opt),
         t_lower=float(t_lower),
         t_max=float(scan.t_max),
         curve=curve,
         no_object=bool(t_opt == scan.t_max),
-        mode_used=mode,
         t_rejected=t_rejected,
     )
 

@@ -90,7 +90,8 @@ def read_container(path) -> Volume:
     expected = w * h * n * _DTYPES[dtype].itemsize
     if payload_bytes != expected:
         raise VolumeFormatError(f"{path}: payload is {payload_bytes} bytes, expected {expected}")
-    samples = np.frombuffer(raw, dtype=_DTYPES[dtype], offset=nl + 1).astype(np.float64)
+    # a read-only view of the payload; Volume.from_array makes the one float64 copy
+    samples = np.frombuffer(raw, dtype=_DTYPES[dtype], offset=nl + 1)
     if dtype == "f32":
         if not np.all(np.isfinite(samples)):
             raise VolumeFormatError(f"{path}: f32 payload contains non-finite values")

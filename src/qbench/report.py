@@ -31,7 +31,7 @@ __all__ = [
     "write_text_atomic",
 ]
 
-REPORT_SCHEMA = "qbench-report/1"
+REPORT_SCHEMA = "qbench-report/2"
 
 # Units for every numeric leaf of the report, keyed by dotted field path.
 UNITS = {
@@ -111,8 +111,6 @@ def build_report(
             f"{zero_frac:.1%} of pixels are exactly zero; masked data breaks the "
             "background-noise assumptions and the estimate is unreliable"
         )
-    if tr.mode_used == "exhaustive-fallback":
-        warnings.append("variance curve was not unimodal; bracketed search fell back to the exhaustive scan")
     skipped = sum(1 for v in est.per_slice_sigma if v is None)
     if skipped:
         warnings.append(f"{skipped} slice(s) kept no positive pixel at t_opt and were skipped in the noise mean")
@@ -135,7 +133,6 @@ def build_report(
             "grid_step": cfg.grid_step,
             "correction_factor": cfg.correction_factor,
             "correction_factor_analytic": CORRECTION_FACTOR_ANALYTIC,
-            "search_mode": cfg.search_mode,
             "grid": cfg.grid,
         },
         "threshold": {
@@ -143,7 +140,6 @@ def build_report(
             "t_lower": tr.t_lower,
             "t_max": tr.t_max,
             "no_object": tr.no_object,
-            "mode_used": tr.mode_used,
             "t_rejected": tr.t_rejected,
             "curve_points": int(tr.curve.shape[0]),
         },

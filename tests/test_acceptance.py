@@ -50,7 +50,7 @@ def test_criterion_1_rayleigh_calibration():
 
 def test_criterion_2_degenerate_constant_volume():
     vol = generate(PhantomSpec(width=64, height=64, n_slices=20, background_value=400.0, sigma=100.0, seed=2026))
-    tr = find_t_opt(vol, SearchConfig(search_mode="exhaustive"))
+    tr = find_t_opt(vol)
     ts, variances = tr.curve[:, 0], tr.curve[:, 1]
     window = (ts >= 380.0) & (ts <= 440.0)
     interior = np.zeros_like(window)
@@ -101,24 +101,41 @@ def _criterion_3_corpus():
 
 
 def test_criterion_3_search_oracle_equivalence():
+    """The curve the search minimises is the per-slice reference curve, and
+    its minimum is the reference minimum over the grid.
+
+    ``homogeneity_variance`` thresholds the pixels one t at a time; on every
+    grid point the corpus would take about a minute. So it checks the scanned
+    curve on every 128th point, and the minimum on every point whose scanned
+    variance lies within 1e-9 of the smallest: at the agreement checked here,
+    only those can hold the reference minimum. Grid points between two pixel
+    levels threshold the same pixels and share one value, so one point of
+    each value is evaluated.
+    """
     start = time.perf_counter()
     checked = mismatches = 0
+    worst = 0.0
     for spec in _criterion_3_corpus():
         vol = generate(spec)
-        exhaustive = find_t_opt(vol, SearchConfig(search_mode="exhaustive"))
-        bracketed = find_t_opt(vol, SearchConfig(search_mode="bracketed"))
+        tr = find_t_opt(vol)
+        ts, variances = tr.curve[:, 0], tr.curve[:, 1]
         checked += 1
-        if bracketed.t_opt != exhaustive.t_opt:
-            v_b = homogeneity_variance(vol, bracketed.t_opt)[0]
-            v_e = homogeneity_variance(vol, exhaustive.t_opt)[0]
-            if abs(v_b - v_e) > 1e-12 * max(abs(v_b), abs(v_e)):
-                mismatches += 1
+        near = np.nonzero(variances <= variances.min() * (1 + 1e-9))[0]
+        near = near[np.unique(variances[near], return_index=True)[1]]
+        sample = np.union1d(np.arange(0, ts.size, 128), near)
+        ref = np.array([homogeneity_variance(vol, t)[0] for t in ts[sample]])
+        worst = max(worst, float(np.max(np.abs(ref - variances[sample]) / np.maximum(ref, 1e-300))))
+        v_s = homogeneity_variance(vol, ts[np.argmin(variances)])[0]
+        v_o = ref[np.isin(sample, near)].min()
+        if tr.t_opt not in ts or v_s - v_o > 1e-12 * max(abs(v_s), abs(v_o)):
+            mismatches += 1
     elapsed = time.perf_counter() - start
-    ok = checked >= 100 and mismatches == 0 and elapsed < 60.0
+    ok = checked >= 100 and mismatches == 0 and worst < 1e-9 and elapsed < 60.0
     _report(
         "criterion 3 (search-oracle equivalence)",
         ok,
-        f"{checked} phantoms, {mismatches} mismatches beyond 1e-12 ties, runtime={elapsed:.1f}s < 60s",
+        f"{checked} phantoms, {mismatches} mismatches beyond 1e-12 ties, "
+        f"curve within {worst:.1e} of the reference, runtime={elapsed:.1f}s < 60s",
     )
 
 

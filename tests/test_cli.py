@@ -113,8 +113,6 @@ class TestEstimate:
                 "0.5",
                 "--correction-factor",
                 "1.5264",
-                "--search-mode",
-                "exhaustive",
                 "--ref-resolution",
                 "2.0",
                 "--exponent-m",
@@ -129,7 +127,6 @@ class TestEstimate:
         assert cfgs["epsilon"] == 5.0
         assert cfgs["grid_step"] == 0.5
         assert cfgs["correction_factor"] == 1.5264
-        assert cfgs["search_mode"] == "exhaustive"
         score = json.loads(out.read_text())["quality_score"]
         assert score["reference_resolution_mm"] == 2.0
         assert score["exponent_m"] == 1.4

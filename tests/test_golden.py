@@ -1,7 +1,11 @@
 """Golden reports: the sha256 of the canonical report bytes for four small phantoms.
 
-The hashes were recorded before the noise scan moved to the histogram and
-sorted-table layouts, and pin that reports stayed byte-identical through it.
+The hashes were first recorded before the noise scan moved to the histogram
+and sorted-table layouts, and pin that reports stayed byte-identical through
+it. They were re-recorded for schema ``qbench-report/2``, whose reports differ
+from those of ``/1`` only by the schema string, the removed
+``config.search_mode`` and ``threshold.mode_used`` fields and the removed
+search-fallback warning; the curve CSV did not change.
 Phantoms are bit-exact only on one numpy build (README, Determinism), so a
 numpy upgrade that changes the noise stream changes these hashes too.
 """
@@ -26,14 +30,14 @@ PHANTOMS = {
 }
 
 REPORT_SHA256 = {
-    "u16-disk": "8fe6835eda7d00792bcd0c402a6834e6258dcdfc9571c3b05120397c20648ad0",
-    "f32-disk": "ba79618acef97cd9ba39ab22c46daedcad76fb12d2fc7d01b7eeef6977ca7724",
-    "f32-noobj": "ecc930a00cfc10f0f6a749ec0b2daf63c652a12436350f1fbf494eda844e80f0",
-    "u16-offset": "4abf8f35fbeb776387cbab00a206169e799421e4bb0f094b5a39348fe2ef7187",
+    "u16-disk": "cd305ac3546de79eb0c024da7e43077cc653c210d268d557e1e3c66ed5467481",
+    "f32-disk": "cbbbac08ccb2a1dc78c3fe54ddeb56f1666e25ebc62b6e34b382f5a077789aae",
+    "f32-noobj": "ff279462aea1544dea3f1f6442a66de20417be9f7877697f9e0ef788f282a064",
+    "u16-offset": "e624779618f7e7692a03aa22a7bc3f5c3a9f525e5d72644e189da76efe25bc7a",
 }
 
 CURVE_SHA256 = {
-    "report": "3da89ae968288b7892ce76e5c7a28aef8bff3531ce7a6a49daaf0dc9d8d4dfee",
+    "report": "c0f508287a3965d5f83bdde76f0c10b0d1db00438aa03939c6ec3bf8bedec62b",
     "csv": "e3ba8aa886c0115fe67176555c2c6a6eaae3c9727f19fe7c66defa4495f6c284",
 }
 

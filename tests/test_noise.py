@@ -222,8 +222,8 @@ class TestSearchConfig:
             SearchConfig(t_start=-5.0)
         with pytest.raises(ValueError):
             SearchConfig(correction_factor=0.0)
-        with pytest.raises(ValueError):
-            SearchConfig(search_mode="magic")
+        with pytest.raises(TypeError):
+            SearchConfig(search_mode="exhaustive")  # the search has one mode
         with pytest.raises(ValueError):
             SearchConfig(grid="log")
 

@@ -29,7 +29,7 @@ EXAMPLES = dict(deadline=None, derandomize=True)
 class _SortedScan(_VolumeScan):
     """The sorted layout, whatever the data."""
 
-    def _integral_levels(self, flat):
+    def _histogram(self, flat):
         return None
 
 
@@ -93,30 +93,29 @@ def test_scan_matches_per_slice_reference(volume):
 @settings(max_examples=60, **EXAMPLES)
 @given(volumes.map(lambda v: Volume.from_array(np.concatenate([v.data] * 9))))
 def test_points_equal_one_t_at_a_time_bit_for_bit(volume):
-    """The probe walk evaluates its whole ladder at once; each value must be
-    the one a single-t evaluation gives. From 8 slices on, numpy sums a
-    single t's slices pairwise, not in slice order."""
-    scan = _VolumeScan(volume)
+    """Each point of one ``curve`` call equals that t evaluated on its own
+    beside t_max, on both layouts: the no-object guard compares the grid's
+    minimum with its last sample, t_max, and gets the same two values
+    whatever else the grid holds. From 8 slices on, numpy can sum a lone t's
+    slices in another order than two or more ts' (pairwise, not in slice
+    order), so each t is paired with t_max rather than evaluated alone."""
     ts = thresholds(volume)
-    variances, means = scan.points(ts)
-    for t, var, mean in zip(ts, variances, means):
-        one_var, one_mean = scan.curve(np.array([t]))
-        assert (var, mean) == (one_var[0], one_mean[0]) == scan.point(t)
+    t_max = volume.intensity_max
+    for scan in (_VolumeScan(volume), _SortedScan(volume)):
+        variances, means = scan.curve(ts)
+        at_max = int(np.searchsorted(ts, t_max))
+        for t, var, mean in zip(ts, variances, means):
+            pair_var, pair_mean = scan.curve(np.array([t, t_max]))
+            assert (var, mean) == (pair_var[0], pair_mean[0])
+            assert (variances[at_max], means[at_max]) == (pair_var[1], pair_mean[1])
 
 
 def assert_same_threshold(a, b):
-    assert (a.t_opt, a.t_lower, a.t_max, a.no_object, a.mode_used, a.t_rejected) == (
-        b.t_opt,
-        b.t_lower,
-        b.t_max,
-        b.no_object,
-        b.mode_used,
-        b.t_rejected,
-    )
+    assert (a.t_opt, a.t_lower, a.t_max, a.no_object, a.t_rejected) == (b.t_opt, b.t_lower, b.t_max, b.no_object, b.t_rejected)
     assert np.array_equal(a.curve, b.curve)
 
 
-CONFIGS = [SearchConfig(), SearchConfig(search_mode="exhaustive"), SearchConfig(grid="distinct", t_start=5.0, epsilon=3.0)]
+CONFIGS = [SearchConfig(), SearchConfig(grid_step=0.5, t_start=10.0), SearchConfig(grid="distinct", t_start=5.0, epsilon=3.0)]
 
 
 @settings(max_examples=60, **EXAMPLES)
@@ -131,7 +130,7 @@ def test_histogram_layout_equals_sorted_layout(volume):
         assert np.array_equal(a, b)
     assert np.array_equal(hist.positive_count(ts), srt.positive_count(ts))
     assert np.array_equal(hist.distinct_values(), srt.distinct_values())
-    for a, b in zip(hist.curve(ts) + hist.points(ts), srt.curve(ts) + srt.points(ts)):
+    for a, b in zip(hist.curve(ts), srt.curve(ts)):
         assert np.array_equal(a, b)
     t = float(ts[len(ts) // 2])
     assert hist.positive_sigmas(t, CORRECTION_FACTOR) == srt.positive_sigmas(t, CORRECTION_FACTOR)
@@ -183,6 +182,6 @@ def test_estimate_builds_one_scan_and_calls_find_t_opt(monkeypatch, disk_volume)
     original = noise.find_t_opt
     monkeypatch.setattr(noise, "_VolumeScan", CountingScan)
     monkeypatch.setattr(noise, "find_t_opt", lambda *a, **k: searched.append(1) or original(*a, **k))
-    estimate(disk_volume, SearchConfig(search_mode="exhaustive"))
+    estimate(disk_volume)
     assert built == [disk_volume]
     assert searched == [1]

@@ -9,10 +9,18 @@ from qbench import (
     find_t_lower,
     find_t_opt,
     generate,
+    homogeneity_variance,
     quantize,
 )
-from qbench.noise import _bracketed_argmin, _tied_argmin, _VolumeScan
+from qbench.noise import _tied_argmin, _VolumeScan
 from conftest import const_phantom, pure_noise, volume_from
+
+
+class SortedScan(_VolumeScan):
+    """The sorted layout, whatever the data."""
+
+    def _histogram(self, flat):
+        return None
 
 
 def descending_at_start_volume():
@@ -59,15 +67,13 @@ def brain_like_volume(seed=9):
 class TestFindTLower:
     def test_descending_curve_fires_at_t_start(self):
         vol = descending_at_start_volume()
-        scan = _VolumeScan(vol)
-        assert scan.point(50.0)[0] < 0.25 * scan.point(40.0)[0]  # shape precondition
+        variances, _ = _VolumeScan(vol).curve(np.array([40.0, 50.0]))
+        assert variances[1] < 0.25 * variances[0]  # shape precondition
         assert find_t_lower(vol) == 40.0
 
     def test_monotone_curve_falls_back_to_t_max(self):
         vol = staircase_volume()
-        scan = _VolumeScan(vol)
-        ts = np.arange(40.0, vol.intensity_max, 10.0)
-        seq = np.array([scan.point(t)[0] for t in ts])
+        seq, _ = _VolumeScan(vol).curve(np.arange(40.0, vol.intensity_max, 10.0))
         assert np.all(np.diff(seq) >= 0)  # shape precondition: no descent
         assert find_t_lower(vol) == vol.intensity_max
 
@@ -82,76 +88,6 @@ class TestFindTLower:
         vol = const_phantom(value=400.0, sigma=100.0, seed=1)
         t_l = find_t_lower(vol)
         assert 300.0 <= t_l <= 440.0
-
-
-class TestBracketedArgmin:
-    def evaluate(self, values):
-        values = np.asarray(values, dtype=float)
-        calls = []
-
-        def fn(i):
-            calls.append(i)
-            return float(values[i])
-
-        idx, memo, consistent = _bracketed_argmin(fn, values.size)
-        return idx, memo, consistent, calls
-
-    @pytest.mark.parametrize("valley", [0, 1, 7, 33, 62, 63])
-    def test_matches_exhaustive_on_strictly_unimodal(self, valley):
-        xs = np.arange(64.0)
-        values = (xs - valley) ** 2 + 3.0
-        idx, _, consistent, _ = self.evaluate(values)
-        assert consistent
-        assert idx == valley == int(np.argmin(values))
-
-    def test_logarithmic_evaluation_count(self):
-        xs = np.arange(4096.0)
-        values = (xs - 1234.0) ** 2
-        _, memo, consistent, calls = self.evaluate(values)
-        assert consistent
-        # stratified pairs plus the halving path, far below the grid size
-        assert len(memo) <= 2 * 16 + 4 * int(np.log2(4096)) + 8
-
-    def test_flat_curve_returns_smallest_index(self):
-        idx, _, consistent, _ = self.evaluate(np.ones(50))
-        assert consistent and idx == 0
-
-    def test_flat_valley_prefers_smallest_probed_tie(self):
-        values = np.concatenate([np.linspace(9, 2, 8), np.full(5, 2.0), np.linspace(2, 11, 10)])
-        idx, memo, consistent, _ = self.evaluate(values)
-        oracle = _tied_argmin(values)
-        if consistent:
-            assert values[idx] == values[oracle]
-        # never worse than the oracle value (fallback handles the rest)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_adversarial_curves_stay_within_probed_evidence(self, seed):
-        rng = np.random.default_rng(seed)
-        # two random valleys with a hump between them; near-equal valley
-        # depths are indistinguishable at O(log k) probing, so the contract
-        # is local minimality plus never losing to any probed point
-        xs = np.arange(200.0)
-        v1, v2 = sorted(rng.choice(np.arange(10, 190), size=2, replace=False))
-        values = np.minimum((xs - v1) ** 2 + rng.uniform(0, 50), 0.7 * (xs - v2) ** 2 + rng.uniform(0, 50))
-        idx, memo, consistent, _ = self.evaluate(values)
-        if consistent:
-            assert values[idx] <= min(memo.values()) * (1 + 1e-12) + 1e-12
-            for j in (idx - 1, idx + 1):
-                if 0 <= j < values.size:
-                    assert values[idx] <= values[j] * (1 + 1e-12) + 1e-12
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_materially_deeper_second_valley_is_detected(self, seed):
-        rng = np.random.default_rng(seed)
-        xs = np.arange(200.0)
-        v1, v2 = sorted(rng.choice(np.arange(30, 170), size=2, replace=False))
-        # the second valley dips far below the first: either the halving
-        # finds it or a stratified probe exposes the inconsistency
-        values = np.minimum((xs - v1) ** 2 + 400.0, 0.5 * (xs - v2) ** 2 + 1.0)
-        idx, _, consistent, _ = self.evaluate(values)
-        oracle = float(values.min())
-        if consistent:
-            assert values[idx] <= oracle * (1 + 1e-12) + 1e-12
 
 
 class TestTiedArgmin:
@@ -172,29 +108,35 @@ class TestFindTOpt:
 
     def test_const_400_guard_rejects_interior_minimum(self):
         vol = const_phantom(value=400.0, sigma=100.0, seed=1)
-        tr = find_t_opt(vol, SearchConfig(search_mode="exhaustive"))
+        tr = find_t_opt(vol)
         assert tr.no_object and tr.t_opt == tr.t_max
         assert tr.t_rejected is not None
         assert 380.0 <= tr.t_rejected <= 440.0
 
     def test_modes_agree_on_disk_phantom(self, disk_volume):
-        exhaustive = find_t_opt(disk_volume, SearchConfig(search_mode="exhaustive"))
-        bracketed = find_t_opt(disk_volume, SearchConfig(search_mode="bracketed"))
-        assert bracketed.t_opt == exhaustive.t_opt
-        assert bracketed.mode_used in ("bracketed", "exhaustive-fallback")
-        assert exhaustive.mode_used == "exhaustive"
+        # the scan's two layouts: integral data takes the histogram, and the
+        # sorted one must give the same search. numpy sums the 20 slices
+        # pairwise on the histogram layout and in slice order on the sorted
+        # one, so the curves agree to a few ulps, not bit for bit
+        vol = quantize(disk_volume)
+        hist, srt = _VolumeScan(vol), SortedScan(vol)
+        assert hist._sorted is None and srt._sorted is not None
+        a, b = find_t_opt(vol, scan=hist), find_t_opt(vol, scan=srt)
+        assert (a.t_opt, a.t_lower, a.no_object, a.t_rejected) == (b.t_opt, b.t_lower, b.no_object, b.t_rejected)
+        assert np.array_equal(a.curve[:, 0], b.curve[:, 0])
+        assert np.allclose(a.curve, b.curve, rtol=1e-14, atol=0.0)
 
     def test_bracket_bounds_hold(self, disk_volume):
         tr = find_t_opt(disk_volume)
         assert tr.t_lower <= tr.t_opt <= tr.t_max
         ts = tr.curve[:, 0]
         assert np.all(np.diff(ts) > 0)
-        assert ts[0] >= tr.t_lower and ts[-1] <= tr.t_max
+        assert ts[0] == tr.t_lower and ts[-1] == tr.t_max  # the no-object guard reads the last sample
 
     def test_distinct_grid_matches_uniform_on_quantized_volume(self, disk_volume):
         vol = quantize(disk_volume)
-        uniform = find_t_opt(vol, SearchConfig(search_mode="exhaustive", grid="uniform"))
-        distinct = find_t_opt(vol, SearchConfig(search_mode="exhaustive", grid="distinct"))
+        uniform = find_t_opt(vol, SearchConfig(grid="uniform"))
+        distinct = find_t_opt(vol, SearchConfig(grid="distinct"))
         assert distinct.t_opt == uniform.t_opt
         assert distinct.no_object == uniform.no_object
 
@@ -217,28 +159,42 @@ class TestFindTOpt:
             objects=(PhantomObject("disk", (32, 32), 24, 5000.0),),
         )
         vol = generate(spec)
-        exhaustive = find_t_opt(vol, SearchConfig(search_mode="exhaustive"))
-        bracketed = find_t_opt(vol, SearchConfig(search_mode="bracketed"))
-        ve = _VolumeScan(vol).point(exhaustive.t_opt)[0]
-        vb = _VolumeScan(vol).point(bracketed.t_opt)[0]
-        assert vb <= ve * (1 + 1e-12) + 1e-15
+        tr = find_t_opt(vol)
+        ts, variances = tr.curve[:, 0], tr.curve[:, 1]
+        hump = int(np.argmax(variances))
+        valley = hump + int(np.argmin(variances[hump:]))
+        # shape precondition: a hump inside the object's intensities, then a valley
+        assert ts[hump] > 4000.0 and valley < ts.size - 1
+        assert variances[valley] < min(variances[-1], 0.01 * variances[hump])
+        # the search keeps the deeper background valley left of the hump
+        assert not tr.no_object and tr.t_opt < ts[hump]
+        assert homogeneity_variance(vol, tr.t_opt)[0] < homogeneity_variance(vol, ts[valley])[0]
+
+    def test_minimum_at_t_max_is_not_rejected(self):
+        # an object-free volume whose variance minimum sits at t_max: the
+        # no-object guard compares the mean std there with itself
+        vol = generate(PhantomSpec(width=24, height=24, n_slices=10, sigma=50.0, seed=56))
+        tr = find_t_opt(vol)
+        assert tr.curve[_tied_argmin(tr.curve[:, 1]), 0] == tr.t_max  # shape precondition
+        assert tr.no_object and tr.t_opt == tr.t_max
+        assert tr.t_rejected is None
 
 
 class TestThresholdResultInvariants:
     def test_ordering_enforced(self):
         curve = np.array([[0.0, 1.0, 1.0]])
         with pytest.raises(ValueError):
-            ThresholdResult(t_opt=5.0, t_lower=6.0, t_max=10.0, curve=curve, no_object=False, mode_used="exhaustive")
+            ThresholdResult(t_opt=5.0, t_lower=6.0, t_max=10.0, curve=curve, no_object=False)
 
     def test_no_object_requires_t_max(self):
         curve = np.array([[0.0, 1.0, 1.0]])
         with pytest.raises(ValueError):
-            ThresholdResult(t_opt=5.0, t_lower=0.0, t_max=10.0, curve=curve, no_object=True, mode_used="exhaustive")
+            ThresholdResult(t_opt=5.0, t_lower=0.0, t_max=10.0, curve=curve, no_object=True)
 
     def test_curve_must_ascend(self):
         curve = np.array([[1.0, 0.5, 0.5], [1.0, 0.4, 0.6]])
         with pytest.raises(ValueError):
-            ThresholdResult(t_opt=1.0, t_lower=0.0, t_max=2.0, curve=curve, no_object=False, mode_used="exhaustive")
+            ThresholdResult(t_opt=1.0, t_lower=0.0, t_max=2.0, curve=curve, no_object=False)
 
 
 class TestPureNoiseBehaviour:
