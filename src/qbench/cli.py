@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -82,6 +83,13 @@ def _config_from(args) -> SearchConfig:
         raise _UsageError(str(exc)) from exc
 
 
+def _check_quality_flags(args) -> None:
+    if not (math.isfinite(args.ref_resolution) and args.ref_resolution > 0):
+        raise _UsageError("--ref-resolution must be a finite value > 0")
+    if not math.isfinite(args.exponent_m):
+        raise _UsageError("--exponent-m must be finite")
+
+
 def _load(path: str) -> tuple[Volume, str, list[str]]:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -112,11 +120,14 @@ def _parse_factors(text: str) -> list[float]:
         raise _UsageError("--factors needs at least 2 values")
     if any(f < 1 for f in factors):
         raise _UsageError("--factors must all be >= 1")
+    if len(set(factors)) < len(factors):
+        raise _UsageError("--factors must not repeat a value")
     return factors
 
 
 def _cmd_estimate(args) -> int:
     cfg = _config_from(args)
+    _check_quality_flags(args)
     volume, fmt, load_warnings = _load(args.input)
     est = estimate(volume, cfg)
     score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
@@ -152,6 +163,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_curve(args) -> int:
     cfg = _config_from(args)
+    _check_quality_flags(args)
     factors = _parse_factors(args.factors)
     volume, fmt, load_warnings = _load(args.input)
     est = estimate(volume, cfg)

@@ -88,26 +88,24 @@ class SearchConfig:
     """Knobs of the threshold search, all in intensity units.
 
     ``t_start`` and ``epsilon`` are rescaled by intensity_max/4095 for volumes
-    exceeding the 12-bit range. ``grid`` selects the candidate set for the
-    minimum: a uniform grid of quantum ``grid_step`` or the exact distinct
-    pixel values.
+    exceeding the 12-bit range. The minimum is searched on a uniform grid of
+    quantum ``grid_step``.
     """
 
     t_start: float = 40.0
     epsilon: float = 10.0
     grid_step: float = 1.0
     correction_factor: float = CORRECTION_FACTOR
-    grid: str = "uniform"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_start, self.epsilon, self.grid_step, self.correction_factor))):
+            raise ValueError("t_start, epsilon, grid_step and correction_factor must be finite")
         if self.t_start < 0:
             raise ValueError("t_start must be >= 0")
         if self.epsilon <= 0 or self.grid_step <= 0:
             raise ValueError("epsilon and grid_step must be > 0")
         if self.correction_factor <= 0:
             raise ValueError("correction_factor must be > 0")
-        if self.grid not in ("uniform", "distinct"):
-            raise ValueError("grid must be 'uniform' or 'distinct'")
 
     def scaled_to(self, intensity_max: float) -> "SearchConfig":
         """Config with t_start/epsilon rescaled for volumes beyond 12-bit range."""
@@ -206,19 +204,25 @@ class _VolumeScan:
     """Cumulative count, sum and sum of squares of each slice's values, by threshold.
 
     Thresholding at t keeps each slice's values <= t, so every per-slice
-    statistic at any t is a lookup in three cumulative tables of shape
-    (n_slices, columns). The layout is chosen from the data alone:
+    statistic at any t is a lookup in three cumulative tables, ``count``,
+    ``sum1`` and ``sum2``, of shape (n_slices, columns). The layout is chosen
+    from the data alone, and decides only how the tables are built and which
+    column a t reads:
 
     * histogram: the values are integers, every prefix sum is exact in
       float64 (pixels_per_slice * t_max**2 < 2**53) and the tables are no
       larger than the volume. Column L then covers the values <= L, so a
-      lookup at t reads column floor(t). Each sum is an integer below 2**53,
-      so the tables equal the sorted prefix sums below bit for bit, and the
-      whole curve costs O(slices x levels) whatever the voxel count. The
-      histogram is counted one slice at a time;
+      lookup at t reads column floor(t) of every slice. Each sum is an
+      integer below 2**53, so the tables equal the sorted prefix sums below
+      bit for bit, and the whole curve costs O(slices x levels) whatever the
+      voxel count. The histogram is counted one slice at a time;
     * sorted: any other volume. Each slice is sorted once (one in-place
-      ``sort(axis=1)``) and column k covers its k smallest values; a
-      lookup binary-searches the sorted slices.
+      ``sort(axis=1)``) and column k covers its k smallest values, so
+      ``count`` is just k; a lookup binary-searches the sorted slices.
+
+    Every query reads the tables through one lookup, t-major with each t's
+    slices contiguous, so both layouts and any set of ts sum a t's slices in
+    the same order, and give the same values bit for bit.
 
     This is the histogram view of the background noise of Sijbers et al.,
     "Automatic estimation of the noise variance from the histogram of a
@@ -230,13 +234,15 @@ class _VolumeScan:
         self.pixels_per_slice = h * w
         self.total_pixels = self.n_slices * self.pixels_per_slice
         self.t_max = volume.intensity_max
+        self._rows = np.arange(self.n_slices)
         flat = volume.data.reshape(self.n_slices, self.pixels_per_slice)
         hist = self._histogram(flat)
         if hist is not None:
             self._build_histogram(hist)
         else:
             self._build_sorted(flat)
-        self._zeros_total = int(self._zeros.sum())
+        # magnitudes are non-negative, so the values <= 0 are the zeros
+        [self._zeros] = self._lookup(np.zeros(1), self._count)
 
     def _histogram(self, flat: np.ndarray) -> np.ndarray | None:
         """Per-slice counts of each integer level when the histogram layout applies, else None."""
@@ -256,11 +262,9 @@ class _VolumeScan:
     def _build_histogram(self, hist: np.ndarray) -> None:
         values = np.arange(hist.shape[1], dtype=np.float64)
         self._sorted = None
-        self._zeros = hist[:, 0].copy()
         self._count = np.cumsum(hist, axis=1)
         self._sum1 = np.cumsum(hist * values, axis=1)
         self._sum2 = np.cumsum(hist * (values * values), axis=1)
-        self._global_count = self._count.sum(axis=0)
 
     def _build_sorted(self, flat: np.ndarray) -> None:
         n, m = flat.shape
@@ -270,7 +274,8 @@ class _VolumeScan:
         self._sorted = tables[0, :, 1:]
         self._sorted[...] = flat
         self._sorted.sort(axis=1)
-        self._zeros = np.count_nonzero(self._sorted <= 0.0, axis=1)
+        # a view: column k of every slice holds k values
+        self._count = np.broadcast_to(np.arange(m + 1), (n, m + 1))
         self._sum1, self._sum2 = tables[1], tables[2]
         # the squares go through _sum1's buffer first, so no temporary is needed
         np.multiply(self._sorted, self._sorted, out=self._sum1[:, 1:])
@@ -278,47 +283,33 @@ class _VolumeScan:
         np.cumsum(self._sorted, axis=1, out=self._sum1[:, 1:])
 
     def _columns(self, ts: np.ndarray) -> np.ndarray:
-        """Histogram column of each t: the highest level <= t."""
-        return np.clip(np.floor(ts), 0, self._count.shape[1] - 1).astype(np.intp)
-
-    def _ranks(self, ts: np.ndarray) -> np.ndarray:
-        """Sorted layout: count of values <= t per (slice, t), zeros included.
+        """Table column of each t: (len(ts), 1) on the histogram layout, the
+        highest level <= t; (len(ts), n_slices) on the sorted one, the count
+        of each slice's values <= t.
 
         numpy has no batched searchsorted; one call per slice over all of ts
         costs what any vectorised form would.
         """
-        k = np.empty((self.n_slices, ts.size), dtype=np.intp)
+        if self._sorted is None:
+            return np.clip(np.floor(ts), 0, self._count.shape[1] - 1).astype(np.intp)[:, None]
+        k = np.empty((ts.size, self.n_slices), dtype=np.intp)
         for j, row in enumerate(self._sorted):
-            k[j] = np.searchsorted(row, ts, side="right")
+            k[:, j] = np.searchsorted(row, ts, side="right")
         return k
 
-    def distinct_values(self) -> np.ndarray:
-        """Sorted unique positive pixel values across the volume."""
-        if self._sorted is None:
-            return np.flatnonzero(np.diff(self._global_count)).astype(np.float64) + 1.0
-        vals = self._sorted.ravel()
-        return np.unique(vals[vals > 0])
+    def _lookup(self, ts: np.ndarray, *tables: np.ndarray) -> list[np.ndarray]:
+        """Each table at every (t, slice): t-major, each t's slices contiguous."""
+        cols = self._columns(ts)
+        return [table[self._rows, cols] for table in tables]
 
     def positive_count(self, ts: np.ndarray) -> np.ndarray:
         """Number of positive pixels <= t in the whole volume, for every t in ts."""
-        if self._sorted is None:
-            return self._global_count[self._columns(ts)] - self._zeros_total
-        return self._ranks(ts).sum(axis=0) - self._zeros_total
-
-    def _moments(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Retained positive count, sum and sum-of-squares per (slice, t)."""
-        if self._sorted is None:
-            cols = self._columns(ts)
-            k, s1, s2 = self._count[:, cols], self._sum1[:, cols], self._sum2[:, cols]
-        else:
-            k = self._ranks(ts)
-            s1 = np.take_along_axis(self._sum1, k, axis=1)
-            s2 = np.take_along_axis(self._sum2, k, axis=1)
-        return k - self._zeros[:, None], s1, s2
+        [count] = self._lookup(ts, self._count)
+        return (count - self._zeros).sum(axis=1)
 
     def slice_stds(self, ts: np.ndarray) -> np.ndarray:
-        """Population std per (slice, t) over all pixels, zeros included."""
-        _, s1, s2 = self._moments(ts)
+        """Population std per (t, slice) over all pixels, zeros included."""
+        s1, s2 = self._lookup(ts, self._sum1, self._sum2)
         n = self.pixels_per_slice
         var = s2 / n - (s1 / n) ** 2
         return np.sqrt(np.maximum(var, 0.0))
@@ -327,22 +318,19 @@ class _VolumeScan:
         """Variance-of-stds and mean-of-stds for every t in ts.
 
         The probe ladder and the threshold grid are each evaluated in one
-        call. numpy sums each t's slices pairwise on the histogram layout
-        and, for two or more ts, in slice order on the sorted one; the
-        orders can differ in the last bit, so values are compared only
-        within one call, where every t is summed alike.
+        call; a t gives the same two values in any call.
         """
         stds = self.slice_stds(ts)
-        mean_sigma = stds.mean(axis=0)
-        return ((stds - mean_sigma) ** 2).mean(axis=0), mean_sigma
+        mean_sigma = stds.mean(axis=1)
+        return ((stds - mean_sigma[:, None]) ** 2).mean(axis=1), mean_sigma
 
     def positive_sigmas(self, t: float, f_e: float) -> list[float | None]:
         """Corrected positive-pixel std per slice at t (None when empty)."""
-        k, s1, s2 = self._moments(np.array([float(t)]))
+        count, s1, s2 = self._lookup(np.array([float(t)]), self._count, self._sum1, self._sum2)
         out: list[float | None] = []
         # scalar arithmetic on purpose: numpy's scalar ** 2 calls pow(), which
         # can differ in the last bit from the array ** 2 (a product)
-        for kj, a, b in zip(k[:, 0], s1[:, 0], s2[:, 0]):
+        for kj, a, b in zip(count[0] - self._zeros[0], s1[0], s2[0]):
             if kj == 0:
                 out.append(None)
             else:
@@ -372,8 +360,8 @@ def _background_covered(scan: _VolumeScan, ts: np.ndarray, epsilon: float) -> np
     return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
 
 
-def _probe_walk(scan: _VolumeScan, cfg: SearchConfig, start: float) -> float:
-    """Walk probes of epsilon width from ``start`` and locate a bracket start.
+def _probe_walk(scan: _VolumeScan, cfg: SearchConfig) -> float:
+    """Walk probes of epsilon width from t_start and locate a bracket start.
 
     Two stopping rules:
 
@@ -386,11 +374,11 @@ def _probe_walk(scan: _VolumeScan, cfg: SearchConfig, start: float) -> float:
 
     The whole probe ladder is evaluated at once and the first probe at which
     a rule fires wins, the descent rule first. Falls back to t_max when
-    neither rule fires (curve never turns down).
+    neither rule fires (curve never turns down). ``cfg`` is already scaled
+    to the scan's intensity range.
     """
-    cfg = cfg.scaled_to(scan.t_max)
     ladder = []
-    t = start
+    t = cfg.t_start
     while t < scan.t_max:  # repeated addition places the probes bit for bit
         ladder.append(t)
         t += cfg.epsilon
@@ -416,21 +404,15 @@ def _probe_walk(scan: _VolumeScan, cfg: SearchConfig, start: float) -> float:
 def find_t_lower(volume: Volume, cfg: SearchConfig = SearchConfig()) -> float:
     """Left end of the minimum-search bracket (see _probe_walk)."""
     scan = _VolumeScan(volume)
-    return float(_probe_walk(scan, cfg, cfg.scaled_to(scan.t_max).t_start))
+    return float(_probe_walk(scan, cfg.scaled_to(scan.t_max)))
 
 
-def _build_grid(scan: _VolumeScan, cfg: SearchConfig, t_lower: float) -> np.ndarray:
-    if cfg.grid == "distinct":
-        vals = scan.distinct_values()
-        ts = vals[(vals >= t_lower) & (vals <= scan.t_max)]
-        if ts.size == 0 or ts[0] > t_lower:
-            ts = np.concatenate(([t_lower], ts))
-    else:
-        step = cfg.scaled_to(scan.t_max).grid_step
-        count = int(math.floor((scan.t_max - t_lower) / step)) + 1
-        ts = t_lower + step * np.arange(count)
-    if ts.size == 0 or ts[-1] < scan.t_max:
-        ts = np.concatenate((ts, [scan.t_max]))
+def _build_grid(t_lower: float, t_max: float, step: float) -> np.ndarray:
+    """Uniform grid of quantum ``step`` from t_lower, ending at t_max."""
+    count = int(math.floor((t_max - t_lower) / step)) + 1
+    ts = t_lower + step * np.arange(count)
+    if ts[-1] < t_max:
+        ts = np.concatenate((ts, [t_max]))
     return ts
 
 
@@ -446,11 +428,12 @@ def find_t_opt(
 ) -> ThresholdResult:
     """Select the threshold minimizing the across-slice variance of stds.
 
-    The variance curve is evaluated on the whole grid over [t_lower, t_max]
-    in one call, and its smallest value wins (ties within _TIE_REL_TOL go to
-    the smallest t). The grid ends at t_max, so its last sample is the mean
-    per-slice std of the unthresholded image, summed exactly as every other
-    sample. Two degenerate outcomes are handled:
+    The variance curve is evaluated on the uniform grid of quantum
+    ``grid_step`` over [t_lower, t_max] in one call, and its smallest value
+    wins (ties within _TIE_REL_TOL go to the smallest t). The grid ends at
+    t_max, so its last sample is the mean per-slice std of the unthresholded
+    image, the same value a lone t_max gives. Two degenerate outcomes are
+    handled:
 
     * no-object guard: when the mean per-slice std at the minimum exceeds
       its value at t_max, the image holds nothing but background and the
@@ -460,13 +443,14 @@ def find_t_opt(
       valleys mid-bulk) is replaced by the best minimum among thresholds
       whose retained region is gap-free, re-checked against the guard.
 
-    ``scan`` is a prebuilt scan of ``volume``; one is built when it is omitted.
+    ``scan`` is a prebuilt scan of ``volume``; one is built when it is
+    omitted. ``cfg`` is scaled to the volume's intensity range once, here.
     """
     if scan is None:
         scan = _VolumeScan(volume)
-    epsilon = cfg.scaled_to(scan.t_max).epsilon
-    t_lower = _probe_walk(scan, cfg, cfg.scaled_to(scan.t_max).t_start)
-    ts = _build_grid(scan, cfg, t_lower)
+    cfg = cfg.scaled_to(scan.t_max)
+    t_lower = _probe_walk(scan, cfg)
+    ts = _build_grid(t_lower, scan.t_max, cfg.grid_step)
     variances, mean_sigmas = scan.curve(ts)
     sigma_at_max = float(mean_sigmas[-1])
     idx = _tied_argmin(variances)
@@ -480,14 +464,14 @@ def find_t_opt(
     elif (
         t_star != scan.t_max
         and sigma_at_star <= _NEAR_FULL_FRACTION * sigma_at_max
-        and _background_covered(scan, np.array([t_star]), epsilon)[0]
+        and _background_covered(scan, np.array([t_star]), cfg.epsilon)[0]
     ):
         t_opt = t_star
     else:
         # restrict to thresholds that truly separate: hole-free background
         # and materially below the full image
         mask = mean_sigmas <= _NEAR_FULL_FRACTION * sigma_at_max
-        mask &= _background_covered(scan, ts, epsilon)
+        mask &= _background_covered(scan, ts, cfg.epsilon)
         sub = np.nonzero(mask)[0]
         if sub.size:
             idx2 = sub[_tied_argmin(variances[sub])]

@@ -31,7 +31,7 @@ __all__ = [
     "write_text_atomic",
 ]
 
-REPORT_SCHEMA = "qbench-report/2"
+REPORT_SCHEMA = "qbench-report/3"
 
 # Units for every numeric leaf of the report, keyed by dotted field path.
 UNITS = {
@@ -133,7 +133,6 @@ def build_report(
             "grid_step": cfg.grid_step,
             "correction_factor": cfg.correction_factor,
             "correction_factor_analytic": CORRECTION_FACTOR_ANALYTIC,
-            "grid": cfg.grid,
         },
         "threshold": {
             "t_opt": tr.t_opt,

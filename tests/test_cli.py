@@ -146,6 +146,26 @@ class TestEstimate:
         bad.write_bytes(b"not a container\n1234")
         assert main(["estimate", str(bad)]) == EXIT_LOAD
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("estimate", "--ref-resolution", "0"),
+            ("estimate", "--ref-resolution", "-1"),
+            ("curve", "--ref-resolution", "inf"),
+            ("estimate", "--exponent-m", "nan"),
+            ("curve", "--t-start", "inf"),
+            ("estimate", "--epsilon", "nan"),
+        ],
+    )
+    def test_bad_number_flag_is_usage_error_before_loading(self, tmp_path, capsys, command, flag, value):
+        # the input does not exist: a usage error proves the check runs first
+        argv = [command, str(tmp_path / "none.qvol"), f"{flag}={value}"]
+        if command == "curve":
+            argv += ["--factors", "1,2", "--output", str(tmp_path / "c.json")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("qbench: ") and err.count("\n") == 1
+
     def test_all_zero_volume_is_estimation_error(self, tmp_path, capsys):
         from qbench import Volume
 
@@ -189,6 +209,13 @@ class TestCurve:
     def test_bad_factor_value_is_usage_error(self, const_container, tmp_path):
         code = main(["curve", str(const_container), "--factors", "1,abc", "--output", str(tmp_path / "c.json")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("factors", ["1,1", "1,2,2"])
+    def test_repeated_factor_is_usage_error_before_loading(self, tmp_path, capsys, factors):
+        # the input does not exist: a usage error proves the check runs first
+        code = main(["curve", str(tmp_path / "none.qvol"), "--factors", factors, "--output", str(tmp_path / "c.json")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "qbench: --factors must not repeat a value\n"
 
 
 class TestPgmInputWarning:

@@ -5,7 +5,9 @@ and sorted-table layouts, and pin that reports stayed byte-identical through
 it. They were re-recorded for schema ``qbench-report/2``, whose reports differ
 from those of ``/1`` only by the schema string, the removed
 ``config.search_mode`` and ``threshold.mode_used`` fields and the removed
-search-fallback warning; the curve CSV did not change.
+search-fallback warning; the curve CSV did not change. They were re-recorded
+again for ``qbench-report/3``, whose reports differ from those of ``/2`` only
+by the schema string and the removed ``config.grid`` field.
 Phantoms are bit-exact only on one numpy build (README, Determinism), so a
 numpy upgrade that changes the noise stream changes these hashes too.
 """
@@ -30,14 +32,14 @@ PHANTOMS = {
 }
 
 REPORT_SHA256 = {
-    "u16-disk": "cd305ac3546de79eb0c024da7e43077cc653c210d268d557e1e3c66ed5467481",
-    "f32-disk": "cbbbac08ccb2a1dc78c3fe54ddeb56f1666e25ebc62b6e34b382f5a077789aae",
-    "f32-noobj": "ff279462aea1544dea3f1f6442a66de20417be9f7877697f9e0ef788f282a064",
-    "u16-offset": "e624779618f7e7692a03aa22a7bc3f5c3a9f525e5d72644e189da76efe25bc7a",
+    "u16-disk": "8338636817a27836d7f0563f7699274dcb46f9d5723f95055b94a90cbc6ef413",
+    "f32-disk": "092e863093bbbb37b415335446e92395d414a3089e9bfbe4e57dcc3219f5621e",
+    "f32-noobj": "198a05de0492f1e9947b57d607e75ee1ed99a69ca29799980b15fbb57cb5db41",
+    "u16-offset": "0a2d52011407370acf14088fb08e73a62d68bb5212bd873c6d0e525e7e0c7d37",
 }
 
 CURVE_SHA256 = {
-    "report": "c0f508287a3965d5f83bdde76f0c10b0d1db00438aa03939c6ec3bf8bedec62b",
+    "report": "2151bcc6c270f5dd2b179ea2da6368cea7819c824a114a4fd32f4f2f86680ccb",
     "csv": "e3ba8aa886c0115fe67176555c2c6a6eaae3c9727f19fe7c66defa4495f6c284",
 }
 

@@ -224,8 +224,9 @@ class TestSearchConfig:
             SearchConfig(correction_factor=0.0)
         with pytest.raises(TypeError):
             SearchConfig(search_mode="exhaustive")  # the search has one mode
-        with pytest.raises(ValueError):
-            SearchConfig(grid="log")
+        for field in ("t_start", "epsilon", "grid_step", "correction_factor"):
+            with pytest.raises(ValueError, match="finite"):
+                SearchConfig(**{field: float("nan")})
 
     def test_twelve_bit_rescaling(self):
         cfg = SearchConfig()

@@ -5,7 +5,8 @@ cumulative tables, in a histogram layout for integral data and a sorted
 layout otherwise. ``homogeneity_variance`` and ``positive_noise`` compute the
 same statistics slice by slice from the thresholded pixels; they sum in
 another order, so they are compared within a tolerance set from float64
-precision. The two layouts must agree bit for bit.
+precision. The two layouts must agree bit for bit, whatever the slice count,
+and a t must give the same values alone as inside a grid.
 """
 
 import numpy as np
@@ -86,28 +87,24 @@ def test_scan_matches_per_slice_reference(volume):
             if r is not None:
                 assert g == pytest.approx(r, rel=REL_TOL, abs=REL_TOL * scale)
 
-    positive = volume.data[volume.data > 0]
-    assert np.array_equal(scan.distinct_values(), np.unique(positive))
+
+# nine copies of each slice: from 8 slices on numpy sums pairwise, not in slice order
+many_slices = volumes.map(lambda v: Volume.from_array(np.concatenate([v.data] * 9)))
 
 
 @settings(max_examples=60, **EXAMPLES)
-@given(volumes.map(lambda v: Volume.from_array(np.concatenate([v.data] * 9))))
+@given(many_slices)
 def test_points_equal_one_t_at_a_time_bit_for_bit(volume):
-    """Each point of one ``curve`` call equals that t evaluated on its own
-    beside t_max, on both layouts: the no-object guard compares the grid's
-    minimum with its last sample, t_max, and gets the same two values
-    whatever else the grid holds. From 8 slices on, numpy can sum a lone t's
-    slices in another order than two or more ts' (pairwise, not in slice
-    order), so each t is paired with t_max rather than evaluated alone."""
+    """Each point of one ``curve`` call equals that t evaluated alone, on both
+    layouts: a threshold's variance and mean do not depend on what else the
+    grid holds, so the no-object guard compares the grid's minimum with the
+    very value a lone t_max gives."""
     ts = thresholds(volume)
-    t_max = volume.intensity_max
     for scan in (_VolumeScan(volume), _SortedScan(volume)):
         variances, means = scan.curve(ts)
-        at_max = int(np.searchsorted(ts, t_max))
         for t, var, mean in zip(ts, variances, means):
-            pair_var, pair_mean = scan.curve(np.array([t, t_max]))
-            assert (var, mean) == (pair_var[0], pair_mean[0])
-            assert (variances[at_max], means[at_max]) == (pair_var[1], pair_mean[1])
+            lone_var, lone_mean = scan.curve(np.array([t]))
+            assert (var, mean) == (lone_var[0], lone_mean[0])
 
 
 def assert_same_threshold(a, b):
@@ -115,21 +112,21 @@ def assert_same_threshold(a, b):
     assert np.array_equal(a.curve, b.curve)
 
 
-CONFIGS = [SearchConfig(), SearchConfig(grid_step=0.5, t_start=10.0), SearchConfig(grid="distinct", t_start=5.0, epsilon=3.0)]
+CONFIGS = [SearchConfig(), SearchConfig(grid_step=0.5, t_start=10.0), SearchConfig(t_start=5.0, epsilon=3.0)]
 
 
 @settings(max_examples=60, **EXAMPLES)
-@given(volumes.filter(lambda v: np.array_equal(v.data, np.rint(v.data))))
+@given(many_slices.filter(lambda v: np.array_equal(v.data, np.rint(v.data))))
 def test_histogram_layout_equals_sorted_layout(volume):
     hist, srt = _VolumeScan(volume), _SortedScan(volume)
     n, h, w = volume.shape
     if volume.intensity_max + 1 <= h * w:
         assert hist._sorted is None
     ts = thresholds(volume)
-    for a, b in zip(hist._moments(ts), srt._moments(ts)):
+    tables = [scan._lookup(ts, scan._count, scan._sum1, scan._sum2) for scan in (hist, srt)]
+    for a, b in zip(*tables):
         assert np.array_equal(a, b)
     assert np.array_equal(hist.positive_count(ts), srt.positive_count(ts))
-    assert np.array_equal(hist.distinct_values(), srt.distinct_values())
     for a, b in zip(hist.curve(ts), srt.curve(ts)):
         assert np.array_equal(a, b)
     t = float(ts[len(ts) // 2])
@@ -139,19 +136,18 @@ def test_histogram_layout_equals_sorted_layout(volume):
 
 
 @settings(max_examples=8, **EXAMPLES)
-@given(seed=st.integers(0, 2**32 - 1), grid=st.sampled_from(["uniform", "distinct"]))
-def test_scaled_config_beyond_twelve_bits(seed, grid):
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scaled_config_beyond_twelve_bits(seed):
     """t_max > 4095 rescales t_start and epsilon; 80x80 slices keep the histogram layout."""
     rng = np.random.default_rng(seed)
     data = np.hypot(rng.normal(0.0, 300.0, (3, 80, 80)), rng.normal(0.0, 300.0, (3, 80, 80)))
     data[:, 25:55, 25:55] += 4200.0
     volume = Volume.from_array(np.rint(data))
     assert volume.intensity_max > 4095
-    cfg = SearchConfig(grid=grid)
     hist, srt = _VolumeScan(volume), _SortedScan(volume)
     assert hist._sorted is None
-    result = find_t_opt(volume, cfg, scan=hist)
-    assert_same_threshold(result, find_t_opt(volume, cfg, scan=srt))
+    result = find_t_opt(volume, scan=hist)
+    assert_same_threshold(result, find_t_opt(volume, scan=srt))
     scale = volume.intensity_max
     for t, var, mean in result.curve[:: max(1, len(result.curve) // 20)]:
         ref_var, ref_mean = homogeneity_variance(volume, t)
