@@ -118,6 +118,8 @@ def _parse_factors(text: str) -> list[float]:
         raise _UsageError(f"unparsable --factors value {text!r}") from exc
     if len(factors) < 2:
         raise _UsageError("--factors needs at least 2 values")
+    if not all(map(math.isfinite, factors)):
+        raise _UsageError("--factors must all be finite")
     if any(f < 1 for f in factors):
         raise _UsageError("--factors must all be >= 1")
     if len(set(factors)) < len(factors):

@@ -14,6 +14,8 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .noise import CORRECTION_FACTOR_ANALYTIC, NoiseEstimate, SearchConfig
 from .qvol import pgm_slice_paths
@@ -87,7 +89,7 @@ def input_digest(path) -> str:
 
 def masked_zero_fraction(volume: Volume) -> float:
     data = volume.data
-    return float((data == 0).sum() / data.size)
+    return np.count_nonzero(data == 0) / data.size
 
 
 def build_report(

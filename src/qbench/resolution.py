@@ -63,16 +63,19 @@ def _resample_weights(n_in: int, n_out: int, factor: float) -> np.ndarray:
     Output sample i reads the source at (i + 0.5) * factor - 0.5 through a
     Lanczos window widened by the factor (anti-aliasing); out-of-range source
     indices are clamped to the edge and their weight accumulates there.
+
+    All rows are built at once: row i's taps are the integers lo_i..hi_i
+    inside its window, padded to a common width with taps of weight 0.0,
+    which leave every sum unchanged.
     """
+    src = (np.arange(n_out) + 0.5) * factor - 0.5
+    lo = np.ceil(src - 3.0 * factor).astype(np.intp)
+    hi = np.floor(src + 3.0 * factor).astype(np.intp)
+    taps = lo[:, None] + np.arange((hi - lo).max() + 1)
+    w = np.where(taps <= hi[:, None], lanczos3_kernel((taps - src[:, None]) / factor), 0.0)
     weights = np.zeros((n_out, n_in))
-    for i in range(n_out):
-        src = (i + 0.5) * factor - 0.5
-        lo = math.ceil(src - 3.0 * factor)
-        hi = math.floor(src + 3.0 * factor)
-        taps = np.arange(lo, hi + 1)
-        w = lanczos3_kernel((taps - src) / factor)
-        np.add.at(weights[i], np.clip(taps, 0, n_in - 1), w)
-        weights[i] /= weights[i].sum()
+    np.add.at(weights, (np.arange(n_out)[:, None], np.clip(taps, 0, n_in - 1)), w)
+    weights /= weights.sum(axis=1, keepdims=True)
     return weights
 
 

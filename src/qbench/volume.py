@@ -18,13 +18,18 @@ __all__ = ["Slice", "Volume", "PixelStats", "stats_all", "stats_positive"]
 
 def _as_readonly(pixels, ndim: int) -> tuple[np.ndarray, float]:
     """One float64 C-order copy of the pixels, validated and made read-only, and its maximum."""
-    arr = np.array(pixels, dtype=np.float64, order="C", copy=True)
+    src = np.asarray(pixels)
+    arr = np.array(src, dtype=np.float64, order="C", copy=True)
     if arr.ndim != ndim:
         raise ValueError(f"expected {ndim}-d pixel data, got {arr.ndim}-d")
     if arr.size == 0:
         raise ValueError("pixel data must be non-empty")
-    # min and max propagate NaN and reach any infinity, so they check finiteness too
-    lo, hi = arr.min(), arr.max()
+    # min and max propagate NaN and reach any infinity, so they check finiteness
+    # too. Integers and floats of up to 64 bits convert to float64 monotonically
+    # and without overflow, so they are checked on the narrower source samples;
+    # wider floats can overflow, and are checked after conversion.
+    probe = src if src.dtype.kind in "iuf" and src.dtype.itemsize <= 8 else arr
+    lo, hi = probe.min(), probe.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("pixel values must be finite")
     if lo < 0:

@@ -217,6 +217,13 @@ class TestCurve:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "qbench: --factors must not repeat a value\n"
 
+    @pytest.mark.parametrize("factors", ["1,nan", "1,inf", "1,-inf"])
+    def test_non_finite_factor_is_usage_error_before_loading(self, tmp_path, capsys, factors):
+        # at 1,nan and 1,inf the curve used to fail only after a full estimate (exit 4)
+        code = main(["curve", str(tmp_path / "none.qvol"), "--factors", factors, "--output", str(tmp_path / "c.json")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "qbench: --factors must all be finite\n"
+
 
 class TestPgmInputWarning:
     def test_pgm_stack_warning_lands_in_report(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ from qbench import (
     normalize_quality,
     pairwise_gradient,
 )
+from qbench.resolution import _resample_weights
 from conftest import const_phantom, disk_phantom, volume_from
 
 
@@ -82,6 +83,44 @@ class TestDownsample:
             downsample(disk_volume, 0.5)
         with pytest.raises(ValueError):
             downsample(disk_volume, 100.0)  # collapses the slice axis
+
+
+def _loop_weights(n_in, n_out, factor):
+    """Reference resampling matrix, built one output sample at a time."""
+    weights = np.zeros((n_out, n_in))
+    for i in range(n_out):
+        src = (i + 0.5) * factor - 0.5
+        lo = math.ceil(src - 3.0 * factor)
+        hi = math.floor(src + 3.0 * factor)
+        taps = np.arange(lo, hi + 1)
+        w = lanczos3_kernel((taps - src) / factor)
+        np.add.at(weights[i], np.clip(taps, 0, n_in - 1), w)
+        weights[i] /= weights[i].sum()
+    return weights
+
+
+RESAMPLE_FACTORS = (1.0, 1.5, 2.0, 2.7, 3.0, 3.3)
+
+
+class TestResampleWeights:
+    @pytest.mark.parametrize("factor", RESAMPLE_FACTORS)
+    def test_equals_per_row_loop_bit_for_bit(self, factor):
+        # n_in up to 40 covers every axis shorter than the kernel's support of
+        # 6 * factor samples, whose taps are clamped at both edges
+        for n_in in [*range(1, 41), 60, 128, 256]:
+            n_out = math.floor(n_in / factor)
+            if n_out >= 1:
+                assert np.array_equal(_resample_weights(n_in, n_out, factor), _loop_weights(n_in, n_out, factor))
+
+    def test_downsample_of_non_cubic_volume_equals_oracle_tensordot(self):
+        rng = np.random.default_rng(7)
+        vol = volume_from(np.abs(500.0 + 80.0 * rng.standard_normal((7, 23, 41))), voxel=(2.0, 1.0, 0.5))
+        for factor in (1.5, 2.7, 3.3):
+            data = vol.data
+            for axis, dim in enumerate(data.shape):
+                w = _loop_weights(dim, math.floor(dim / factor), factor)
+                data = np.moveaxis(np.tensordot(w, data, axes=([1], [axis])), 0, axis)
+            assert np.array_equal(downsample(vol, factor).data, np.maximum(data, 0.0))
 
 
 class TestFitPowerLaw:

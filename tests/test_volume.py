@@ -53,6 +53,26 @@ class TestSliceAndVolume:
             with pytest.raises(ValueError):
                 Volume.from_array(data)
 
+    def test_validation_on_narrow_and_wide_sources(self):
+        # u16, i16 and f32 sources are checked before the float64 copy
+        data = np.zeros((2, 2, 2), dtype=np.uint16)
+        data[1, 1, 0] = 65535
+        vol = Volume.from_array(data)
+        assert vol.intensity_max == 65535.0 and type(vol.intensity_max) is float
+        with pytest.raises(ValueError, match="negative"):
+            Volume.from_array(np.full((1, 2, 2), -3, dtype=np.int16))
+        for bad in (np.nan, np.inf):
+            f32 = np.zeros((1, 2, 2), dtype=np.float32)
+            f32[0, 1, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Volume.from_array(f32)
+        # a long double beyond the float64 range overflows in the conversion
+        if np.finfo(np.longdouble).max > np.finfo(np.float64).max:
+            wide = np.zeros((1, 2, 2), dtype=np.longdouble)
+            wide[0, 0, 0] = np.longdouble(np.finfo(np.float64).max) * 4
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+                Volume.from_array(wide)
+
     def test_volume_is_one_readonly_copy(self):
         src = np.arange(8.0).reshape(2, 2, 2)
         vol = Volume.from_array(src)
