@@ -24,12 +24,10 @@ def _as_readonly(pixels, ndim: int) -> tuple[np.ndarray, float]:
         raise ValueError(f"expected {ndim}-d pixel data, got {arr.ndim}-d")
     if arr.size == 0:
         raise ValueError("pixel data must be non-empty")
-    # min and max propagate NaN and reach any infinity, so they check finiteness
-    # too. Integers and floats of up to 64 bits convert to float64 monotonically
-    # and without overflow, so they are checked on the narrower source samples;
-    # wider floats can overflow, and are checked after conversion.
-    probe = src if src.dtype.kind in "iuf" and src.dtype.itemsize <= 8 else arr
-    lo, hi = probe.min(), probe.max()
+    # Conversion to float64 is monotone, so the extremes of the source samples
+    # convert to the extremes of the copy; min and max propagate NaN and reach
+    # any infinity, and a wide float beyond the float64 range converts to inf.
+    lo, hi = np.float64(src.min()), np.float64(src.max())
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("pixel values must be finite")
     if lo < 0:

@@ -54,7 +54,7 @@ class TestSliceAndVolume:
                 Volume.from_array(data)
 
     def test_validation_on_narrow_and_wide_sources(self):
-        # u16, i16 and f32 sources are checked before the float64 copy
+        # u16, i16 and f32 sources are checked on their own samples
         data = np.zeros((2, 2, 2), dtype=np.uint16)
         data[1, 1, 0] = 65535
         vol = Volume.from_array(data)
