@@ -40,7 +40,7 @@ from .resolution import (
     normalize_quality,
     pairwise_gradient,
 )
-from .qvol import VolumeFormatError, load_volume, read_container, read_pgm_stack, write_container
+from .qvol import VolumeFormatError, load_volume, read_container, read_input, read_pgm_stack, write_container
 
 __all__ = [
     "__version__",
@@ -84,5 +84,6 @@ __all__ = [
     "read_container",
     "write_container",
     "read_pgm_stack",
+    "read_input",
     "load_volume",
 ]

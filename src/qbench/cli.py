@@ -4,10 +4,13 @@ Subcommands: ``estimate`` (noise/SNR report for one volume), ``synth``
 (deterministic phantom volume from a JSON spec) and ``curve`` (noise across
 resolutions with the fitted gradient and a CSV sidecar).
 
-Exit codes: 0 success, 2 usage error, 3 input load error, 4 estimation error.
+Exit codes: 0 success, 2 usage error, 3 input load error, 4 estimation error,
+5 internal error (an unexpected exception, reported as one
+``qbench: internal error: ...`` line with no traceback).
 A no-object result is a successful run that prints a prominent warning.
-``curve`` estimates the input volume once and reuses that estimate for both
-the report and the curve's factor-1 point.
+The input is read once: the loader parses the bytes it read and the report
+hashes the same bytes. ``curve`` estimates the input volume once and reuses
+that estimate for both the report and the curve's factor-1 point.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 
 from .noise import EstimationError, SearchConfig, estimate
 from .phantom import PhantomSpec, generate
-from .qvol import VolumeFormatError, load_volume, write_container
+from .qvol import VolumeFormatError, load_volume, read_input, write_container
 from .report import build_report, curve_csv, input_digest, report_json, write_text_atomic
 from .resolution import DEFAULT_EXPONENT, effective_resolution, noise_resolution_curve, normalize_quality
 from .volume import Volume
@@ -30,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_LOAD = 3
 EXIT_ESTIMATION = 4
+EXIT_INTERNAL = 5
 
 
 class _UsageError(ValueError):
@@ -90,12 +94,15 @@ def _check_quality_flags(args) -> None:
         raise _UsageError("--exponent-m must be finite")
 
 
-def _load(path: str) -> tuple[Volume, str, list[str]]:
+def _load(path: str) -> tuple[Volume, str, str, list[str]]:
+    """The volume, the SHA-256 of its input bytes, the input format and the
+    loader's warnings, from one read of the input."""
+    files = read_input(path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        volume = load_volume(path)
+        volume = load_volume(path, files)
     fmt = "pgm-stack" if Path(path).is_dir() else "qvol"
-    return volume, fmt, [str(w.message) for w in caught]
+    return volume, input_digest(path, files), fmt, [str(w.message) for w in caught]
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -130,11 +137,11 @@ def _parse_factors(text: str) -> list[float]:
 def _cmd_estimate(args) -> int:
     cfg = _config_from(args)
     _check_quality_flags(args)
-    volume, fmt, load_warnings = _load(args.input)
+    volume, digest, fmt, load_warnings = _load(args.input)
     est = estimate(volume, cfg)
     score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
     report = build_report(
-        digest=input_digest(args.input),
+        digest=digest,
         input_format=fmt,
         volume=volume,
         cfg=cfg,
@@ -159,7 +166,10 @@ def _cmd_synth(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"{args.spec}: invalid phantom spec: {exc}") from exc
     volume = generate(spec)
-    write_container(args.output, volume, dtype="u16" if spec.quantize else "f32")
+    try:
+        write_container(args.output, volume, dtype="u16" if spec.quantize else "f32")
+    except ValueError as exc:  # a quantized pixel beyond the u16 range
+        raise _UsageError(f"{args.spec}: {exc}") from exc
     return EXIT_OK
 
 
@@ -167,12 +177,12 @@ def _cmd_curve(args) -> int:
     cfg = _config_from(args)
     _check_quality_flags(args)
     factors = _parse_factors(args.factors)
-    volume, fmt, load_warnings = _load(args.input)
+    volume, digest, fmt, load_warnings = _load(args.input)
     est = estimate(volume, cfg)
     curve = noise_resolution_curve(volume, factors, cfg, full=est)
     score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
     report = build_report(
-        digest=input_digest(args.input),
+        digest=digest,
         input_format=fmt,
         volume=volume,
         cfg=cfg,
@@ -205,6 +215,10 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(f"qbench: estimation failed: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
+    except Exception as exc:
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"qbench: internal error: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

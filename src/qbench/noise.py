@@ -11,6 +11,10 @@ without any object would otherwise pick a meaningless interior minimum).
 Noise is then the correction-factor-scaled std of the positive pixels of the
 thresholded slices, averaged over slices; signal is the mean of the original
 pixels above the threshold.
+
+A volume holds u8 or u16 samples or float64 ones (see ``volume``); every
+statistic is computed in float64 and is the same for u8/u16 data as for its
+float64 copy, bit for bit.
 """
 
 from __future__ import annotations
@@ -148,6 +152,7 @@ class NoiseEstimate:
 
     ``per_slice_sigma`` has one entry per slice; slices whose thresholded
     image kept no positive pixel contribute None and are skipped in the mean.
+    ``zero_fraction`` is the share of pixels that are exactly zero.
     """
 
     sigma: float
@@ -155,6 +160,7 @@ class NoiseEstimate:
     snr: float
     per_slice_sigma: tuple[float | None, ...]
     threshold: ThresholdResult
+    zero_fraction: float
 
 
 def apply_threshold(sl: Slice, t: float) -> Slice:
@@ -206,17 +212,19 @@ class _VolumeScan:
     Thresholding at t keeps each slice's values <= t, so every per-slice
     statistic at any t is a lookup in three cumulative tables, ``count``,
     ``sum1`` and ``sum2``, of shape (n_slices, columns). The layout is chosen
-    from the data alone, and decides only how the tables are built and which
-    column a t reads:
+    from the volume's dtype and size alone, and decides only how the tables
+    are built and which column a t reads:
 
-    * histogram: the values are integers, every prefix sum is exact in
-      float64 (pixels_per_slice * t_max**2 < 2**53) and the tables are no
-      larger than the volume. Column L then covers the values <= L, so a
-      lookup at t reads column floor(t) of every slice. Each sum is an
-      integer below 2**53, so the tables equal the sorted prefix sums below
-      bit for bit, and the whole curve costs O(slices x levels) whatever the
-      voxel count. The histogram is counted one slice at a time;
-    * sorted: any other volume. Each slice is sorted once (one in-place
+    * histogram: the volume holds unsigned integers (u8 or u16), every
+      prefix sum is exact in float64 (pixels_per_slice * t_max**2 < 2**53)
+      and the tables are no larger than the volume. Column L then covers the
+      values <= L, so a lookup at t reads column floor(t) of every slice.
+      Each sum is an integer below 2**53, so the tables equal the sorted
+      prefix sums below bit for bit, and the whole curve costs
+      O(slices x levels) whatever the voxel count. The histogram is counted
+      one slice at a time, straight from the integer rows;
+    * sorted: any other volume, float64 data included, even when its values
+      happen to be integers. Each slice is sorted once (one in-place
       ``sort(axis=1)``) and column k covers its k smallest values, so
       ``count`` is just k; a lookup binary-searches the sorted slices.
 
@@ -235,28 +243,26 @@ class _VolumeScan:
         self.total_pixels = self.n_slices * self.pixels_per_slice
         self.t_max = volume.intensity_max
         self._rows = np.arange(self.n_slices)
-        flat = volume.data.reshape(self.n_slices, self.pixels_per_slice)
-        hist = self._histogram(flat)
+        self._flat = volume.data.reshape(self.n_slices, self.pixels_per_slice)
+        hist = self._histogram(self._flat)
         if hist is not None:
             self._build_histogram(hist)
         else:
-            self._build_sorted(flat)
+            self._build_sorted(self._flat)
         # magnitudes are non-negative, so the values <= 0 are the zeros
         [self._zeros] = self._lookup(np.zeros(1), self._count)
+        self.zero_fraction = int(self._zeros.sum()) / self.total_pixels
 
     def _histogram(self, flat: np.ndarray) -> np.ndarray | None:
         """Per-slice counts of each integer level when the histogram layout applies, else None."""
         m = self.pixels_per_slice
-        if not (m * self.t_max**2 < 2.0**53 and self.t_max + 1 <= m):
+        if flat.dtype.kind != "u" or not (m * self.t_max**2 < 2.0**53 and self.t_max + 1 <= m):
             return None
         width = int(self.t_max) + 1
         hist = np.empty((self.n_slices, width), dtype=np.intp)
-        # slice by slice, so the integer levels never take a volume-sized copy
+        # slice by slice, so the levels never take a volume-sized intp copy
         for j, row in enumerate(flat):
-            levels = row.astype(np.intp)
-            if not np.array_equal(levels, row):
-                return None
-            hist[j] = np.bincount(levels, minlength=width)
+            hist[j] = np.bincount(row, minlength=width)
         return hist
 
     def _build_histogram(self, hist: np.ndarray) -> None:
@@ -326,6 +332,24 @@ class _VolumeScan:
         stds = self.slice_stds(ts)
         mean_sigma = stds.mean(axis=1)
         return ((stds - mean_sigma[:, None]) ** 2).mean(axis=1), mean_sigma
+
+    def mean_above(self, t: float) -> float:
+        """Mean of the pixels above t, 0.0 when none is.
+
+        On the histogram layout the tables hold integers, so the count and
+        sum above t are exact differences and need no pass over the volume;
+        the sum is taken in Python integers and divided once, the correctly
+        rounded mean. The sorted layout's prefix sums are rounded in sorted
+        order, so there the mean is taken over the pixels themselves.
+        """
+        if self._sorted is not None:
+            above = self._flat[self._flat > t]
+            return float(above.mean()) if above.size else 0.0
+        count, s1 = self._lookup(np.array([float(t)]), self._count, self._sum1)
+        n_above = self.total_pixels - int(count.sum())
+        if n_above == 0:
+            return 0.0
+        return sum(map(int, self._sum1[:, -1] - s1[0])) / n_above
 
     def positive_sigmas(self, t: float, f_e: float) -> list[float | None]:
         """Corrected positive-pixel std per slice at t (None when empty)."""
@@ -497,7 +521,8 @@ def estimate(volume: Volume, cfg: SearchConfig = SearchConfig()) -> NoiseEstimat
     """Full automatic estimate: threshold, noise sigma, signal mean, SNR.
 
     Signal is the mean of the original pixels above the threshold; with
-    no_object there are no such pixels and signal/SNR are zero.
+    no_object there are no such pixels and signal/SNR are zero. Every figure,
+    the zero fraction included, comes from the one scan of the volume.
     """
     scan = _VolumeScan(volume)
     threshold = find_t_opt(volume, cfg, scan=scan)
@@ -511,19 +536,17 @@ def estimate(volume: Volume, cfg: SearchConfig = SearchConfig()) -> NoiseEstimat
     if threshold.no_object:
         signal_mean, snr = 0.0, 0.0
     else:
-        data = volume.data
-        above = data[data > threshold.t_opt]
-        signal_mean = float(above.mean()) if above.size else 0.0
+        signal_mean = scan.mean_above(threshold.t_opt)
         snr = signal_mean / sigma if sigma > 0 else 0.0
-    return NoiseEstimate(sigma, signal_mean, snr, per_slice, threshold)
+    return NoiseEstimate(sigma, signal_mean, snr, per_slice, threshold, scan.zero_fraction)
 
 
 def background_roi_noise(volume: Volume, mask) -> float:
     """Classical reference estimator: sigma from a known background region.
 
     The noise variance is half the mean squared magnitude over the masked
-    pixels. ``mask`` is boolean, either one slice-shaped map applied to every
-    slice or a full per-voxel map.
+    pixels, squared in float64. ``mask`` is boolean, either one slice-shaped
+    map applied to every slice or a full per-voxel map.
     """
     mask = np.asarray(mask, dtype=bool)
     data = volume.data
@@ -535,4 +558,5 @@ def background_roi_noise(volume: Volume, mask) -> float:
         raise ValueError(f"mask shape {mask.shape} matches neither a slice {data.shape[1:]} nor the volume {data.shape}")
     if selected.size == 0:
         raise ValueError("mask selects no pixel")
-    return float(math.sqrt(0.5 * np.mean(selected * selected)))
+    # an integer volume's squares would wrap in its own dtype
+    return float(math.sqrt(0.5 * np.mean(np.square(selected, dtype=np.float64))))

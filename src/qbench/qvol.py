@@ -10,6 +10,10 @@ Floats in the header are written in repr form, which round-trips exactly;
 files written by :func:`write_container` re-serialize byte-identically after
 a load. PGM stacks are directories of binary (P5) PGM files, imported in
 lexicographic filename order with a default voxel size of 1 mm isotropic.
+
+u16 and PGM samples load as native u16 or u8 volumes, f32 samples as
+float64. :func:`read_input` reads the bytes of an input once;
+:func:`load_volume` parses them, and the report hashes the same bytes.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "write_container",
     "pgm_slice_paths",
     "read_pgm_stack",
+    "read_input",
     "load_volume",
 ]
 
@@ -81,7 +86,10 @@ def _parse_header(line: bytes, path: Path) -> tuple[tuple[int, int, int], tuple[
 def read_container(path) -> Volume:
     """Load a QVOL1 container."""
     path = Path(path)
-    raw = path.read_bytes()
+    return _parse_container(path, path.read_bytes())
+
+
+def _parse_container(path: Path, raw: bytes) -> Volume:
     nl = raw.find(b"\n", 0, _HEADER_LIMIT)
     if nl < 0:
         raise VolumeFormatError(f"{path}: missing header line")
@@ -90,7 +98,7 @@ def read_container(path) -> Volume:
     expected = w * h * n * _DTYPES[dtype].itemsize
     if payload_bytes != expected:
         raise VolumeFormatError(f"{path}: payload is {payload_bytes} bytes, expected {expected}")
-    # a read-only view of the payload; Volume.from_array makes the one float64 copy
+    # a read-only view of the payload; Volume.from_array makes the one copy
     samples = np.frombuffer(raw, dtype=_DTYPES[dtype], offset=nl + 1)
     if dtype == "f32":
         if not np.all(np.isfinite(samples)):
@@ -135,9 +143,8 @@ def write_container(path, volume: Volume, dtype: str = "f32") -> None:
     _write_atomic(path, header.encode("ascii") + payload)
 
 
-def _read_pgm(path: Path) -> np.ndarray:
-    """Binary (P5) PGM; samples are big-endian 16-bit when maxval > 255."""
-    raw = path.read_bytes()
+def _read_pgm(path: Path, raw: bytes) -> np.ndarray:
+    """Binary (P5) PGM, a read-only view of its samples: big-endian 16-bit when maxval > 255, else 8-bit."""
     pos = 0
 
     def token() -> bytes:
@@ -171,7 +178,7 @@ def _read_pgm(path: Path) -> np.ndarray:
     payload = raw[pos : pos + expected]
     if len(payload) != expected:
         raise VolumeFormatError(f"{path}: PGM payload is {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=sample).astype(np.float64).reshape(height, width)
+    return np.frombuffer(payload, dtype=sample).reshape(height, width)
 
 
 def pgm_slice_paths(directory) -> list[Path]:
@@ -182,26 +189,48 @@ def pgm_slice_paths(directory) -> list[Path]:
 
 def read_pgm_stack(directory) -> Volume:
     """Load a directory of PGM slices, ordered by filename."""
-    directory = Path(directory)
-    paths = pgm_slice_paths(directory)
-    if not paths:
-        raise VolumeFormatError(f"{directory}: no .pgm files found")
-    images = [_read_pgm(p) for p in paths]
+    return _parse_pgm_stack(read_input(directory))
+
+
+def _parse_pgm_stack(files: list[tuple[Path, bytes]]) -> Volume:
+    images = [_read_pgm(p, raw) for p, raw in files]
     shape = images[0].shape
-    for p, img in zip(paths, images):
+    for (p, _), img in zip(files, images):
         if img.shape != shape:
             raise VolumeFormatError(
                 f"{p}: slice is {img.shape[1]}x{img.shape[0]}, expected {shape[1]}x{shape[0]}"
             )
-    warnings.warn("PGM stacks carry no voxel size; defaulting to 1 mm isotropic", stacklevel=2)
+    warnings.warn("PGM stacks carry no voxel size; defaulting to 1 mm isotropic", stacklevel=3)
+    # np.stack copies into native byte order, so 16-bit samples stay u16 in the Volume
     return Volume.from_array(np.stack(images), (1.0, 1.0, 1.0))
 
 
-def load_volume(path) -> Volume:
-    """Load either a QVOL1 container file or a directory of PGM slices."""
+def read_input(path) -> list[tuple[Path, bytes]]:
+    """The bytes of an input, each file read once: ``(path, bytes)`` of a
+    QVOL1 container file, or of every slice file of a PGM stack directory in
+    load order."""
     path = Path(path)
     if path.is_dir():
-        return read_pgm_stack(path)
-    if not path.exists():
+        paths = pgm_slice_paths(path)
+        if not paths:
+            raise VolumeFormatError(f"{path}: no .pgm files found")
+    elif path.exists():
+        paths = [path]
+    else:
         raise VolumeFormatError(f"{path}: no such file")
-    return read_container(path)
+    return [(p, p.read_bytes()) for p in paths]
+
+
+def load_volume(path, files: list[tuple[Path, bytes]] | None = None) -> Volume:
+    """Load either a QVOL1 container file or a directory of PGM slices.
+
+    ``files`` is what :func:`read_input` returned for ``path``; when it is
+    omitted, the input is read here.
+    """
+    path = Path(path)
+    if files is None:
+        files = read_input(path)
+    if path.is_dir():
+        return _parse_pgm_stack(files)
+    [(_, raw)] = files
+    return _parse_container(path, raw)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .noise import CORRECTION_FACTOR_ANALYTIC, NoiseEstimate, SearchConfig
-from .qvol import pgm_slice_paths
+from .qvol import read_input
 from .resolution import QualityScore, ResolutionCurve
 from .volume import Volume
 
@@ -69,25 +69,35 @@ UNITS = {
 }
 
 
-def input_digest(path) -> str:
+def input_digest(path, files: list[tuple[Path, bytes]] | None = None) -> str:
     """SHA-256 of the input bytes.
 
-    A PGM stack directory hashes (name, bytes) of each slice file the loader
-    reads, in load order; other files in the directory do not count.
+    A container file hashes its bytes. A PGM stack directory hashes the name,
+    a NUL byte and the bytes of each slice file the loader reads, in load
+    order; other files in the directory do not count. ``files`` is what
+    ``qvol.read_input`` returned for ``path``, so the loader's one read is
+    hashed; when it is omitted, the input is read here.
     """
     path = Path(path)
+    if files is None:
+        files = read_input(path)
+    if not path.is_dir():
+        [(_, raw)] = files
+        return hashlib.sha256(raw).hexdigest()
     digest = hashlib.sha256()
-    if path.is_dir():
-        for p in pgm_slice_paths(path):
-            digest.update(p.name.encode())
-            digest.update(b"\x00")
-            digest.update(p.read_bytes())
-    else:
-        digest.update(path.read_bytes())
+    for p, raw in files:
+        digest.update(p.name.encode())
+        digest.update(b"\x00")
+        digest.update(raw)
     return digest.hexdigest()
 
 
 def masked_zero_fraction(volume: Volume) -> float:
+    """Share of exactly-zero pixels, counted over the volume.
+
+    The reference for ``NoiseEstimate.zero_fraction``, which the report
+    reads: the estimate's scan already holds the count.
+    """
     data = volume.data
     return np.count_nonzero(data == 0) / data.size
 
@@ -107,7 +117,7 @@ def build_report(
     n, h, w = volume.shape
     tr = est.threshold
     warnings = list(extra_warnings)
-    zero_frac = masked_zero_fraction(volume)
+    zero_frac = est.zero_fraction
     if zero_frac > 0.5:
         warnings.append(
             f"{zero_frac:.1%} of pixels are exactly zero; masked data breaks the "

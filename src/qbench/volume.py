@@ -1,10 +1,11 @@
 """Volumetric data model and pixel statistics primitives.
 
-A Volume is one read-only (n_slices, height, width) float64 array of
-magnitudes plus voxel-size metadata. A Slice is a single read-only 2-d image;
-the per-slice statistics below work on it. Both are immutable after
-construction and all statistics are pure functions, so concurrent reads are
-safe.
+A Volume is one read-only (n_slices, height, width) array of magnitudes plus
+voxel-size metadata. Scanner data arrives as unsigned integers, and a u8 or
+u16 source keeps its dtype; any other source becomes float64. A Slice is a
+single read-only float64 2-d image; the per-slice statistics below work on
+it. Both are immutable after construction and all statistics are pure
+functions, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -16,10 +17,18 @@ import numpy as np
 __all__ = ["Slice", "Volume", "PixelStats", "stats_all", "stats_positive"]
 
 
-def _as_readonly(pixels, ndim: int) -> tuple[np.ndarray, float]:
-    """One float64 C-order copy of the pixels, validated and made read-only, and its maximum."""
+# Source dtypes a Volume keeps; every value of theirs converts to float64 exactly.
+_KEPT_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16))
+
+
+def _as_readonly(pixels, ndim: int, keep=()) -> tuple[np.ndarray, float]:
+    """One C-order copy of the pixels, validated and made read-only, and its maximum.
+
+    The copy keeps the source dtype when it is one of ``keep`` and is float64 otherwise.
+    """
     src = np.asarray(pixels)
-    arr = np.array(src, dtype=np.float64, order="C", copy=True)
+    dtype = src.dtype if src.dtype in keep else np.float64
+    arr = np.array(src, dtype=dtype, order="C", copy=True)
     if arr.ndim != ndim:
         raise ValueError(f"expected {ndim}-d pixel data, got {arr.ndim}-d")
     if arr.size == 0:
@@ -56,10 +65,12 @@ class Slice:
 
 @dataclass(frozen=True, eq=False)
 class Volume:
-    """A read-only (n_slices, height, width) float64 array with voxel size in mm per axis.
+    """A read-only (n_slices, height, width) array with voxel size in mm per axis.
 
     Construction copies the data once and validates it (3-d, non-empty,
-    finite, non-negative). ``intensity_max`` is cached at construction; the
+    finite, non-negative). The copy keeps a native u8 or u16 source dtype,
+    which holds scanner data in a quarter of the float64 size or less; any
+    other source is converted to float64. ``intensity_max`` is cached at construction; the
     array is read-only, so the cache stays consistent with a recomputation.
     """
 
@@ -68,7 +79,7 @@ class Volume:
     intensity_max: float = field(init=False)
 
     def __post_init__(self):
-        data, intensity_max = _as_readonly(self.data, 3)
+        data, intensity_max = _as_readonly(self.data, 3, _KEPT_DTYPES)
         voxel = tuple(float(v) for v in self.voxel_size)
         if len(voxel) != 3 or any(v <= 0 for v in voxel):
             raise ValueError("voxel_size must be three positive reals (mm)")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qbench import PhantomSpec, generate, write_container
-from qbench.cli import EXIT_ESTIMATION, EXIT_LOAD, EXIT_OK, EXIT_USAGE, main
+from qbench import cli
+from qbench.cli import EXIT_ESTIMATION, EXIT_INTERNAL, EXIT_LOAD, EXIT_OK, EXIT_USAGE, main
 from qbench.report import REPORT_SCHEMA
 
 
@@ -73,6 +74,16 @@ class TestSynth:
         write_spec(spec_path, sigma=-5.0)
         assert main(["synth", str(spec_path), "--output", str(tmp_path / "x.qvol")]) == EXIT_USAGE
         assert "invalid phantom spec" in capsys.readouterr().err
+
+    def test_quantized_pixel_beyond_u16_is_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        disk = {"shape": "disk", "center": [24, 24], "radius": 10, "value": 70000.0}
+        write_spec(spec_path, background_value=0.0, objects=[disk])
+        out = tmp_path / "vol.qvol"
+        assert main(["synth", str(spec_path), "--output", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"qbench: {spec_path}: ") and err.count("\n") == 1 and "65535" in err
+        assert list(tmp_path.iterdir()) == [spec_path]
 
     def test_missing_spec_file_is_load_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "none.json"), "--output", str(tmp_path / "x.qvol")]) == EXIT_LOAD
@@ -174,6 +185,22 @@ class TestEstimate:
         write_container(path, zero, dtype="u16")
         assert main(["estimate", str(path)]) == EXIT_ESTIMATION
         assert "estimation failed" in capsys.readouterr().err
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("command", [["estimate"], ["curve", "--factors", "1,2"]])
+    def test_unexpected_exception_is_one_line_without_traceback(
+        self, disk_container, tmp_path, monkeypatch, capsys, command
+    ):
+        def fail(*args, **kwargs):
+            raise RuntimeError("scan\nfailed")
+
+        monkeypatch.setattr(cli, "estimate", fail)
+        output = tmp_path / "r.json"
+        argv = [command[0], str(disk_container), *command[1:], "--output", str(output)]
+        assert main(argv) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "qbench: internal error: RuntimeError: scan failed\n"
+        assert not output.exists()
 
 
 class TestCurve:

@@ -154,6 +154,17 @@ class TestBackgroundRoiNoise:
         oracle = math.sqrt(0.5 * np.mean(vol.data[0] ** 2))
         assert got == pytest.approx(oracle, rel=1e-12)
 
+    def test_u16_volume_squares_in_float64(self):
+        # values above 255 square beyond 65535, where u16 arithmetic would wrap
+        rng = np.random.default_rng(8)
+        data = rng.integers(0, 4000, (3, 6, 6)).astype(np.uint16)
+        data[0, 0, 0] = 65535
+        u16, f64 = Volume.from_array(data), volume_from(data)
+        assert u16.data.dtype == np.uint16
+        mask = np.ones((6, 6), dtype=bool)
+        assert background_roi_noise(u16, mask) == background_roi_noise(f64, mask)
+        assert background_roi_noise(u16, mask) > 2000
+
     def test_empty_or_mismatched_mask(self):
         vol = volume_from(np.ones((2, 3, 3)))
         with pytest.raises(ValueError):

@@ -1,10 +1,20 @@
+import hashlib
 import struct
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbench import Volume, VolumeFormatError, load_volume, read_container, read_pgm_stack, write_container
+from qbench import Volume, VolumeFormatError, load_volume, read_container, read_input, read_pgm_stack, write_container
+from qbench.report import input_digest
 from conftest import volume_from
+
+# the same examples on every run, so the suite cannot flake
+EXAMPLES = dict(deadline=None, derandomize=True)
 
 
 def write_pgm(path, image, maxval=65535):
@@ -168,3 +178,53 @@ class TestPgmStack:
         with pytest.warns(UserWarning):
             vol = read_pgm_stack(tmp_path)
         assert np.all(vol.data == 7.0)
+
+
+class TestOneRead:
+    """The loader reads an input once; the volume keeps u8/u16 samples and the digest hashes the same bytes."""
+
+    @settings(max_examples=30, **EXAMPLES)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 9), st.integers(1, 9)),
+        top=st.sampled_from([1, 255, 65535]),
+        dtype=st.sampled_from(["u16", "f32"]),
+    )
+    def test_container_keeps_its_dtype_and_hashes_its_bytes(self, seed, shape, top, dtype):
+        data = np.random.default_rng(seed).integers(0, top + 1, shape)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vol.qvol"
+            write_container(path, volume_from(data), dtype=dtype)
+            files = read_input(path)
+            assert [p for p, _ in files] == [path]
+            vol = load_volume(path, files)
+            assert vol.data.dtype == (np.uint16 if dtype == "u16" else np.float64)
+            assert np.array_equal(vol.data, data)
+            assert load_volume(path).data.dtype == vol.data.dtype
+            expected = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert input_digest(path, files) == input_digest(path) == expected
+
+    @settings(max_examples=30, **EXAMPLES)
+    @given(seed=st.integers(0, 2**32 - 1), n_slices=st.integers(1, 4), eight_bit=st.booleans())
+    def test_pgm_stack_keeps_native_samples_and_hashes_names_and_bytes_in_load_order(self, seed, n_slices, eight_bit):
+        rng = np.random.default_rng(seed)
+        maxval = 255 if eight_bit else 65535
+        images = rng.integers(0, maxval + 1, (n_slices, 3, 4))
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            # written in reverse, some with an upper-case suffix, next to a file the loader skips
+            names = [f"s{i}.{'PGM' if i % 2 else 'pgm'}" for i in range(n_slices)]
+            for name, image in reversed(list(zip(names, images))):
+                write_pgm(directory / name, image, maxval=maxval)
+            (directory / "notes.txt").write_text("not a slice")
+            files = read_input(directory)
+            assert [p.name for p, _ in files] == sorted(names)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                vol = load_volume(directory, files)
+            assert vol.data.dtype == (np.uint8 if eight_bit else np.uint16) and vol.data.dtype.isnative
+            assert np.array_equal(vol.data, images)
+            expected = hashlib.sha256()
+            for name in sorted(names):
+                expected.update(name.encode() + b"\x00" + (directory / name).read_bytes())
+            assert input_digest(directory, files) == input_digest(directory) == expected.hexdigest()

@@ -78,6 +78,15 @@ class TestDownsample:
         lanczos_std = float(out.data.std())
         assert abs(lanczos_std - box_std) / box_std <= 0.20
 
+    def test_u16_volume_resamples_like_its_float64_copy(self, disk_volume):
+        data = np.rint(disk_volume.data)
+        u16, copy = Volume.from_array(data.astype(np.uint16)), volume_from(data)
+        for factor in (1.5, 2.0, 2.7, 3.0):
+            a, b = downsample(u16, factor), downsample(copy, factor)
+            assert a.data.dtype == np.float64 and np.array_equal(a.data, b.data)
+        factors = [1.0, 1.5, 2.0]
+        assert noise_resolution_curve(u16, factors) == noise_resolution_curve(copy, factors)
+
     def test_rejects_bad_factors(self, disk_volume):
         with pytest.raises(ValueError):
             downsample(disk_volume, 0.5)

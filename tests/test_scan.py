@@ -1,7 +1,7 @@
 """Differential tests of the noise scan against the per-slice reference functions.
 
 ``_VolumeScan`` answers every per-slice question at a threshold from
-cumulative tables, in a histogram layout for integral data and a sorted
+cumulative tables, in a histogram layout for u8/u16 data and a sorted
 layout otherwise. ``homogeneity_variance`` and ``positive_noise`` compute the
 same statistics slice by slice from the thresholded pixels; they sum in
 another order, so they are compared within a tolerance set from float64
@@ -14,9 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbench import CORRECTION_FACTOR, SearchConfig, Slice, Volume, estimate, homogeneity_variance, positive_noise
+from qbench import (
+    CORRECTION_FACTOR,
+    EstimationError,
+    SearchConfig,
+    Slice,
+    Volume,
+    estimate,
+    homogeneity_variance,
+    positive_noise,
+)
 from qbench import noise
 from qbench.noise import _VolumeScan, find_t_opt
+from qbench.report import masked_zero_fraction
 
 # s2/n - (s1/n)**2 cancels: after k sequential additions a std near zero
 # carries an absolute error up to about sqrt(2k x 2**-52) x t_max, under
@@ -115,8 +125,12 @@ def assert_same_threshold(a, b):
 CONFIGS = [SearchConfig(), SearchConfig(grid_step=0.5, t_start=10.0), SearchConfig(t_start=5.0, epsilon=3.0)]
 
 
+def as_u16(volume):
+    return Volume.from_array(volume.data.astype(np.uint16))
+
+
 @settings(max_examples=60, **EXAMPLES)
-@given(many_slices.filter(lambda v: np.array_equal(v.data, np.rint(v.data))))
+@given(many_slices.filter(lambda v: np.array_equal(v.data, np.rint(v.data))).map(as_u16))
 def test_histogram_layout_equals_sorted_layout(volume):
     hist, srt = _VolumeScan(volume), _SortedScan(volume)
     n, h, w = volume.shape
@@ -142,7 +156,7 @@ def test_scaled_config_beyond_twelve_bits(seed):
     rng = np.random.default_rng(seed)
     data = np.hypot(rng.normal(0.0, 300.0, (3, 80, 80)), rng.normal(0.0, 300.0, (3, 80, 80)))
     data[:, 25:55, 25:55] += 4200.0
-    volume = Volume.from_array(np.rint(data))
+    volume = Volume.from_array(np.rint(data).astype(np.uint16))
     assert volume.intensity_max > 4095
     hist, srt = _VolumeScan(volume), _SortedScan(volume)
     assert hist._sorted is None
@@ -155,12 +169,97 @@ def test_scaled_config_beyond_twelve_bits(seed):
         assert var == pytest.approx(ref_var, rel=REL_TOL, abs=REL_TOL * scale**2)
 
 
+def make_unsigned_volume(seed, n, h, w, dtype, sigma, has_object, zero_fraction):
+    """Rayleigh background of scale ``sigma``, an object block 10 sigma above it, rounded and clipped to the dtype."""
+    rng = np.random.default_rng(seed)
+    data = np.hypot(rng.normal(0.0, sigma, (n, h, w)), rng.normal(0.0, sigma, (n, h, w)))
+    if has_object:
+        data[:, : max(1, h // 3), : max(1, w // 2)] += 10 * sigma
+    data[rng.random((n, h, w)) < zero_fraction] = 0.0
+    return Volume.from_array(np.minimum(np.rint(data), np.iinfo(dtype).max).astype(dtype))
+
+
+unsigned_volumes = st.builds(
+    make_unsigned_volume,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 45),
+    h=st.integers(4, 24),
+    w=st.integers(4, 24),
+    dtype=st.sampled_from([np.uint8, np.uint16]),
+    sigma=st.sampled_from([0.5, 4.0, 12.0, 40.0]),
+    has_object=st.booleans(),
+    zero_fraction=st.sampled_from([0.0, 0.3]),
+).flatmap(
+    # u16 also beyond the 8-bit range, where slices of up to 576 pixels take the sorted layout
+    lambda v: st.just(v) if v.data.dtype == np.uint8 else st.sampled_from([v, Volume.from_array(v.data * np.uint16(37))])
+)
+
+
+def estimate_or_error(volume, cfg):
+    try:
+        return estimate(volume, cfg)
+    except EstimationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, **EXAMPLES)
+@given(unsigned_volumes, st.sampled_from(CONFIGS))
+def test_unsigned_volume_estimates_like_its_float64_copy(volume, cfg):
+    """u8/u16 data takes the histogram layout whenever its bounds hold, and
+    its float64 copy the sorted one; both give the same estimate bit for bit."""
+    copy = Volume.from_array(volume.data.astype(np.float64), volume.voxel_size)
+    assert volume.data.dtype in (np.uint8, np.uint16) and copy.data.dtype == np.float64
+    n, h, w = volume.shape
+    assert (_VolumeScan(volume)._sorted is None) == (volume.intensity_max + 1 <= h * w)
+    assert _VolumeScan(copy)._sorted is not None
+    a, b = estimate_or_error(volume, cfg), estimate_or_error(copy, cfg)
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+        return
+    assert (a.sigma, a.signal_mean, a.snr, a.per_slice_sigma, a.zero_fraction) == (
+        b.sigma,
+        b.signal_mean,
+        b.snr,
+        b.per_slice_sigma,
+        b.zero_fraction,
+    )
+    assert_same_threshold(a.threshold, b.threshold)
+    assert a.zero_fraction == masked_zero_fraction(volume)
+
+
+def test_quantized_disk_phantom_estimates_like_its_float64_copy(disk_volume):
+    data = np.rint(disk_volume.data)
+    u16, copy = Volume.from_array(data.astype(np.uint16)), Volume.from_array(data)
+    assert _VolumeScan(u16)._sorted is None and _VolumeScan(copy)._sorted is not None
+    a, b = estimate(u16), estimate(copy)
+    assert not a.threshold.no_object and a.signal_mean > 900
+    assert (a.sigma, a.signal_mean, a.snr, a.per_slice_sigma, a.zero_fraction) == (
+        b.sigma,
+        b.signal_mean,
+        b.snr,
+        b.per_slice_sigma,
+        b.zero_fraction,
+    )
+    assert_same_threshold(a.threshold, b.threshold)
+
+
+@settings(max_examples=60, **EXAMPLES)
+@given(unsigned_volumes)
+def test_mean_above_equals_the_mean_of_the_pixels(volume):
+    """On both layouts, the signal mean equals numpy's mean of the pixels above t, bit for bit."""
+    copy = Volume.from_array(volume.data.astype(np.float64))
+    for scan in (_VolumeScan(volume), _SortedScan(volume)):
+        for t in thresholds(volume):
+            above = copy.data[copy.data > t]
+            assert scan.mean_above(t) == (float(above.mean()) if above.size else 0.0)
+
+
 @pytest.mark.parametrize("integral", [True, False])
 def test_all_zero_slice_has_no_sigma(integral):
     rng = np.random.default_rng(5)
     data = np.hypot(rng.normal(0.0, 20.0, (4, 24, 24)), rng.normal(0.0, 20.0, (4, 24, 24)))
     data[2] = 0.0
-    volume = Volume.from_array(np.rint(data) if integral else data)
+    volume = Volume.from_array(np.rint(data).astype(np.uint16) if integral else data)
     assert (_VolumeScan(volume)._sorted is None) == integral
     est = estimate(volume)
     assert est.per_slice_sigma[2] is None

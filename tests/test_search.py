@@ -6,6 +6,7 @@ from qbench import (
     PhantomSpec,
     SearchConfig,
     ThresholdResult,
+    Volume,
     find_t_lower,
     find_t_opt,
     generate,
@@ -114,9 +115,9 @@ class TestFindTOpt:
         assert 380.0 <= tr.t_rejected <= 440.0
 
     def test_modes_agree_on_disk_phantom(self, disk_volume):
-        # the scan's two layouts: integral data takes the histogram, and the
+        # the scan's two layouts: u16 data takes the histogram, and the
         # sorted one must give the same search, bit for bit, on all 20 slices
-        vol = quantize(disk_volume)
+        vol = Volume.from_array(quantize(disk_volume).data.astype(np.uint16))
         hist, srt = _VolumeScan(vol), SortedScan(vol)
         assert hist._sorted is None and srt._sorted is not None
         a, b = find_t_opt(vol, scan=hist), find_t_opt(vol, scan=srt)
