@@ -7,9 +7,9 @@ compared on one scale. Ships a deterministic phantom generator and a minimal
 bit-exact volume container for reproducible experiments.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-from .volume import PixelStats, Slice, Volume, stats_all, stats_positive
+from .volume import Volume
 from .noise import (
     CORRECTION_FACTOR,
     CORRECTION_FACTOR_ANALYTIC,
@@ -17,14 +17,10 @@ from .noise import (
     NoiseEstimate,
     SearchConfig,
     ThresholdResult,
-    apply_threshold,
     background_roi_noise,
     estimate,
     find_t_lower,
     find_t_opt,
-    homogeneity_variance,
-    mean_positive_noise,
-    positive_noise,
 )
 from .phantom import PhantomObject, PhantomSpec, add_complex_gaussian, generate, quantize, render_template
 from .resolution import (
@@ -40,25 +36,17 @@ from .resolution import (
     normalize_quality,
     pairwise_gradient,
 )
-from .qvol import VolumeFormatError, load_volume, read_container, read_input, read_pgm_stack, write_container
+from .qvol import VolumeFormatError, load_volume, read_input, write_container
 
 __all__ = [
     "__version__",
-    "Slice",
     "Volume",
-    "PixelStats",
-    "stats_all",
-    "stats_positive",
     "CORRECTION_FACTOR",
     "CORRECTION_FACTOR_ANALYTIC",
     "SearchConfig",
     "ThresholdResult",
     "NoiseEstimate",
     "EstimationError",
-    "apply_threshold",
-    "positive_noise",
-    "mean_positive_noise",
-    "homogeneity_variance",
     "find_t_lower",
     "find_t_opt",
     "estimate",
@@ -81,9 +69,7 @@ __all__ = [
     "noise_resolution_curve",
     "normalize_quality",
     "VolumeFormatError",
-    "read_container",
     "write_container",
-    "read_pgm_stack",
     "read_input",
     "load_volume",
 ]

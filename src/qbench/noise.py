@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .volume import Slice, Volume, stats_positive
+from .volume import Volume
 
 __all__ = [
     "CORRECTION_FACTOR",
@@ -33,10 +33,6 @@ __all__ = [
     "ThresholdResult",
     "NoiseEstimate",
     "EstimationError",
-    "apply_threshold",
-    "positive_noise",
-    "mean_positive_noise",
-    "homogeneity_variance",
     "find_t_lower",
     "find_t_opt",
     "estimate",
@@ -161,49 +157,6 @@ class NoiseEstimate:
     per_slice_sigma: tuple[float | None, ...]
     threshold: ThresholdResult
     zero_fraction: float
-
-
-def apply_threshold(sl: Slice, t: float) -> Slice:
-    """Zero every pixel whose value exceeds t; values <= t pass through."""
-    if t < 0:
-        raise ValueError("threshold must be >= 0")
-    return Slice(np.where(sl.pixels <= t, sl.pixels, 0.0))
-
-
-def positive_noise(sl: Slice, t: float, f_e: float = CORRECTION_FACTOR) -> float | None:
-    """Corrected std of the positive pixels after thresholding at t.
-
-    Returns None when no positive pixel survives; callers must skip such
-    slices when averaging.
-    """
-    if f_e <= 0:
-        raise ValueError("correction factor must be > 0")
-    stats = stats_positive(apply_threshold(sl, t))
-    if stats.is_empty:
-        return None
-    return f_e * stats.std
-
-
-def mean_positive_noise(volume: Volume, t: float, f_e: float = CORRECTION_FACTOR) -> float:
-    """Average the per-slice corrected noise over slices that retain pixels."""
-    values = [v for img in volume.data if (v := positive_noise(Slice(img), t, f_e)) is not None]
-    if not values:
-        raise EstimationError(f"no background found at t={t!r}: all slices empty after thresholding")
-    return float(np.mean(values))
-
-
-def homogeneity_variance(volume: Volume, t: float) -> tuple[float, float]:
-    """Across-slice variance and mean of the per-slice stds at threshold t.
-
-    Per slice the population std of the thresholded image is taken over all
-    pixels, zeros included. Both the variance and the mean use the 1/n
-    divisor over the n slices.
-    """
-    if t < 0:
-        raise ValueError("threshold must be >= 0")
-    stds = np.array([np.where(img <= t, img, 0.0).std() for img in volume.data])
-    mean_sigma = float(stds.mean())
-    return float(((stds - mean_sigma) ** 2).mean()), mean_sigma
 
 
 class _VolumeScan:

@@ -14,6 +14,7 @@ imaginary block second, each in C order over (slice, row, column). Identical
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,21 +44,24 @@ class PhantomObject:
     def __post_init__(self):
         if self.shape not in ("disk", "rect"):
             raise ValueError("object shape must be 'disk' or 'rect'")
-        if self.value < 0:
-            raise ValueError("object value must be >= 0")
+        if not 0 <= self.value < math.inf:
+            raise ValueError("object value must be finite and >= 0")
         if self.shape == "disk":
-            if not np.isscalar(self.size) or self.size <= 0:
-                raise ValueError("disk size is a positive radius")
+            if not np.isscalar(self.size) or not 0 < self.size < math.inf:
+                raise ValueError("disk size is a finite positive radius")
             object.__setattr__(self, "size", float(self.size))
         else:
             try:
                 w, h = (float(v) for v in self.size)
             except (TypeError, ValueError):
-                raise ValueError("rect size is a positive (width, height) pair") from None
-            if w <= 0 or h <= 0:
-                raise ValueError("rect size is a positive (width, height) pair")
+                raise ValueError("rect size is a finite positive (width, height) pair") from None
+            if not (0 < w < math.inf and 0 < h < math.inf):
+                raise ValueError("rect size is a finite positive (width, height) pair")
             object.__setattr__(self, "size", (w, h))
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        center = tuple(float(c) for c in self.center)
+        if not all(map(math.isfinite, center)):
+            raise ValueError("object center must be finite")
+        object.__setattr__(self, "center", center)
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of the painted extent."""
@@ -100,10 +104,13 @@ class PhantomSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1 or self.n_slices < 1:
             raise ValueError("width, height and n_slices must be positive")
-        if self.background_value < 0:
-            raise ValueError("background_value must be >= 0")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        voxel = tuple(float(v) for v in self.voxel_size)
+        if len(voxel) != 3 or not all(0 < v < math.inf for v in voxel):
+            raise ValueError("voxel_size must be three finite positive reals (mm)")
+        if not 0 <= self.background_value < math.inf:
+            raise ValueError("background_value must be finite and >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "objects", tuple(self.objects))

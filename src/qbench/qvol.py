@@ -12,12 +12,14 @@ a load. PGM stacks are directories of binary (P5) PGM files, imported in
 lexicographic filename order with a default voxel size of 1 mm isotropic.
 
 u16 and PGM samples load as native u16 or u8 volumes, f32 samples as
-float64. :func:`read_input` reads the bytes of an input once;
-:func:`load_volume` parses them, and the report hashes the same bytes.
+float64. :func:`load_volume` is the one loader, for both formats.
+:func:`read_input` reads the bytes of an input once; :func:`load_volume`
+parses them, and the report hashes the same bytes.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import warnings
@@ -29,10 +31,9 @@ from .volume import Volume
 
 __all__ = [
     "VolumeFormatError",
-    "read_container",
     "write_container",
+    "write_bytes_atomic",
     "pgm_slice_paths",
-    "read_pgm_stack",
     "read_input",
     "load_volume",
 ]
@@ -74,19 +75,13 @@ def _parse_header(line: bytes, path: Path) -> tuple[tuple[int, int, int], tuple[
         raise VolumeFormatError(f"{path}: unparsable dims/voxel_size_mm") from exc
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise VolumeFormatError(f"{path}: dims must be three positive integers, got {fields['dims']!r}")
-    if len(voxel) != 3 or any(v <= 0 for v in voxel):
-        raise VolumeFormatError(f"{path}: voxel_size_mm must be three positive reals")
+    if len(voxel) != 3 or not all(math.isfinite(v) and v > 0 for v in voxel):
+        raise VolumeFormatError(f"{path}: voxel_size_mm must be three finite positive reals")
     if fields["dtype"] not in _DTYPES:
         raise VolumeFormatError(f"{path}: dtype must be one of {sorted(_DTYPES)}")
     if fields["byteorder"] != "le":
         raise VolumeFormatError(f"{path}: byteorder must be 'le'")
     return dims, voxel, fields["dtype"]
-
-
-def read_container(path) -> Volume:
-    """Load a QVOL1 container."""
-    path = Path(path)
-    return _parse_container(path, path.read_bytes())
 
 
 def _parse_container(path: Path, raw: bytes) -> Volume:
@@ -108,7 +103,9 @@ def _parse_container(path: Path, raw: bytes) -> Volume:
     return Volume.from_array(samples.reshape(n, h, w), voxel)
 
 
-def _write_atomic(path: Path, blob: bytes) -> None:
+def write_bytes_atomic(path: Path, blob: bytes) -> None:
+    """Write via a sibling temp file and rename, so readers never see a torn
+    file; the temp file is removed when the write fails."""
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -140,7 +137,7 @@ def write_container(path, volume: Volume, dtype: str = "f32") -> None:
     header = "{} dims={},{},{} voxel_size_mm={} dtype={} byteorder=le\n".format(
         _MAGIC, w, h, n, ",".join(_format_float(v) for v in volume.voxel_size), dtype
     )
-    _write_atomic(path, header.encode("ascii") + payload)
+    write_bytes_atomic(path, header.encode("ascii") + payload)
 
 
 def _read_pgm(path: Path, raw: bytes) -> np.ndarray:
@@ -185,11 +182,6 @@ def pgm_slice_paths(directory) -> list[Path]:
     """The slice files of a PGM stack, in load order: every ``*.pgm`` file
     (suffix matched case-insensitively), sorted by name."""
     return sorted(p for p in Path(directory).iterdir() if p.is_file() and p.suffix.lower() == ".pgm")
-
-
-def read_pgm_stack(directory) -> Volume:
-    """Load a directory of PGM slices, ordered by filename."""
-    return _parse_pgm_stack(read_input(directory))
 
 
 def _parse_pgm_stack(files: list[tuple[Path, bytes]]) -> Volume:

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .noise import CORRECTION_FACTOR_ANALYTIC, NoiseEstimate, SearchConfig
-from .qvol import read_input
+from .qvol import read_input, write_bytes_atomic
 from .resolution import QualityScore, ResolutionCurve
 from .volume import Volume
 
@@ -26,7 +22,6 @@ __all__ = [
     "REPORT_SCHEMA",
     "UNITS",
     "input_digest",
-    "masked_zero_fraction",
     "build_report",
     "report_json",
     "curve_csv",
@@ -90,16 +85,6 @@ def input_digest(path, files: list[tuple[Path, bytes]] | None = None) -> str:
         digest.update(b"\x00")
         digest.update(raw)
     return digest.hexdigest()
-
-
-def masked_zero_fraction(volume: Volume) -> float:
-    """Share of exactly-zero pixels, counted over the volume.
-
-    The reference for ``NoiseEstimate.zero_fraction``, which the report
-    reads: the estimate's scan already holds the count.
-    """
-    data = volume.data
-    return np.count_nonzero(data == 0) / data.size
 
 
 def build_report(
@@ -198,14 +183,5 @@ def curve_csv(curve: ResolutionCurve) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write ``text`` atomically, as ``qvol.write_bytes_atomic`` writes bytes."""
+    write_bytes_atomic(Path(path), text.encode())

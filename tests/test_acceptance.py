@@ -14,19 +14,19 @@ from qbench import (
     PhantomSpec,
     SearchConfig,
     Volume,
-    apply_threshold,
     background_roi_noise,
     downsample,
     estimate,
     find_t_opt,
     fit_power_law,
     generate,
-    homogeneity_variance,
+    load_volume,
     noise_resolution_curve,
-    read_container,
     write_container,
 )
 from qbench.cli import EXIT_OK, main
+from qbench.noise import _VolumeScan
+from oracle import homogeneity_variance
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -210,16 +210,15 @@ def test_criterion_6_correction_factor_identity():
 def test_criterion_7_property_suites(tmp_path):
     checks = {}
 
-    # threshold monotonicity and idempotence
+    # threshold monotonicity and idempotence, as the noise scan applies the threshold
     rng = np.random.default_rng(6006)
-    arr = rng.random((16, 16)) * 300
-    from qbench import Slice
-
-    sl = Slice(arr)
-    counts = [(apply_threshold(sl, t).pixels > 0).sum() for t in (0.0, 50.0, 120.0, 300.0)]
-    idem = apply_threshold(apply_threshold(sl, 90.0), 90.0).pixels
+    arr = rng.random((1, 16, 16)) * 300
+    scan = _VolumeScan(Volume.from_array(arr))
+    counts = scan.positive_count(np.array([0.0, 50.0, 120.0, 300.0])).tolist()
+    once = _VolumeScan(Volume.from_array(np.where(arr <= 90.0, arr, 0.0)))
+    at_90 = np.array([90.0])
     checks["threshold monotone+idempotent"] = counts == sorted(counts) and np.array_equal(
-        idem, apply_threshold(sl, 90.0).pixels
+        once.slice_stds(at_90), scan.slice_stds(at_90)
     )
 
     # scale equivariance of sigma and t_opt
@@ -250,7 +249,7 @@ def test_criterion_7_property_suites(tmp_path):
     vol_path = tmp_path / "c7.qvol"
     write_container(vol_path, generate(PhantomSpec(width=24, height=24, n_slices=4, sigma=40.0, seed=6008, quantize=True)), dtype="u16")
     round_path = tmp_path / "c7rt.qvol"
-    write_container(round_path, read_container(vol_path), dtype="u16")
+    write_container(round_path, load_volume(vol_path), dtype="u16")
     checks["container round-trip"] = vol_path.read_bytes() == round_path.read_bytes()
 
     # report reproducibility, byte-identical

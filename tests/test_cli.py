@@ -85,6 +85,20 @@ class TestSynth:
         assert err.startswith(f"qbench: {spec_path}: ") and err.count("\n") == 1 and "65535" in err
         assert list(tmp_path.iterdir()) == [spec_path]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("voxel_size_mm", [float("nan"), 1.0, 1.0]), ("sigma", float("nan")), ("background_value", float("inf"))],
+        ids=["voxel_size_mm-nan", "sigma-nan", "background_value-inf"],
+    )
+    def test_non_finite_spec_value_is_usage_error(self, tmp_path, capsys, field, value):
+        # json writes NaN and Infinity, and reads them back
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path, **{field: value})
+        out = tmp_path / "x.qvol"
+        assert main(["synth", str(spec_path), "--output", str(out)]) == EXIT_USAGE
+        assert "invalid phantom spec" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_spec_file_is_load_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "none.json"), "--output", str(tmp_path / "x.qvol")]) == EXIT_LOAD
 
@@ -156,6 +170,15 @@ class TestEstimate:
         bad = tmp_path / "bad.qvol"
         bad.write_bytes(b"not a container\n1234")
         assert main(["estimate", str(bad)]) == EXIT_LOAD
+
+    @pytest.mark.parametrize("command", [["estimate"], ["curve", "--factors", "1,2"]])
+    @pytest.mark.parametrize("voxel", ["nan", "inf"])
+    def test_non_finite_voxel_size_is_load_error(self, const_container, tmp_path, capsys, command, voxel):
+        raw = const_container.read_bytes().replace(b"voxel_size_mm=1.0,", f"voxel_size_mm={voxel},".encode(), 1)
+        bad = tmp_path / "bad.qvol"
+        bad.write_bytes(raw)
+        assert main([command[0], str(bad), *command[1:], "--output", str(tmp_path / "r.json")]) == EXIT_LOAD
+        assert "voxel_size_mm must be three finite positive reals" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, flag, value",

@@ -7,7 +7,9 @@ from those of ``/1`` only by the schema string, the removed
 ``config.search_mode`` and ``threshold.mode_used`` fields and the removed
 search-fallback warning; the curve CSV did not change. They were re-recorded
 again for ``qbench-report/3``, whose reports differ from those of ``/2`` only
-by the schema string and the removed ``config.grid`` field.
+by the schema string and the removed ``config.grid`` field. They were
+re-recorded once more for version 0.2.0, whose reports differ from those of
+0.1.0 only by ``tool.version``.
 Phantoms are bit-exact only on one numpy build (README, Determinism), so a
 numpy upgrade that changes the noise stream changes these hashes too.
 """
@@ -32,14 +34,14 @@ PHANTOMS = {
 }
 
 REPORT_SHA256 = {
-    "u16-disk": "8338636817a27836d7f0563f7699274dcb46f9d5723f95055b94a90cbc6ef413",
-    "f32-disk": "092e863093bbbb37b415335446e92395d414a3089e9bfbe4e57dcc3219f5621e",
-    "f32-noobj": "198a05de0492f1e9947b57d607e75ee1ed99a69ca29799980b15fbb57cb5db41",
-    "u16-offset": "0a2d52011407370acf14088fb08e73a62d68bb5212bd873c6d0e525e7e0c7d37",
+    "u16-disk": "8097456d2f1482bcbb033bae414cd90c4e4451636c929e217dc13676e7d80920",
+    "f32-disk": "55a18a591b8ecd3cb4eff433b5d7f824820745c2a1b341e98a7f9dd395f01dba",
+    "f32-noobj": "7337c2aa8cf3528c7e29cb662c9f65e4658ce3196908fe080cdd3423a40e2117",
+    "u16-offset": "769637dc9743142a2e991cbe0dcb41ecf3f3f8719995dd9e4f08639be4b22c48",
 }
 
 CURVE_SHA256 = {
-    "report": "2151bcc6c270f5dd2b179ea2da6368cea7819c824a114a4fd32f4f2f86680ccb",
+    "report": "c6ce34be09294842bb7abc416d3aaaea168e5c118fb8e3bc73e45cf7c9a9a472",
     "csv": "e3ba8aa886c0115fe67176555c2c6a6eaae3c9727f19fe7c66defa4495f6c284",
 }
 

@@ -7,121 +7,133 @@ from qbench import (
     CORRECTION_FACTOR,
     EstimationError,
     SearchConfig,
-    Slice,
     Volume,
-    apply_threshold,
     background_roi_noise,
     estimate,
-    homogeneity_variance,
-    mean_positive_noise,
-    positive_noise,
 )
+from qbench.noise import _VolumeScan
 from conftest import const_phantom, disk_phantom, pure_noise, volume_from
+from oracle import positive_noise
 
 
-def slice_of(values):
-    return Slice(np.asarray(values, dtype=float).reshape(1, -1))
+def scan_of(*slices):
+    """The scan of a volume with one single-row slice per argument."""
+    return _VolumeScan(volume_from([[row] for row in slices]))
 
 
 class TestApplyThreshold:
+    """Thresholding at t as the scan applies it: pixels above t count as zeros."""
+
     def test_threshold_at_max_is_identity(self):
         rng = np.random.default_rng(0)
-        sl = Slice(rng.random((5, 5)) * 80)
-        out = apply_threshold(sl, float(sl.pixels.max()))
-        assert np.array_equal(out.pixels, sl.pixels)
+        vol = volume_from(rng.random((1, 5, 5)) * 80)
+        scan = _VolumeScan(vol)
+        [[std]] = scan.slice_stds(np.array([vol.intensity_max]))
+        assert std == pytest.approx(vol.data.std(), rel=1e-12)
+        assert scan.positive_count(np.array([vol.intensity_max]))[0] == np.count_nonzero(vol.data)
 
     def test_zero_threshold_clears_positives(self):
-        sl = slice_of([0.0, 3.0, 7.5])
-        assert np.array_equal(apply_threshold(sl, 0.0).pixels, np.zeros((1, 3)))
+        scan = scan_of([0.0, 3.0, 7.5])
+        ts = np.zeros(1)
+        assert scan.positive_count(ts)[0] == 0
+        assert scan.slice_stds(ts)[0, 0] == 0.0
+        assert scan.positive_sigmas(0.0, CORRECTION_FACTOR) == [None]
 
     def test_hand_example(self):
-        out = apply_threshold(slice_of([50.0, 400.0, 90.0]), 100.0)
-        assert np.array_equal(out.pixels, np.array([[50.0, 0.0, 90.0]]))
+        # 400 lies above t = 100: the slice reads [50, 0, 90]
+        scan = scan_of([50.0, 400.0, 90.0])
+        assert scan.positive_count(np.array([100.0]))[0] == 2
+        assert scan.slice_stds(np.array([100.0]))[0, 0] == pytest.approx(np.std([50.0, 0.0, 90.0]))
 
     def test_retained_values_bounded(self):
         rng = np.random.default_rng(1)
-        sl = Slice(rng.random((4, 4)) * 200)
-        out = apply_threshold(sl, 60.0)
-        assert out.pixels.max() <= 60.0
+        vol = volume_from(rng.random((1, 4, 4)) * 200)
+        kept = vol.data[vol.data <= 60.0]
+        scan = _VolumeScan(vol)
+        assert scan.positive_count(np.array([60.0]))[0] == kept.size
+        assert scan.positive_sigmas(60.0, 1.0) == [pytest.approx(kept.std())]
 
     def test_idempotent(self):
+        # the scan of the volume thresholded at t reads the same stds at t
         rng = np.random.default_rng(2)
-        sl = Slice(rng.random((6, 6)) * 10)
-        once = apply_threshold(sl, 4.0)
-        twice = apply_threshold(once, 4.0)
-        assert np.array_equal(once.pixels, twice.pixels)
+        vol = volume_from(rng.random((3, 6, 6)) * 10)
+        once = volume_from(np.where(vol.data <= 4.0, vol.data, 0.0))
+        ts = np.array([4.0])
+        assert np.array_equal(_VolumeScan(once).slice_stds(ts), _VolumeScan(vol).slice_stds(ts))
 
     def test_positive_count_monotone_in_t(self):
         rng = np.random.default_rng(3)
-        sl = Slice(rng.random((8, 8)) * 100)
-        counts = [(apply_threshold(sl, t).pixels > 0).sum() for t in (0, 10, 25, 50, 100)]
+        scan = _VolumeScan(volume_from(rng.random((1, 8, 8)) * 100))
+        counts = scan.positive_count(np.array([0.0, 10.0, 25.0, 50.0, 100.0])).tolist()
         assert counts == sorted(counts)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            apply_threshold(slice_of([1.0]), -1.0)
 
 
 class TestPositiveNoise:
+    """Per-slice corrected std of the positive pixels <= t (``positive_sigmas``)."""
+
     def test_hand_example(self):
         # thresholded positives {1, 3}: population std 1, times 1.53
-        assert positive_noise(slice_of([0.0, 1.0, 3.0, 9.0]), 5.0, 1.53) == pytest.approx(1.53)
+        assert scan_of([0.0, 1.0, 3.0, 9.0]).positive_sigmas(5.0, 1.53) == [pytest.approx(1.53)]
 
     def test_constant_positives_give_zero(self):
-        assert positive_noise(slice_of([4.0, 4.0, 4.0]), 10.0) == 0.0
+        assert scan_of([4.0, 4.0, 4.0]).positive_sigmas(10.0, CORRECTION_FACTOR) == [0.0]
 
     def test_absent_when_nothing_survives(self):
-        assert positive_noise(slice_of([5.0, 6.0]), 1.0) is None
+        assert scan_of([5.0, 6.0]).positive_sigmas(1.0, CORRECTION_FACTOR) == [None]
 
     def test_rayleigh_calibration(self):
         # one large pure-noise slice: corrected std ~= 1.0024 * sigma
         vol = pure_noise(sigma=100.0, seed=12, width=512, height=512, n_slices=1)
-        sl = Slice(vol.data[0])
-        got = positive_noise(sl, vol.intensity_max, CORRECTION_FACTOR)
-        direct = CORRECTION_FACTOR * sl.pixels.std()  # all pixels positive here
+        [got] = _VolumeScan(vol).positive_sigmas(vol.intensity_max, CORRECTION_FACTOR)
+        direct = CORRECTION_FACTOR * vol.data.std()  # all pixels positive here
         assert got == pytest.approx(direct, rel=1e-12)
         assert got == pytest.approx(100.24, rel=0.01)
 
 
 class TestMeanPositiveNoise:
+    """The noise sigma: the mean of the per-slice positive sigmas present."""
+
     def test_identical_slices(self):
-        sl = np.array([[0.0, 1.0, 3.0, 2.0]])
-        vol = volume_from(np.repeat(sl[None, :, :], 4, axis=0))
-        single = positive_noise(Slice(sl), 10.0)
-        assert mean_positive_noise(vol, 10.0) == pytest.approx(single, rel=1e-12)
+        sl = [0.0, 1.0, 3.0, 2.0]
+        [single] = scan_of(sl).positive_sigmas(10.0, CORRECTION_FACTOR)
+        assert scan_of(sl, sl, sl, sl).positive_sigmas(10.0, CORRECTION_FACTOR) == [single] * 4
 
     def test_arithmetic_mean(self):
         # per-slice corrected stds 2 and 4 with f_e = 1
-        vol = volume_from([[[0.0, 1.0, 5.0]], [[0.0, 1.0, 9.0]]])
-        assert mean_positive_noise(vol, 100.0, 1.0) == pytest.approx(3.0)
+        sigmas = scan_of([0.0, 1.0, 5.0], [0.0, 1.0, 9.0]).positive_sigmas(100.0, 1.0)
+        assert sigmas == [pytest.approx(2.0), pytest.approx(4.0)]
+        assert np.mean(sigmas) == pytest.approx(3.0)
 
     def test_rayleigh_volume(self):
         vol = pure_noise(sigma=100.0, seed=13)
-        got = mean_positive_noise(vol, vol.intensity_max)
+        got = np.mean(_VolumeScan(vol).positive_sigmas(vol.intensity_max, CORRECTION_FACTOR))
         assert got == pytest.approx(100.0, rel=0.02)
 
     def test_error_when_everything_empty(self):
         vol = volume_from(np.full((2, 3, 3), 7.0))
+        assert _VolumeScan(vol).positive_sigmas(1.0, CORRECTION_FACTOR) == [None, None]
         with pytest.raises(EstimationError, match="no background"):
-            mean_positive_noise(vol, 1.0)
+            estimate(volume_from(np.zeros((2, 3, 3))))
 
 
 class TestHomogeneityVariance:
+    """The variance curve: across-slice variance and mean of the per-slice stds."""
+
     def test_identical_slices_have_zero_variance(self):
         rng = np.random.default_rng(4)
         sl = rng.random((5, 5)) * 30
         vol = volume_from(np.repeat(sl[None], 6, axis=0))
-        var, _ = homogeneity_variance(vol, 15.0)
+        [var], _ = _VolumeScan(vol).curve(np.array([15.0]))
         assert var == pytest.approx(0.0, abs=1e-20)
 
     def test_degenerate_threshold(self):
         vol = disk_phantom(radius=10, value=500.0, sigma=50.0, seed=5)
-        assert homogeneity_variance(vol, 0.0) == (0.0, 0.0)
+        [var], [mean_sigma] = _VolumeScan(vol).curve(np.zeros(1))
+        assert (var, mean_sigma) == (0.0, 0.0)
 
     def test_hand_example(self):
         # slice stds (zeros included) of 1 and 3 -> variance 1, mean 2
-        vol = volume_from([[[0.0, 2.0]], [[0.0, 6.0]]])
-        var, mean_sigma = homogeneity_variance(vol, 6.0)
+        [var], [mean_sigma] = scan_of([0.0, 2.0], [0.0, 6.0]).curve(np.array([6.0]))
         assert var == pytest.approx(1.0)
         assert mean_sigma == pytest.approx(2.0)
 
@@ -190,9 +202,9 @@ class TestEstimate:
         present = [v for v in est.per_slice_sigma if v is not None]
         assert est.sigma == pytest.approx(np.mean(present), rel=1e-12)
         assert len(est.per_slice_sigma) == disk_volume.n_slices
-        assert est.sigma == pytest.approx(
-            mean_positive_noise(disk_volume, est.threshold.t_opt), rel=1e-9
-        )
+        t_opt = est.threshold.t_opt
+        reference = [v for img in disk_volume.data if (v := positive_noise(img, t_opt, CORRECTION_FACTOR)) is not None]
+        assert est.sigma == pytest.approx(np.mean(reference), rel=1e-9)
 
     def test_scale_equivariance(self, disk_volume):
         base = estimate(disk_volume)

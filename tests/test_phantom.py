@@ -50,6 +50,22 @@ class TestRenderTemplate:
         with pytest.raises(ValueError):
             PhantomObject("rect", (1, 1), 3.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PhantomObject("disk", (8, 8), 2.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            PhantomObject("disk", (8, 8), bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            PhantomObject("rect", (8, 8), (2.0, bad), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            PhantomObject("disk", (bad, 8), 2.0, 1.0)
+        for field in ("sigma", "background_value"):
+            with pytest.raises(ValueError, match="finite"):
+                PhantomSpec(width=8, height=8, n_slices=1, **{field: bad})
+        with pytest.raises(ValueError, match="finite"):
+            PhantomSpec(width=8, height=8, n_slices=1, voxel_size=(1.0, bad, 1.0))
+
 
 class TestComplexGaussianNoise:
     def test_zero_sigma_is_identity(self):

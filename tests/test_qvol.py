@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbench import Volume, VolumeFormatError, load_volume, read_container, read_input, read_pgm_stack, write_container
+from qbench import Volume, VolumeFormatError, load_volume, read_input, write_container
 from qbench.report import input_digest
 from conftest import volume_from
 
@@ -32,7 +32,7 @@ class TestContainerRoundTrip:
         vol = volume_from(np.array([[[0.0, 1.0], [3.0, 0.0]]]), voxel=(1.0, 1.0, 2.5))
         path = tmp_path / "vol.qvol"
         write_container(path, vol, dtype="u16")
-        loaded = read_container(path)
+        loaded = load_volume(path)
         assert loaded.intensity_max == 3.0
         assert np.array_equal(loaded.data, vol.data)
         assert loaded.voxel_size == vol.voxel_size
@@ -45,7 +45,7 @@ class TestContainerRoundTrip:
         vol = volume_from(rng.random((4, 6, 5)).astype(np.float32).astype(np.float64) * 100)
         path = tmp_path / "vol.qvol"
         write_container(path, vol, dtype="f32")
-        loaded = read_container(path)
+        loaded = load_volume(path)
         again = tmp_path / "again.qvol"
         write_container(again, loaded, dtype="f32")
         assert path.read_bytes() == again.read_bytes()
@@ -75,7 +75,7 @@ class TestContainerErrors:
     def test_example_decode(self, tmp_path):
         path = tmp_path / "ok.qvol"
         path.write_bytes(self.good_bytes())
-        vol = read_container(path)
+        vol = load_volume(path)
         assert vol.shape == (1, 2, 2)
         assert vol.intensity_max == 3.0
 
@@ -83,25 +83,32 @@ class TestContainerErrors:
         path = tmp_path / "short.qvol"
         path.write_bytes(self.good_bytes()[:-1])
         with pytest.raises(VolumeFormatError, match="payload"):
-            read_container(path)
+            load_volume(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.qvol"
         path.write_bytes(b"QVOL9" + self.good_bytes()[5:])
         with pytest.raises(VolumeFormatError, match="magic"):
-            read_container(path)
+            load_volume(path)
 
     def test_bad_dtype(self, tmp_path):
         path = tmp_path / "bad.qvol"
         path.write_bytes(self.good_bytes().replace(b"dtype=u16", b"dtype=i32"))
         with pytest.raises(VolumeFormatError, match="dtype"):
-            read_container(path)
+            load_volume(path)
 
     def test_missing_header_key(self, tmp_path):
         path = tmp_path / "bad.qvol"
         path.write_bytes(self.good_bytes().replace(b" byteorder=le", b""))
         with pytest.raises(VolumeFormatError, match="header keys"):
-            read_container(path)
+            load_volume(path)
+
+    @pytest.mark.parametrize("voxel", [b"nan,1.0,1.0", b"1.0,inf,1.0"])
+    def test_non_finite_voxel_size_rejected(self, tmp_path, voxel):
+        path = tmp_path / "bad.qvol"
+        path.write_bytes(self.good_bytes().replace(b"voxel_size_mm=1.0,1.0,1.0", b"voxel_size_mm=" + voxel))
+        with pytest.raises(VolumeFormatError, match="finite"):
+            load_volume(path)
 
     def test_negative_f32_rejected(self, tmp_path):
         header = b"QVOL1 dims=2,1,1 voxel_size_mm=1.0,1.0,1.0 dtype=f32 byteorder=le\n"
@@ -109,7 +116,7 @@ class TestContainerErrors:
         path = tmp_path / "neg.qvol"
         path.write_bytes(header + payload)
         with pytest.raises(VolumeFormatError, match="negative"):
-            read_container(path)
+            load_volume(path)
 
     def test_nonfinite_f32_rejected(self, tmp_path):
         header = b"QVOL1 dims=2,1,1 voxel_size_mm=1.0,1.0,1.0 dtype=f32 byteorder=le\n"
@@ -117,7 +124,7 @@ class TestContainerErrors:
         path = tmp_path / "nan.qvol"
         path.write_bytes(header + payload)
         with pytest.raises(VolumeFormatError, match="non-finite"):
-            read_container(path)
+            load_volume(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(VolumeFormatError, match="no such file"):
@@ -136,7 +143,7 @@ class TestPgmStack:
         for i in range(3):
             write_pgm(tmp_path / f"slice_{i:03d}.pgm", slices + i)
         with pytest.warns(UserWarning, match="voxel size"):
-            vol = read_pgm_stack(tmp_path)
+            vol = load_volume(tmp_path)
         assert vol.shape == (3, 8, 10)
         assert vol.voxel_size == (1.0, 1.0, 1.0)
         assert np.array_equal(vol.data[0], slices.astype(float))
@@ -145,24 +152,24 @@ class TestPgmStack:
         write_pgm(tmp_path / "b.pgm", np.full((2, 2), 2))
         write_pgm(tmp_path / "a.pgm", np.full((2, 2), 1))
         with pytest.warns(UserWarning):
-            vol = read_pgm_stack(tmp_path)
+            vol = load_volume(tmp_path)
         assert vol.data[0, 0, 0] == 1.0 and vol.data[1, 0, 0] == 2.0
 
     def test_eight_bit_pgm(self, tmp_path):
         write_pgm(tmp_path / "only.pgm", np.arange(4).reshape(2, 2), maxval=255)
         with pytest.warns(UserWarning):
-            vol = read_pgm_stack(tmp_path)
+            vol = load_volume(tmp_path)
         assert vol.intensity_max == 3.0
 
     def test_dimension_mismatch(self, tmp_path):
         write_pgm(tmp_path / "a.pgm", np.zeros((2, 2)))
         write_pgm(tmp_path / "b.pgm", np.zeros((3, 3)))
         with pytest.raises(VolumeFormatError, match="expected"):
-            read_pgm_stack(tmp_path)
+            load_volume(tmp_path)
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(VolumeFormatError, match="no .pgm"):
-            read_pgm_stack(tmp_path)
+            load_volume(tmp_path)
 
     def test_load_volume_dispatches_to_directory(self, tmp_path):
         write_pgm(tmp_path / "s0.pgm", np.ones((4, 4)))
@@ -176,7 +183,7 @@ class TestPgmStack:
         header = b"P5\n# scanner export\n2 2\n65535\n"
         (tmp_path / "c.pgm").write_bytes(header + img.astype(">u2").tobytes())
         with pytest.warns(UserWarning):
-            vol = read_pgm_stack(tmp_path)
+            vol = load_volume(tmp_path)
         assert np.all(vol.data == 7.0)
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qbench import SearchConfig, estimate, noise_resolution_curve
-from qbench.report import UNITS, build_report, curve_csv, input_digest, masked_zero_fraction, report_json
+from qbench.report import UNITS, build_report, curve_csv, input_digest, report_json
 from conftest import const_phantom, disk_phantom, volume_from
 
 import numpy as np
@@ -44,8 +44,8 @@ class TestBuildReport:
         data = np.zeros((2, 10, 10))
         data[:, :2, :] = 50.0
         vol = volume_from(data)
-        assert masked_zero_fraction(vol) == pytest.approx(0.8)
         est = estimate(vol, SearchConfig(t_start=1.0))
+        assert est.zero_fraction == 0.8
         report = build_report(digest="x", input_format="qvol", volume=vol, cfg=SearchConfig(), est=est)
         assert any("exactly zero" in w for w in report["warnings"])
 

@@ -1,12 +1,14 @@
-"""Differential tests of the noise scan against the per-slice reference functions.
+"""Differential tests of the noise scan against the per-slice oracle in ``oracle.py``.
 
 ``_VolumeScan`` answers every per-slice question at a threshold from
 cumulative tables, in a histogram layout for u8/u16 data and a sorted
-layout otherwise. ``homogeneity_variance`` and ``positive_noise`` compute the
-same statistics slice by slice from the thresholded pixels; they sum in
-another order, so they are compared within a tolerance set from float64
-precision. The two layouts must agree bit for bit, whatever the slice count,
-and a t must give the same values alone as inside a grid.
+layout otherwise. ``oracle.homogeneity_variance`` and ``oracle.positive_noise``
+compute the same statistics slice by slice from the thresholded pixels; they
+sum in another order, so they are compared within a tolerance set from
+float64 precision. The two layouts must agree bit for bit, whatever the
+slice count, and a t must give the same values alone as inside a grid.
+The hand-computed checks of the scan are in ``test_noise.py`` and
+``test_volume.py``.
 """
 
 import numpy as np
@@ -14,19 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbench import (
-    CORRECTION_FACTOR,
-    EstimationError,
-    SearchConfig,
-    Slice,
-    Volume,
-    estimate,
-    homogeneity_variance,
-    positive_noise,
-)
+from qbench import CORRECTION_FACTOR, EstimationError, SearchConfig, Volume, estimate
 from qbench import noise
 from qbench.noise import _VolumeScan, find_t_opt
-from qbench.report import masked_zero_fraction
+from oracle import homogeneity_variance, positive_noise, zero_fraction
 
 # s2/n - (s1/n)**2 cancels: after k sequential additions a std near zero
 # carries an absolute error up to about sqrt(2k x 2**-52) x t_max, under
@@ -91,7 +84,7 @@ def test_scan_matches_per_slice_reference(volume):
         assert mean == pytest.approx(ref_mean, rel=REL_TOL, abs=REL_TOL * scale)
         assert var == pytest.approx(ref_var, rel=REL_TOL, abs=REL_TOL * scale**2)
         got = scan.positive_sigmas(t, CORRECTION_FACTOR)
-        ref = [positive_noise(Slice(img), t, CORRECTION_FACTOR) for img in volume.data]
+        ref = [positive_noise(img, t, CORRECTION_FACTOR) for img in volume.data]
         assert [g is None for g in got] == [r is None for r in ref]
         for g, r in zip(got, ref):
             if r is not None:
@@ -224,7 +217,7 @@ def test_unsigned_volume_estimates_like_its_float64_copy(volume, cfg):
         b.zero_fraction,
     )
     assert_same_threshold(a.threshold, b.threshold)
-    assert a.zero_fraction == masked_zero_fraction(volume)
+    assert a.zero_fraction == zero_fraction(volume)
 
 
 def test_quantized_disk_phantom_estimates_like_its_float64_copy(disk_volume):

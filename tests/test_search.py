@@ -10,11 +10,11 @@ from qbench import (
     find_t_lower,
     find_t_opt,
     generate,
-    homogeneity_variance,
     quantize,
 )
 from qbench.noise import _tied_argmin, _VolumeScan
 from conftest import const_phantom, pure_noise, volume_from
+from oracle import homogeneity_variance
 
 
 class SortedScan(_VolumeScan):

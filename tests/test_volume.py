@@ -1,36 +1,34 @@
+"""The Volume data model, and the per-slice statistics the noise scan takes over a volume's pixels."""
+
 import numpy as np
 import pytest
 
-from qbench import PixelStats, Slice, Volume, stats_all, stats_positive
+from qbench import Volume
+from qbench.noise import _VolumeScan
 
 
-def make_slice(values, shape=None):
+def scan_of(values, shape=None):
+    """The scan of a one-slice volume holding ``values``."""
     arr = np.asarray(values, dtype=float)
     if shape:
         arr = arr.reshape(shape)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    return Slice(arr)
+    return _VolumeScan(Volume.from_array(arr[None]))
+
+
+def stats_all(scan, t=np.inf):
+    """Population std of the one slice at t over all its pixels, zeros included."""
+    return float(scan.slice_stds(np.array([t]))[0, 0])
+
+
+def stats_positive(scan, t=np.inf):
+    """Count and population std of the one slice's positive pixels <= t (std None when there is none)."""
+    [std] = scan.positive_sigmas(t, 1.0)
+    return int(scan.positive_count(np.array([t]))[0]), std
 
 
 class TestSliceAndVolume:
-    def test_slice_dimensions(self):
-        sl = make_slice(np.zeros((3, 5)))
-        assert (sl.height, sl.width) == (3, 5)
-
-    def test_slice_rejects_negative_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            make_slice([0.0, -1.0])
-        with pytest.raises(ValueError):
-            make_slice([0.0, np.nan])
-        with pytest.raises(ValueError):
-            make_slice([0.0, np.inf])
-
-    def test_slice_pixels_are_immutable(self):
-        sl = make_slice([1.0, 2.0])
-        with pytest.raises(ValueError):
-            sl.pixels[0, 0] = 5.0
-
     def test_volume_requires_matching_slices(self):
         with pytest.raises(ValueError):
             Volume.from_array([np.zeros((2, 2)), np.zeros((3, 3))])
@@ -45,6 +43,9 @@ class TestSliceAndVolume:
             Volume.from_array(data, voxel_size=(1.0, 0.0, 1.0))
         with pytest.raises(ValueError):
             Volume.from_array(data, voxel_size=(1.0, 1.0))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Volume.from_array(data, voxel_size=(bad, 1.0, 1.0))
 
     def test_volume_rejects_negative_and_nonfinite(self):
         for bad in (-1.0, np.nan, np.inf, -np.inf):
@@ -99,52 +100,33 @@ class TestSliceAndVolume:
             vol.voxel_size = (2.0, 2.0, 2.0)
 
 
-class TestPixelStats:
-    def test_empty_state_is_explicit(self):
-        empty = PixelStats.empty()
-        assert empty.is_empty and empty.count == 0
-        assert empty.mean is None and empty.std is None
-
-    def test_inconsistent_state_rejected(self):
-        with pytest.raises(ValueError):
-            PixelStats(0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            PixelStats(3, None, None)
-
-
 class TestStatsAll:
     def test_all_zero_slice(self):
-        st = stats_all(make_slice(np.zeros((4, 4))))
-        assert st == PixelStats(16, 0.0, 0.0)
+        scan = scan_of(np.zeros((4, 4)))
+        assert stats_all(scan) == 0.0
+        assert stats_positive(scan) == (0, None)
 
     def test_hand_computed_example(self):
         # population std of [0, 0, 4, 4]: mean 2, deviations all 2
-        st = stats_all(make_slice([0.0, 0.0, 4.0, 4.0]))
-        assert st.count == 4
-        assert st.mean == pytest.approx(2.0)
-        assert st.std == pytest.approx(2.0)
+        assert stats_all(scan_of([0.0, 0.0, 4.0, 4.0])) == pytest.approx(2.0)
 
     def test_constant_slice_has_zero_std(self):
         for c in (0.0, 1.0, 417.5):
-            st = stats_all(make_slice(np.full((3, 3), c)))
-            assert st.std == 0.0
-            assert st.mean == pytest.approx(c)
+            assert stats_all(scan_of(np.full((3, 3), c))) == 0.0
 
 
 class TestStatsPositive:
     def test_positives_only(self):
-        st = stats_positive(make_slice([0.0, 0.0, 4.0, 4.0]))
-        assert st == PixelStats(2, 4.0, 0.0)
+        assert stats_positive(scan_of([0.0, 0.0, 4.0, 4.0])) == (2, 0.0)
 
     def test_hand_computed_example(self):
         # population std of {1, 3}: mean 2, deviations 1
-        st = stats_positive(make_slice([0.0, 1.0, 3.0]))
-        assert st.count == 2
-        assert st.mean == pytest.approx(2.0)
-        assert st.std == pytest.approx(1.0)
+        count, std = stats_positive(scan_of([0.0, 1.0, 3.0]))
+        assert count == 2
+        assert std == pytest.approx(1.0)
 
     def test_all_zero_gives_empty(self):
-        assert stats_positive(make_slice(np.zeros((2, 2)))).is_empty
+        assert stats_positive(scan_of(np.zeros((2, 2)))) == (0, None)
 
 
 class TestStatsProperties:
@@ -153,21 +135,22 @@ class TestStatsProperties:
         for _ in range(20):
             arr = rng.random((6, 6)) * 10
             arr[rng.random((6, 6)) < 0.4] = 0.0
-            sl = Slice(arr)
-            assert stats_all(sl).count >= stats_positive(sl).count
+            count, _ = stats_positive(scan_of(arr))
+            assert count == np.count_nonzero(arr) <= arr.size
 
     def test_scaling_equivariance(self):
         rng = np.random.default_rng(6)
         arr = rng.random((8, 8)) * 100
         arr[rng.random((8, 8)) < 0.3] = 0.0
+        base = scan_of(arr)
         for c in (2.0, 0.5, 7.25):
-            base_all, base_pos = stats_all(Slice(arr)), stats_positive(Slice(arr))
-            scl_all, scl_pos = stats_all(Slice(arr * c)), stats_positive(Slice(arr * c))
-            assert scl_all.mean == pytest.approx(c * base_all.mean, rel=1e-12)
-            assert scl_all.std == pytest.approx(c * base_all.std, rel=1e-12)
-            assert scl_pos.mean == pytest.approx(c * base_pos.mean, rel=1e-12)
-            assert scl_pos.std == pytest.approx(c * base_pos.std, rel=1e-12)
-            assert scl_pos.count == base_pos.count
+            scaled = scan_of(arr * c)
+            for t in (40.0, np.inf):
+                assert stats_all(scaled, c * t) == pytest.approx(c * stats_all(base, t), rel=1e-12)
+                base_count, base_std = stats_positive(base, t)
+                count, std = stats_positive(scaled, c * t)
+                assert count == base_count
+                assert std == pytest.approx(c * base_std, rel=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -175,7 +158,7 @@ class TestStatsProperties:
         arr[:10] = 0.0
         shuffled = arr.copy()
         rng.shuffle(shuffled)
-        a, b = make_slice(arr, (6, 6)), make_slice(shuffled, (6, 6))
-        assert stats_all(a).mean == pytest.approx(stats_all(b).mean, rel=1e-12)
-        assert stats_all(a).std == pytest.approx(stats_all(b).std, rel=1e-12)
-        assert stats_positive(a).count == stats_positive(b).count
+        a, b = scan_of(arr, (6, 6)), scan_of(shuffled, (6, 6))
+        for t in (5.0, np.inf):
+            assert stats_all(a, t) == pytest.approx(stats_all(b, t), rel=1e-12)
+            assert stats_positive(a, t) == stats_positive(b, t)
