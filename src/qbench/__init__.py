@@ -7,7 +7,7 @@ compared on one scale. Ships a deterministic phantom generator and a minimal
 bit-exact volume container for reproducible experiments.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .volume import Volume
 from .noise import (
@@ -34,7 +34,6 @@ from .resolution import (
     lanczos3_kernel,
     noise_resolution_curve,
     normalize_quality,
-    pairwise_gradient,
 )
 from .qvol import VolumeFormatError, load_volume, read_input, write_container
 
@@ -64,7 +63,6 @@ __all__ = [
     "ResolutionCurve",
     "QualityScore",
     "fit_power_law",
-    "pairwise_gradient",
     "effective_resolution",
     "noise_resolution_curve",
     "normalize_quality",

@@ -17,16 +17,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 from .noise import EstimationError, SearchConfig, estimate
 from .phantom import PhantomSpec, generate
 from .qvol import VolumeFormatError, load_volume, read_input, write_container
 from .report import build_report, curve_csv, input_digest, report_json, write_text_atomic
-from .resolution import DEFAULT_EXPONENT, effective_resolution, noise_resolution_curve, normalize_quality
+from .resolution import (
+    DEFAULT_EXPONENT,
+    DEFAULT_REF_MM,
+    check_factors,
+    check_quality_params,
+    effective_resolution,
+    noise_resolution_curve,
+    normalize_quality,
+)
 from .volume import Volume
 
 EXIT_OK = 0
@@ -41,14 +49,15 @@ class _UsageError(ValueError):
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--t-start", type=float, default=40.0, help="first probed threshold (intensity units)")
-    parser.add_argument("--epsilon", type=float, default=10.0, help="probe step of the walk that finds t_lower (intensity units)")
-    parser.add_argument("--grid-step", type=float, default=1.0, help="threshold grid quantum (intensity units)")
-    parser.add_argument("--correction-factor", type=float, default=1.53, help="background-std to sigma multiplier")
+    cfg = SearchConfig  # the defaults are the config's own
+    parser.add_argument("--t-start", type=float, default=cfg.t_start, help="first probed threshold (intensity units)")
+    parser.add_argument("--epsilon", type=float, default=cfg.epsilon, help="probe step of the walk that finds t_lower (intensity units)")
+    parser.add_argument("--grid-step", type=float, default=cfg.grid_step, help="threshold grid quantum (intensity units)")
+    parser.add_argument("--correction-factor", type=float, default=cfg.correction_factor, help="background-std to sigma multiplier")
 
 
 def _add_quality_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ref-resolution", type=float, default=1.0, help="reference resolution for SNR normalization (mm)")
+    parser.add_argument("--ref-resolution", type=float, default=DEFAULT_REF_MM, help="reference resolution for SNR normalization (mm)")
     parser.add_argument("--exponent-m", type=float, default=DEFAULT_EXPONENT, help="noise-vs-resolution exponent")
 
 
@@ -76,27 +85,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> SearchConfig:
+    """The search config of the flags; each flag's dest is its field's name."""
+    return SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)})
+
+
+def _parse_factors(text: str) -> list[float]:
     try:
-        return SearchConfig(
-            t_start=args.t_start,
-            epsilon=args.epsilon,
-            grid_step=args.grid_step,
-            correction_factor=args.correction_factor,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-def _check_quality_flags(args) -> None:
-    if not (math.isfinite(args.ref_resolution) and args.ref_resolution > 0):
-        raise _UsageError("--ref-resolution must be a finite value > 0")
-    if not math.isfinite(args.exponent_m):
-        raise _UsageError("--exponent-m must be finite")
+        factors = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"unparsable --factors value {text!r}") from None
+    return check_factors(factors, "--factors")
 
 
 def _load(path: str) -> tuple[Volume, str, str, list[str]]:
     """The volume, the SHA-256 of its input bytes, the input format and the
-    loader's warnings, from one read of the input."""
+    loader's warnings, from one read of the input. The bytes are released on
+    return, so they are not held through the analysis."""
     files = read_input(path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -105,40 +109,20 @@ def _load(path: str) -> tuple[Volume, str, str, list[str]]:
     return volume, input_digest(path, files), fmt, [str(w.message) for w in caught]
 
 
-def _emit(report: dict, output: str | None) -> None:
-    text = report_json(report)
-    if output:
-        write_text_atomic(output, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _warn_no_object(report: dict) -> None:
-    if report["threshold"]["no_object"]:
-        print("WARNING: no object separated from the background; SNR is zero", file=sys.stderr)
-
-
-def _parse_factors(text: str) -> list[float]:
+def _cmd_analyze(args) -> int:
+    """``estimate`` and ``curve``: one analysis, in which the resolution curve
+    and its CSV sidecar are the only extras of ``curve``. Every flag is
+    checked, by the module that owns its contract, before the input is
+    loaded."""
     try:
-        factors = [float(tok) for tok in text.split(",") if tok.strip()]
+        cfg = _config_from(args)
+        check_quality_params(args.exponent_m, args.ref_resolution, ("--exponent-m", "--ref-resolution"))
+        factors = _parse_factors(args.factors) if args.command == "curve" else None
     except ValueError as exc:
-        raise _UsageError(f"unparsable --factors value {text!r}") from exc
-    if len(factors) < 2:
-        raise _UsageError("--factors needs at least 2 values")
-    if not all(map(math.isfinite, factors)):
-        raise _UsageError("--factors must all be finite")
-    if any(f < 1 for f in factors):
-        raise _UsageError("--factors must all be >= 1")
-    if len(set(factors)) < len(factors):
-        raise _UsageError("--factors must not repeat a value")
-    return factors
-
-
-def _cmd_estimate(args) -> int:
-    cfg = _config_from(args)
-    _check_quality_flags(args)
+        raise _UsageError(str(exc)) from exc
     volume, digest, fmt, load_warnings = _load(args.input)
     est = estimate(volume, cfg)
+    curve = None if factors is None else noise_resolution_curve(volume, factors, cfg, full=est)
     score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
     report = build_report(
         digest=digest,
@@ -146,11 +130,19 @@ def _cmd_estimate(args) -> int:
         volume=volume,
         cfg=cfg,
         est=est,
+        curve=curve,
         score=score,
         extra_warnings=tuple(load_warnings),
     )
-    _emit(report, args.output)
-    _warn_no_object(report)
+    text = report_json(report)
+    if args.output:
+        write_text_atomic(args.output, text)
+    else:
+        sys.stdout.write(text)
+    if curve is not None:
+        write_text_atomic(Path(args.output).with_suffix(".csv"), curve_csv(curve))
+    if est.threshold.no_object:
+        print("WARNING: no object separated from the background; SNR is zero", file=sys.stderr)
     return EXIT_OK
 
 
@@ -173,34 +165,10 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_curve(args) -> int:
-    cfg = _config_from(args)
-    _check_quality_flags(args)
-    factors = _parse_factors(args.factors)
-    volume, digest, fmt, load_warnings = _load(args.input)
-    est = estimate(volume, cfg)
-    curve = noise_resolution_curve(volume, factors, cfg, full=est)
-    score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
-    report = build_report(
-        digest=digest,
-        input_format=fmt,
-        volume=volume,
-        cfg=cfg,
-        est=est,
-        curve=curve,
-        score=score,
-        extra_warnings=tuple(load_warnings),
-    )
-    _emit(report, args.output)
-    write_text_atomic(Path(args.output).with_suffix(".csv"), curve_csv(curve))
-    _warn_no_object(report)
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {"estimate": _cmd_estimate, "synth": _cmd_synth, "curve": _cmd_curve}
+    handlers = {"estimate": _cmd_analyze, "synth": _cmd_synth, "curve": _cmd_analyze}
     try:
         return handlers[args.command](args)
     except _UsageError as exc:

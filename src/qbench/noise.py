@@ -4,9 +4,10 @@ The estimator cuts every pixel above a threshold t to zero and measures, per
 slice, the population std of the result. The across-slice variance of those
 stds is small when the thresholded slices look alike, i.e. when t retains the
 background noise without holes and without object pixels. The optimal t is the
-minimum of that variance curve over [t_lower, t_max], guarded by the condition
-that the mean per-slice std at t must not exceed its value at t_max (volumes
-without any object would otherwise pick a meaningless interior minimum).
+minimum of that variance curve over the thresholds in [t_lower, t_max] that
+separate anything, guarded by the condition that the mean per-slice std at
+the raw minimum must not exceed its value at t_max (volumes without any object
+would otherwise pick a meaningless interior minimum).
 
 Noise is then the correction-factor-scaled std of the positive pixels of the
 thresholded slices, averaged over slices; signal is the mean of the original
@@ -409,19 +410,19 @@ def find_t_opt(
     """Select the threshold minimizing the across-slice variance of stds.
 
     The variance curve is evaluated on the uniform grid of quantum
-    ``grid_step`` over [t_lower, t_max] in one call, and its smallest value
-    wins (ties within _TIE_REL_TOL go to the smallest t). The grid ends at
-    t_max, so its last sample is the mean per-slice std of the unthresholded
-    image, the same value a lone t_max gives. Two degenerate outcomes are
-    handled:
+    ``grid_step`` over [t_lower, t_max] in one call. The grid ends at t_max,
+    so its last sample is the mean per-slice std of the unthresholded image,
+    the same value a lone t_max gives. One rule selects the threshold:
 
-    * no-object guard: when the mean per-slice std at the minimum exceeds
-      its value at t_max, the image holds nothing but background and the
-      threshold degenerates to t_max;
-    * no-holes condition: a guard-accepted minimum sitting where the
-      background is still filling up (offset backgrounds develop such false
-      valleys mid-bulk) is replaced by the best minimum among thresholds
-      whose retained region is gap-free, re-checked against the guard.
+    * no-object guard: when the mean per-slice std at the raw minimum of the
+      whole grid exceeds its value at t_max, the image holds nothing but
+      background; t_opt is t_max and the raw minimum is ``t_rejected``;
+    * otherwise t_opt is the smallest variance among the admissible grid
+      points (ties within _TIE_REL_TOL go to the smallest t), or t_max when
+      none is. A point is admissible when its mean per-slice std is at most
+      _NEAR_FULL_FRACTION of the value at t_max and the background below it
+      is covered (see _background_covered): offset backgrounds develop false
+      valleys mid-bulk, where the background is still filling up.
 
     ``scan`` is a prebuilt scan of ``volume``; one is built when it is
     omitted. ``cfg`` is scaled to the volume's intensity range once, here.
@@ -434,34 +435,21 @@ def find_t_opt(
     variances, mean_sigmas = scan.curve(ts)
     sigma_at_max = float(mean_sigmas[-1])
     idx = _tied_argmin(variances)
-    t_star, sigma_at_star = float(ts[idx]), float(mean_sigmas[idx])
-
     t_rejected = None
-    if sigma_at_star > sigma_at_max:
+    if mean_sigmas[idx] > sigma_at_max:
         # no-object guard on the raw minimum
-        t_opt = scan.t_max
-        t_rejected = t_star
-    elif (
-        t_star != scan.t_max
-        and sigma_at_star <= _NEAR_FULL_FRACTION * sigma_at_max
-        and _background_covered(scan, np.array([t_star]), cfg.epsilon)[0]
-    ):
-        t_opt = t_star
+        t_opt, t_rejected = scan.t_max, float(ts[idx])
     else:
-        # restrict to thresholds that truly separate: hole-free background
-        # and materially below the full image
-        mask = mean_sigmas <= _NEAR_FULL_FRACTION * sigma_at_max
-        mask &= _background_covered(scan, ts, cfg.epsilon)
-        sub = np.nonzero(mask)[0]
-        if sub.size:
-            idx2 = sub[_tied_argmin(variances[sub])]
-            t_opt = float(ts[idx2])
-        else:
-            t_opt = scan.t_max
+        # the minimum over the thresholds that truly separate: hole-free
+        # background and materially below the full image
+        admissible = mean_sigmas <= _NEAR_FULL_FRACTION * sigma_at_max
+        admissible &= _background_covered(scan, ts, cfg.epsilon)
+        sub = np.flatnonzero(admissible)
+        t_opt = float(ts[sub[_tied_argmin(variances[sub])]]) if sub.size else scan.t_max
 
     curve = np.column_stack((ts, variances, mean_sigmas))
     return ThresholdResult(
-        t_opt=float(t_opt),
+        t_opt=t_opt,
         t_lower=float(t_lower),
         t_max=float(scan.t_max),
         curve=curve,

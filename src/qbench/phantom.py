@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Volume
+from .volume import Volume, voxel_size_mm
 
 __all__ = [
     "PhantomObject",
@@ -29,6 +29,22 @@ __all__ = [
     "quantize",
     "generate",
 ]
+
+# The Python types ``json.loads`` decodes each JSON type of a spec field to;
+# a bool is not an integer or a number here.
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "bool": (bool,), "array of numbers": (list,)}
+
+
+def _json_field(d: dict, key: str, kind: str, default=None):
+    """``d[key]``, which must be of JSON type ``kind`` (a TypeError otherwise);
+    ``default`` when the key is absent and a default is given."""
+    if key not in d and default is not None:
+        return default
+    value = d[key]
+    items = value if type(value) is list else ()
+    if type(value) not in _JSON_TYPES[kind] or any(type(v) not in _JSON_TYPES["number"] for v in items):
+        raise TypeError(f"{key} must be a JSON {kind}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -83,8 +99,9 @@ class PhantomObject:
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomObject":
         shape = d["shape"]
-        size = d["radius"] if shape == "disk" else tuple(d["size"])
-        return cls(shape=shape, center=tuple(d["center"]), size=size, value=float(d["value"]))
+        size = _json_field(d, "radius", "number") if shape == "disk" else _json_field(d, "size", "array of numbers")
+        center = _json_field(d, "center", "array of numbers")
+        return cls(shape=shape, center=center, size=size, value=float(_json_field(d, "value", "number")))
 
 
 @dataclass(frozen=True)
@@ -104,9 +121,7 @@ class PhantomSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1 or self.n_slices < 1:
             raise ValueError("width, height and n_slices must be positive")
-        voxel = tuple(float(v) for v in self.voxel_size)
-        if len(voxel) != 3 or not all(0 < v < math.inf for v in voxel):
-            raise ValueError("voxel_size must be three finite positive reals (mm)")
+        object.__setattr__(self, "voxel_size", voxel_size_mm(self.voxel_size))
         if not 0 <= self.background_value < math.inf:
             raise ValueError("background_value must be finite and >= 0")
         if not 0 <= self.sigma < math.inf:
@@ -135,15 +150,15 @@ class PhantomSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomSpec":
         return cls(
-            width=int(d["width"]),
-            height=int(d["height"]),
-            n_slices=int(d["n_slices"]),
-            voxel_size=tuple(d.get("voxel_size_mm", (1.0, 1.0, 1.0))),
-            background_value=float(d.get("background_value", 0.0)),
+            width=_json_field(d, "width", "integer"),
+            height=_json_field(d, "height", "integer"),
+            n_slices=_json_field(d, "n_slices", "integer"),
+            voxel_size=_json_field(d, "voxel_size_mm", "array of numbers", (1.0, 1.0, 1.0)),
+            background_value=float(_json_field(d, "background_value", "number", 0.0)),
             objects=tuple(PhantomObject.from_dict(o) for o in d.get("objects", ())),
-            sigma=float(d.get("sigma", 0.0)),
-            seed=int(d.get("seed", 0)),
-            quantize=bool(d.get("quantize", False)),
+            sigma=float(_json_field(d, "sigma", "number", 0.0)),
+            seed=_json_field(d, "seed", "integer", 0),
+            quantize=_json_field(d, "quantize", "bool", False),
         )
 
 

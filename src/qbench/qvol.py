@@ -12,14 +12,15 @@ a load. PGM stacks are directories of binary (P5) PGM files, imported in
 lexicographic filename order with a default voxel size of 1 mm isotropic.
 
 u16 and PGM samples load as native u16 or u8 volumes, f32 samples as
-float64. :func:`load_volume` is the one loader, for both formats.
-:func:`read_input` reads the bytes of an input once; :func:`load_volume`
-parses them, and the report hashes the same bytes.
+float64. The parsers check the file structure; the pixel and voxel-size
+contracts are ``volume``'s, and a violation of them is a
+:class:`VolumeFormatError` here. :func:`load_volume` is the one loader, for
+both formats. :func:`read_input` reads the bytes of an input once;
+:func:`load_volume` parses them, and the report hashes the same bytes.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 import warnings
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .volume import Volume
+from .volume import Volume, voxel_size_mm
 
 __all__ = [
     "VolumeFormatError",
@@ -51,7 +52,7 @@ def _format_float(v: float) -> str:
     return repr(float(v))
 
 
-def _parse_header(line: bytes, path: Path) -> tuple[tuple[int, int, int], tuple[float, ...], str]:
+def _parse_header(line: bytes, path: Path) -> tuple[tuple[int, int, int], tuple[float, float, float], str]:
     try:
         text = line.decode("ascii").rstrip("\n")
     except UnicodeDecodeError as exc:
@@ -75,8 +76,10 @@ def _parse_header(line: bytes, path: Path) -> tuple[tuple[int, int, int], tuple[
         raise VolumeFormatError(f"{path}: unparsable dims/voxel_size_mm") from exc
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise VolumeFormatError(f"{path}: dims must be three positive integers, got {fields['dims']!r}")
-    if len(voxel) != 3 or not all(math.isfinite(v) and v > 0 for v in voxel):
-        raise VolumeFormatError(f"{path}: voxel_size_mm must be three finite positive reals")
+    try:
+        voxel = voxel_size_mm(voxel)
+    except ValueError as exc:
+        raise VolumeFormatError(f"{path}: {exc}") from exc
     if fields["dtype"] not in _DTYPES:
         raise VolumeFormatError(f"{path}: dtype must be one of {sorted(_DTYPES)}")
     if fields["byteorder"] != "le":
@@ -93,14 +96,13 @@ def _parse_container(path: Path, raw: bytes) -> Volume:
     expected = w * h * n * _DTYPES[dtype].itemsize
     if payload_bytes != expected:
         raise VolumeFormatError(f"{path}: payload is {payload_bytes} bytes, expected {expected}")
-    # a read-only view of the payload; Volume.from_array makes the one copy
+    # a read-only view of the payload; Volume.from_array makes the one copy and
+    # checks the samples, so a non-finite or negative f32 pixel fails there
     samples = np.frombuffer(raw, dtype=_DTYPES[dtype], offset=nl + 1)
-    if dtype == "f32":
-        if not np.all(np.isfinite(samples)):
-            raise VolumeFormatError(f"{path}: f32 payload contains non-finite values")
-        if samples.size and samples.min() < 0:
-            raise VolumeFormatError(f"{path}: f32 payload contains negative values")
-    return Volume.from_array(samples.reshape(n, h, w), voxel)
+    try:
+        return Volume.from_array(samples.reshape(n, h, w), voxel)
+    except ValueError as exc:
+        raise VolumeFormatError(f"{path}: {exc}") from exc
 
 
 def write_bytes_atomic(path: Path, blob: bytes) -> None:

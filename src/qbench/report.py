@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -124,13 +125,7 @@ def build_report(
             "voxel_size_mm": list(volume.voxel_size),
             "intensity_max": volume.intensity_max,
         },
-        "config": {
-            "t_start": cfg.t_start,
-            "epsilon": cfg.epsilon,
-            "grid_step": cfg.grid_step,
-            "correction_factor": cfg.correction_factor,
-            "correction_factor_analytic": CORRECTION_FACTOR_ANALYTIC,
-        },
+        "config": {**asdict(cfg), "correction_factor_analytic": CORRECTION_FACTOR_ANALYTIC},
         "threshold": {
             "t_opt": tr.t_opt,
             "t_lower": tr.t_lower,

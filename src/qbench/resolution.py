@@ -20,21 +20,25 @@ from .volume import Volume
 
 __all__ = [
     "DEFAULT_EXPONENT",
+    "DEFAULT_REF_MM",
     "lanczos3_kernel",
     "downsample",
     "CurvePoint",
     "ResolutionCurve",
     "QualityScore",
     "fit_power_law",
-    "pairwise_gradient",
     "effective_resolution",
+    "check_factors",
     "noise_resolution_curve",
+    "check_quality_params",
     "normalize_quality",
 ]
 
 # Exponent of the noise-vs-edge-length law; 3/2 is the merged-voxel-count
 # argument and holds well empirically for resolutions in the 1-3 mm range.
 DEFAULT_EXPONENT = 1.5
+# Reference resolution SNR values are normalized to, in mm.
+DEFAULT_REF_MM = 1.0
 
 
 def lanczos3_kernel(x):
@@ -161,19 +165,26 @@ def fit_power_law(resolutions, noises) -> tuple[float, float, float]:
     return float(-slope), float(np.exp(intercept)), residual
 
 
-def pairwise_gradient(r1: float, noise1: float, r2: float, noise2: float) -> float:
-    """Secant gradient of the power law between two resolutions."""
-    if not r1 < r2:
-        raise ValueError("r1 must be strictly smaller than r2")
-    if noise1 <= 0 or noise2 <= 0:
-        raise ValueError("noise values must be positive")
-    return (math.log(noise1) - math.log(noise2)) / (math.log(r2) - math.log(r1))
-
-
 def effective_resolution(voxel_size) -> float:
     """Isotropic edge length with the same voxel volume (geometric mean)."""
     vx, vy, vz = voxel_size
     return float((vx * vy * vz) ** (1.0 / 3.0))
+
+
+def check_factors(factors, name: str = "factors") -> list[float]:
+    """The downsampling factors of a curve as floats: at least 2, each finite
+    and >= 1, none repeated; otherwise a ValueError whose message starts
+    with ``name``."""
+    factors = [float(f) for f in factors]
+    if len(factors) < 2:
+        raise ValueError(f"{name} needs at least 2 values")
+    if not all(map(math.isfinite, factors)):
+        raise ValueError(f"{name} must all be finite")
+    if any(f < 1 for f in factors):
+        raise ValueError(f"{name} must all be >= 1")
+    if len(set(factors)) < len(factors):
+        raise ValueError(f"{name} must not repeat a value")
+    return factors
 
 
 def noise_resolution_curve(
@@ -186,14 +197,11 @@ def noise_resolution_curve(
 
     Factors of 1 keep the original volume; ``full``, an estimate of
     ``volume`` with ``cfg`` already at hand, then stands in for estimating it
-    again. Per-factor estimation failures are recorded and their points
-    omitted; at least two points must survive.
+    again. ``factors`` must pass :func:`check_factors`, before any
+    downsampling. Per-factor estimation failures are recorded and their
+    points omitted; at least two points must survive.
     """
-    factors = [float(f) for f in factors]
-    if len(factors) < 2:
-        raise ValueError("need at least 2 downsampling factors")
-    if any(f < 1 for f in factors):
-        raise ValueError("factors must be >= 1")
+    factors = check_factors(factors)
 
     def run_one(f: float) -> CurvePoint | str:
         try:
@@ -216,15 +224,30 @@ def noise_resolution_curve(
     return ResolutionCurve(tuple(points), m, y0, residual, tuple(failures))
 
 
+def check_quality_params(m: float, ref_mm: float, names: tuple[str, str] = ("m", "ref_mm")) -> None:
+    """ValueError unless the exponent ``m`` is finite and the reference resolution
+    ``ref_mm`` finite and > 0; the message names the value as ``names`` does."""
+    m_name, ref_name = names
+    if not 0 < ref_mm < math.inf:
+        raise ValueError(f"{ref_name} must be a finite value > 0")
+    if not math.isfinite(m):
+        raise ValueError(f"{m_name} must be finite")
+
+
 def normalize_quality(
     snr: float,
     resolution_mm: float,
     m: float = DEFAULT_EXPONENT,
-    ref_mm: float = 1.0,
+    ref_mm: float = DEFAULT_REF_MM,
 ) -> QualityScore:
-    """Project an SNR measured at one resolution onto a reference resolution."""
-    if resolution_mm <= 0 or ref_mm <= 0:
-        raise ValueError("resolutions must be positive")
+    """Project an SNR measured at one resolution onto a reference resolution.
+
+    ``m`` and ``ref_mm`` must pass :func:`check_quality_params`, and
+    ``resolution_mm`` must be finite and > 0.
+    """
+    check_quality_params(m, ref_mm)
+    if not 0 < resolution_mm < math.inf:
+        raise ValueError("resolution_mm must be a finite value > 0")
     return QualityScore(
         snr_measured=float(snr),
         resolution_mm=float(resolution_mm),

@@ -3,7 +3,8 @@
 A Volume is one read-only (n_slices, height, width) array of magnitudes plus
 voxel-size metadata. Scanner data arrives as unsigned integers, and a u8 or
 u16 source keeps its dtype; any other source becomes float64. A Volume is
-immutable after construction, so concurrent reads are safe.
+immutable after construction, so concurrent reads are safe. ``Volume`` owns
+the pixel contract, and :func:`voxel_size_mm` is the one voxel-size check.
 """
 
 from __future__ import annotations
@@ -13,11 +14,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Volume"]
+__all__ = ["Volume", "voxel_size_mm"]
 
 
 # Source dtypes a Volume keeps; every value of theirs converts to float64 exactly.
 _KEPT_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16))
+
+
+def voxel_size_mm(values) -> tuple[float, float, float]:
+    """``values`` as three floats, in mm; ValueError unless they are three finite reals > 0."""
+    try:
+        voxel = tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        voxel = ()
+    if len(voxel) != 3 or not all(0 < v < math.inf for v in voxel):
+        raise ValueError("voxel_size_mm must be three finite positive reals")
+    return voxel
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,11 +37,12 @@ class Volume:
     """A read-only (n_slices, height, width) array with voxel size in mm per axis.
 
     Construction copies the data once and validates it (3-d, non-empty,
-    finite, non-negative) and the voxel size (three finite reals > 0). The
-    copy keeps a native u8 or u16 source dtype, which holds scanner data in a
-    quarter of the float64 size or less; any other source is converted to
-    float64. ``intensity_max`` is cached at construction; the array is
-    read-only, so the cache stays consistent with a recomputation.
+    finite, non-negative) and the voxel size (see :func:`voxel_size_mm`);
+    any violation is a ValueError. The copy keeps a native u8 or u16 source
+    dtype, which holds scanner data in a quarter of the float64 size or
+    less; any other source is converted to float64. ``intensity_max`` is
+    cached at construction; the array is read-only, so the cache stays
+    consistent with a recomputation.
     """
 
     data: np.ndarray = field(repr=False)
@@ -49,15 +62,12 @@ class Volume:
         # any infinity, and a wide float beyond the float64 range converts to inf.
         lo, hi = np.float64(src.min()), np.float64(src.max())
         if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("pixel values must be finite")
+            raise ValueError("pixel values must be finite; found non-finite pixel")
         if lo < 0:
             raise ValueError("magnitude data is non-negative; found negative pixel")
         data.flags.writeable = False
-        voxel = tuple(float(v) for v in self.voxel_size)
-        if len(voxel) != 3 or not all(math.isfinite(v) and v > 0 for v in voxel):
-            raise ValueError("voxel_size must be three finite positive reals (mm)")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "voxel_size", voxel)
+        object.__setattr__(self, "voxel_size", voxel_size_mm(self.voxel_size))
         object.__setattr__(self, "intensity_max", float(hi))
 
     @classmethod

@@ -1,11 +1,15 @@
 """Per-slice reference statistics: the differential oracle for the noise scan.
 
-Each function thresholds the pixels at one t directly, slice by slice, with
+Each statistic thresholds the pixels at one t directly, slice by slice, with
 plain numpy; ``noise._VolumeScan`` answers the same questions from
-cumulative tables and is checked against them.
+cumulative tables and is checked against them. ``select_t_opt`` states the
+threshold search's selection as three branches taken in turn, an independent
+form of the search's one rule.
 """
 
 import numpy as np
+
+from qbench.noise import _NEAR_FULL_FRACTION, _TIE_REL_TOL
 
 
 def homogeneity_variance(volume, t):
@@ -31,3 +35,27 @@ def positive_noise(image, t, f_e):
 def zero_fraction(volume):
     """Share of the volume's pixels that are exactly zero."""
     return np.count_nonzero(volume.data == 0) / volume.data.size
+
+
+def select_t_opt(ts, variances, mean_sigmas, covered):
+    """(t_opt, t_rejected) of a threshold grid, by three branches in turn.
+
+    ``covered`` holds the background-covered test of every grid point. The
+    raw minimum (near-ties to the smallest t) is rejected by the no-object
+    guard, else taken when it separates and is covered, else the minimum
+    over the points that separate and are covered wins, or t_max.
+    """
+
+    def first_tie(values):
+        best = values.min()
+        return int(np.flatnonzero(values - best <= _TIE_REL_TOL * np.maximum(np.abs(values), abs(best)))[0])
+
+    t_max, sigma_at_max = float(ts[-1]), mean_sigmas[-1]
+    separates = mean_sigmas <= _NEAR_FULL_FRACTION * sigma_at_max
+    i = first_tie(variances)
+    if mean_sigmas[i] > sigma_at_max:
+        return t_max, float(ts[i])
+    if ts[i] != t_max and separates[i] and covered[i]:
+        return float(ts[i]), None
+    sub = np.flatnonzero(separates & covered)
+    return (float(ts[sub[first_tie(variances[sub])]]) if sub.size else t_max), None

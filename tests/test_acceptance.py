@@ -25,8 +25,9 @@ from qbench import (
     write_container,
 )
 from qbench.cli import EXIT_OK, main
-from qbench.noise import _VolumeScan
-from oracle import homogeneity_variance
+from qbench.noise import _background_covered, _VolumeScan
+from conftest import const_phantom
+from oracle import homogeneity_variance, select_t_opt
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -100,6 +101,15 @@ def _criterion_3_corpus():
         )
 
 
+def _selection_differs(vol, tr) -> bool:
+    """Whether find_t_opt's (t_opt, t_rejected) differs from the three-branch
+    selection of the oracle on the same grid."""
+    scan = _VolumeScan(vol)
+    ts, variances, mean_sigmas = tr.curve.T
+    covered = _background_covered(scan, ts, SearchConfig().scaled_to(scan.t_max).epsilon)
+    return (tr.t_opt, tr.t_rejected) != select_t_opt(ts, variances, mean_sigmas, covered)
+
+
 def test_criterion_3_search_oracle_equivalence():
     """The curve the search minimises is the per-slice reference curve, and
     its minimum is the reference minimum over the grid.
@@ -111,13 +121,24 @@ def test_criterion_3_search_oracle_equivalence():
     only those can hold the reference minimum. Grid points between two pixel
     levels threshold the same pixels and share one value, so one point of
     each value is evaluated.
+
+    The search's one selection rule also picks what the three-branch
+    selection of ``oracle.select_t_opt`` picks, on every phantom and on two
+    more volumes: the constant-400 one, whose raw minimum the no-object
+    guard rejects, and an object-free one whose raw minimum is t_max.
     """
     start = time.perf_counter()
     checked = mismatches = 0
     worst = 0.0
+    extra = (
+        const_phantom(value=400.0, sigma=100.0, seed=1),
+        generate(PhantomSpec(width=24, height=24, n_slices=10, sigma=50.0, seed=56)),
+    )
+    rule_mismatches = sum(_selection_differs(vol, find_t_opt(vol)) for vol in extra)
     for spec in _criterion_3_corpus():
         vol = generate(spec)
         tr = find_t_opt(vol)
+        rule_mismatches += _selection_differs(vol, tr)
         ts, variances = tr.curve[:, 0], tr.curve[:, 1]
         checked += 1
         near = np.nonzero(variances <= variances.min() * (1 + 1e-9))[0]
@@ -130,11 +151,12 @@ def test_criterion_3_search_oracle_equivalence():
         if tr.t_opt not in ts or v_s - v_o > 1e-12 * max(abs(v_s), abs(v_o)):
             mismatches += 1
     elapsed = time.perf_counter() - start
-    ok = checked >= 100 and mismatches == 0 and worst < 1e-9 and elapsed < 60.0
+    ok = checked >= 100 and mismatches == 0 and rule_mismatches == 0 and worst < 1e-9 and elapsed < 60.0
     _report(
         "criterion 3 (search-oracle equivalence)",
         ok,
         f"{checked} phantoms, {mismatches} mismatches beyond 1e-12 ties, "
+        f"{rule_mismatches} selections unlike the three-branch rule on {checked + len(extra)} volumes, "
         f"curve within {worst:.1e} of the reference, runtime={elapsed:.1f}s < 60s",
     )
 

@@ -99,6 +99,28 @@ class TestSynth:
         assert "invalid phantom spec" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"voxel_size_mm": "123"},
+            {"quantize": "false"},
+            {"objects": [{"shape": "disk", "center": "88", "radius": 2, "value": 500.0}]},
+            {"objects": [{"shape": "rect", "center": [24, 24], "size": "46", "value": 500.0}]},
+            {"width": 32.7},
+            {"seed": 1.9},
+            {"n_slices": "4"},
+        ],
+        ids=["voxel_size_mm-string", "quantize-string", "center-string", "size-string", "width-float", "seed-float", "n_slices-string"],
+    )
+    def test_spec_value_of_the_wrong_json_type_is_usage_error(self, tmp_path, capsys, overrides):
+        # a string is not read as its characters, a float not truncated, a string not read as a bool
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path, **overrides)
+        out = tmp_path / "x.qvol"
+        assert main(["synth", str(spec_path), "--output", str(out)]) == EXIT_USAGE
+        assert "must be a JSON" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_spec_file_is_load_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "none.json"), "--output", str(tmp_path / "x.qvol")]) == EXIT_LOAD
 

@@ -8,8 +8,8 @@ from those of ``/1`` only by the schema string, the removed
 search-fallback warning; the curve CSV did not change. They were re-recorded
 again for ``qbench-report/3``, whose reports differ from those of ``/2`` only
 by the schema string and the removed ``config.grid`` field. They were
-re-recorded once more for version 0.2.0, whose reports differ from those of
-0.1.0 only by ``tool.version``.
+re-recorded once more for version 0.2.0, and again for 0.3.0, whose reports
+each differ from those of the version before only by ``tool.version``.
 Phantoms are bit-exact only on one numpy build (README, Determinism), so a
 numpy upgrade that changes the noise stream changes these hashes too.
 """
@@ -34,14 +34,14 @@ PHANTOMS = {
 }
 
 REPORT_SHA256 = {
-    "u16-disk": "8097456d2f1482bcbb033bae414cd90c4e4451636c929e217dc13676e7d80920",
-    "f32-disk": "55a18a591b8ecd3cb4eff433b5d7f824820745c2a1b341e98a7f9dd395f01dba",
-    "f32-noobj": "7337c2aa8cf3528c7e29cb662c9f65e4658ce3196908fe080cdd3423a40e2117",
-    "u16-offset": "769637dc9743142a2e991cbe0dcb41ecf3f3f8719995dd9e4f08639be4b22c48",
+    "u16-disk": "c4eb0d94387c52526b2a5ce3c4a9553b37ca5dc8738ab7e8d08655ac86744f0d",
+    "f32-disk": "2fc9461ecc293b4ab5435c265ecc909179cfb7a5ee7b1d154657bd2167200357",
+    "f32-noobj": "657540b16fe98e83be30683706ee918c9a80e6f09634e03e8f822149f36ad75e",
+    "u16-offset": "42c79e0b244c15991db839f24cc078af76eba3b3d93d785ba85ff7ecc68992af",
 }
 
 CURVE_SHA256 = {
-    "report": "c6ce34be09294842bb7abc416d3aaaea168e5c118fb8e3bc73e45cf7c9a9a472",
+    "report": "604a867ace549a70d64b757c8e231416a9f96af3e8c5a12dd132850c0f51a357",
     "csv": "e3ba8aa886c0115fe67176555c2c6a6eaae3c9727f19fe7c66defa4495f6c284",
 }
 

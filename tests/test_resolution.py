@@ -15,7 +15,6 @@ from qbench import (
     lanczos3_kernel,
     noise_resolution_curve,
     normalize_quality,
-    pairwise_gradient,
 )
 from qbench.resolution import _resample_weights
 from conftest import const_phantom, disk_phantom, volume_from
@@ -150,27 +149,22 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law([2.0, 2.0], [1.0, 1.0])
 
-
-class TestPairwiseGradient:
+    # two points: the fitted gradient is the secant of the log-log curve
     def test_flat_curve_gives_zero(self):
-        assert pairwise_gradient(1.0, 50.0, 2.0, 50.0) == 0.0
+        m, y0, _ = fit_power_law([1.0, 2.0], [50.0, 50.0])
+        assert m == pytest.approx(0.0, abs=1e-14)
+        assert y0 == pytest.approx(50.0, rel=1e-14)
 
-    def test_hand_computed_example(self):
-        got = pairwise_gradient(1.0, 100.0, 2.0, 35.36)
-        assert got == pytest.approx(1.5, abs=5e-4)
-        assert got == pytest.approx(math.log(100.0 / 35.36) / math.log(2.0), rel=1e-15)
+    def test_hand_computed_two_point_gradient(self):
+        m, _, residual = fit_power_law([1.0, 2.0], [100.0, 35.36])
+        assert m == pytest.approx(1.5, abs=5e-4)
+        assert m == pytest.approx(math.log(100.0 / 35.36) / math.log(2.0), rel=1e-12)
+        assert residual <= 1e-12
 
-    def test_matches_two_point_fit(self):
-        m, _, _ = fit_power_law([1.0, 2.5], [80.0, 20.0])
-        assert pairwise_gradient(1.0, 80.0, 2.5, 20.0) == pytest.approx(m, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            pairwise_gradient(2.0, 1.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            pairwise_gradient(3.0, 1.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            pairwise_gradient(1.0, 0.0, 2.0, 1.0)
+    def test_two_point_gradient_ignores_point_order(self):
+        secant = math.log(80.0 / 20.0) / math.log(2.5)
+        for rs, noises in (([1.0, 2.5], [80.0, 20.0]), ([2.5, 1.0], [20.0, 80.0])):
+            assert fit_power_law(rs, noises)[0] == pytest.approx(secant, rel=1e-12)
 
 
 class TestNoiseResolutionCurve:
@@ -206,6 +200,23 @@ class TestNoiseResolutionCurve:
         with pytest.raises(ValueError):
             noise_resolution_curve(disk_volume, [0.5, 2.0])
 
+    @pytest.mark.parametrize(
+        "factors, message",
+        [([1.0, math.nan, 2.0], "factors must all be finite"), ([1.0, 2.0, 2.0], "factors must not repeat a value")],
+        ids=["nan", "repeat"],
+    )
+    def test_bad_factors_fail_before_any_downsample(self, monkeypatch, factors, message):
+        # the same check as the CLI's --factors, not a per-factor failure or
+        # an unsorted curve after the resampling
+        from qbench import resolution
+
+        vol = const_phantom(value=0.0, sigma=60.0, seed=46, width=16, height=16, n_slices=6)
+        resampled = []
+        monkeypatch.setattr(resolution, "downsample", lambda v, f: resampled.append(f) or downsample(v, f))
+        with pytest.raises(ValueError, match=message):
+            noise_resolution_curve(vol, factors)
+        assert resampled == []
+
 
 class TestNormalizeQuality:
     def test_identity_at_reference(self):
@@ -225,6 +236,20 @@ class TestNormalizeQuality:
             normalize_quality(1.0, 0.0, 1.5, 1.0)
         with pytest.raises(ValueError):
             normalize_quality(1.0, 1.0, 1.5, -1.0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.0, 1.0, math.nan, 1.0), "m must be finite"),
+            ((1.0, 1.0, 1.5, math.nan), "ref_mm must be a finite value > 0"),
+            ((1.0, math.inf, 1.5, 1.0), "resolution_mm must be a finite value > 0"),
+        ],
+        ids=["m-nan", "ref_mm-nan", "resolution_mm-inf"],
+    )
+    def test_non_finite_parameters_rejected(self, args, message):
+        # the CLI's --exponent-m and --ref-resolution go through the same check
+        with pytest.raises(ValueError, match=message):
+            normalize_quality(*args)
 
 
 class TestCrossResolutionConsistency:
