@@ -181,6 +181,10 @@ class _VolumeScan:
       happen to be integers. Each slice is sorted once (one in-place
       ``sort(axis=1)``) and column k covers its k smallest values, so
       ``count`` is just k; a lookup binary-searches the sorted slices.
+      ``sum1`` and ``sum2`` are the real and imaginary parts of one complex
+      table, built by one ``cumsum``: complex addition adds the two parts
+      apart, in the same order, so each part equals the real ``cumsum`` of
+      the values or of their squares bit for bit.
 
     Every query reads the tables through one lookup, t-major with each t's
     slices contiguous, so both layouts and any set of ts sum a t's slices in
@@ -205,7 +209,9 @@ class _VolumeScan:
             self._build_sorted(self._flat)
         # magnitudes are non-negative, so the values <= 0 are the zeros
         [self._zeros] = self._lookup(np.zeros(1), self._count)
-        self.zero_fraction = int(self._zeros.sum()) / self.total_pixels
+        n_zeros = int(self._zeros.sum())
+        self.positive_pixels = self.total_pixels - n_zeros
+        self.zero_fraction = n_zeros / self.total_pixels
 
     def _histogram(self, flat: np.ndarray) -> np.ndarray | None:
         """Per-slice counts of each integer level when the histogram layout applies, else None."""
@@ -228,19 +234,23 @@ class _VolumeScan:
 
     def _build_sorted(self, flat: np.ndarray) -> None:
         n, m = flat.shape
-        # the sorted values and both prefix sums share one allocation, not three
-        tables = np.empty((3, n, m + 1))
-        tables[:, :, 0] = 0.0
-        self._sorted = tables[0, :, 1:]
+        # the sums table and the sorted values share one allocation: as two,
+        # they fragmented a heap that glibc does not trim, and the peak RSS of
+        # a curve over 128x128x60 volumes rose by a tenth
+        buf = np.empty(n * (3 * m + 2))
+        sums = buf[: 2 * n * (m + 1)].view(np.complex128).reshape(n, m + 1)
+        self._sorted = buf[2 * n * (m + 1) :].reshape(n, m)
         self._sorted[...] = flat
         self._sorted.sort(axis=1)
         # a view: column k of every slice holds k values
         self._count = np.broadcast_to(np.arange(m + 1), (n, m + 1))
-        self._sum1, self._sum2 = tables[1], tables[2]
-        # the squares go through _sum1's buffer first, so no temporary is needed
-        np.multiply(self._sorted, self._sorted, out=self._sum1[:, 1:])
-        np.cumsum(self._sum1[:, 1:], axis=1, out=self._sum2[:, 1:])
-        np.cumsum(self._sorted, axis=1, out=self._sum1[:, 1:])
+        # values in the real part, squares in the imaginary part, both prefix
+        # sums in one pass; 0.0 + x is x, so the leading zero column changes no sum
+        sums[:, 0] = 0.0
+        sums.real[:, 1:] = self._sorted
+        np.multiply(self._sorted, self._sorted, out=sums.imag[:, 1:])
+        np.cumsum(sums, axis=1, out=sums)
+        self._sum1, self._sum2 = sums.real, sums.imag
 
     def _columns(self, ts: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Index of every t into a transposed, (columns, n_slices), table.
@@ -265,27 +275,41 @@ class _VolumeScan:
         key = self._columns(ts)
         return [table.T[key] for table in tables]
 
+    def _positives(self, count: np.ndarray) -> np.ndarray:
+        return (count - self._zeros).sum(axis=1)
+
     def positive_count(self, ts: np.ndarray) -> np.ndarray:
         """Number of positive pixels <= t in the whole volume, for every t in ts."""
         [count] = self._lookup(ts, self._count)
-        return (count - self._zeros).sum(axis=1)
+        return self._positives(count)
 
-    def slice_stds(self, ts: np.ndarray) -> np.ndarray:
-        """Population std per (t, slice) over all pixels, zeros included."""
-        s1, s2 = self._lookup(ts, self._sum1, self._sum2)
+    def _stds(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
         n = self.pixels_per_slice
         var = s2 / n - (s1 / n) ** 2
         return np.sqrt(np.maximum(var, 0.0))
 
+    def slice_stds(self, ts: np.ndarray) -> np.ndarray:
+        """Population std per (t, slice) over all pixels, zeros included."""
+        return self._stds(*self._lookup(ts, self._sum1, self._sum2))
+
+    @staticmethod
+    def _spread(stds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mean_sigma = stds.mean(axis=1)
+        return ((stds - mean_sigma[:, None]) ** 2).mean(axis=1), mean_sigma
+
     def curve(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Variance-of-stds and mean-of-stds for every t in ts.
 
-        The probe ladder and the threshold grid are each evaluated in one
-        call; a t gives the same two values in any call.
+        The threshold grid is evaluated in one call; a t gives the same two
+        values in any call.
         """
-        stds = self.slice_stds(ts)
-        mean_sigma = stds.mean(axis=1)
-        return ((stds - mean_sigma[:, None]) ** 2).mean(axis=1), mean_sigma
+        return self._spread(self.slice_stds(ts))
+
+    def curve_and_count(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`curve` and :meth:`positive_count` of every t in ts, from one
+        lookup; the probe ladder is evaluated in one call."""
+        count, s1, s2 = self._lookup(ts, self._count, self._sum1, self._sum2)
+        return *self._spread(self._stds(s1, s2)), self._positives(count)
 
     def mean_above(self, t: float) -> float:
         """Mean of the pixels above t, 0.0 when none is.
@@ -324,11 +348,17 @@ def _stray_budget(scan: _VolumeScan) -> float:
     return max(_SATURATION_MIN_BUDGET, _SATURATION_STRAYS * scan.total_pixels)
 
 
-def _is_saturated(scan: _VolumeScan, ts: np.ndarray, epsilon: float) -> np.ndarray:
-    """Per t: the background is covered at t, with most mass already below t
-    and an epsilon step adding at most a few stray pixels."""
-    retained = scan.positive_count(ts)
-    gained = scan.positive_count(ts + epsilon) - retained
+def _is_saturated(scan: _VolumeScan, retained: np.ndarray) -> np.ndarray:
+    """Per probe of a ladder (see _probe_ladder): the background is covered
+    at the probe, with most mass already below it and an epsilon step adding
+    at most a few stray pixels.
+
+    ``retained`` is the positive count at each probe. A probe plus epsilon is
+    the next probe, bit for bit, and the last probe plus epsilon is at least
+    t_max, where every positive pixel is retained; so the counts an epsilon
+    step up need no lookup of their own.
+    """
+    gained = np.append(retained[1:], scan.positive_pixels) - retained
     return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
 
 
@@ -339,6 +369,20 @@ def _background_covered(scan: _VolumeScan, ts: np.ndarray, epsilon: float) -> np
     retained = scan.positive_count(ts)
     gained = retained - scan.positive_count(np.maximum(ts - epsilon, 0.0))
     return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
+
+
+def _probe_ladder(t_start: float, epsilon: float, t_max: float) -> np.ndarray:
+    """Probes from t_start in epsilon steps, those below t_max.
+
+    Repeated addition places the probes, so each probe plus epsilon is the
+    next one bit for bit, and the last one plus epsilon is at least t_max.
+    """
+    ladder = []
+    t = t_start
+    while t < t_max:
+        ladder.append(t)
+        t += epsilon
+    return np.array(ladder)
 
 
 def _probe_walk(scan: _VolumeScan, cfg: SearchConfig) -> float:
@@ -353,20 +397,15 @@ def _probe_walk(scan: _VolumeScan, cfg: SearchConfig) -> float:
     * background saturation: see _is_saturated. Once the background is
       covered without holes the minimum cannot lie further left.
 
-    The whole probe ladder is evaluated at once and the first probe at which
-    a rule fires wins, the descent rule first. Falls back to t_max when
-    neither rule fires (curve never turns down). ``cfg`` is already scaled
-    to the scan's intensity range.
+    The whole probe ladder is evaluated by one lookup, and the first probe
+    at which a rule fires wins, the descent rule first. Falls back to t_max
+    when neither rule fires (curve never turns down). ``cfg`` is already
+    scaled to the scan's intensity range.
     """
-    ladder = []
-    t = cfg.t_start
-    while t < scan.t_max:  # repeated addition places the probes bit for bit
-        ladder.append(t)
-        t += cfg.epsilon
-    if not ladder:
+    ts = _probe_ladder(cfg.t_start, cfg.epsilon, scan.t_max)
+    if not ts.size:
         return scan.t_max
-    ts = np.array(ladder)
-    values, _ = scan.curve(ts)
+    values, _, retained = scan.curve_and_count(ts)
     run_max = np.maximum.accumulate(values)
     descent = np.zeros(ts.size, dtype=bool)
     descent[1:] = (values[1:] < values[:-1]) & (values[1:] < _DESCENT_DROP * run_max[1:])
@@ -374,7 +413,7 @@ def _probe_walk(scan: _VolumeScan, cfg: SearchConfig) -> float:
     runs = np.concatenate(([0], np.cumsum(descent)))
     fires = np.flatnonzero(runs[_DESCENT_PERSIST:] - runs[:-_DESCENT_PERSIST] == _DESCENT_PERSIST)
     fires += _DESCENT_PERSIST - 1
-    saturated = np.flatnonzero(_is_saturated(scan, ts, cfg.epsilon))
+    saturated = np.flatnonzero(_is_saturated(scan, retained))
     if fires.size and (not saturated.size or fires[0] <= saturated[0]):
         return float(ts[fires[0] - _DESCENT_PERSIST])
     if saturated.size:

@@ -88,20 +88,37 @@ def downsample(volume: Volume, factor: float) -> Volume:
 
     Output dimensions are floor(dim / factor) per axis and the voxel size
     grows by the factor. factor == 1 returns an identical volume.
+
+    Each axis is one matrix product on a contiguous array, in axis order
+    0, 1, 2, and axes of equal length share one weight matrix. The result is
+    clamped in place, so ``Volume`` makes the one copy after the last product.
     """
     factor = float(factor)
-    if factor < 1.0:
-        raise ValueError("downsample factor must be >= 1")
-    data = volume.data
-    for axis, dim in enumerate(data.shape):
-        out_dim = int(math.floor(dim / factor))
+    if not 1.0 <= factor < math.inf:
+        raise ValueError("downsample factor must be a finite value >= 1")
+    n0, n1, n2 = volume.shape
+    m0, m1, m2 = out = tuple(math.floor(dim / factor) for dim in volume.shape)
+    for axis, (dim, out_dim) in enumerate(zip(volume.shape, out)):
         if out_dim < 1:
             raise ValueError(f"factor {factor} collapses axis {axis} (size {dim}) to zero")
-        w = _resample_weights(dim, out_dim, factor)
-        data = np.moveaxis(np.tensordot(w, data, axes=([1], [axis])), 0, axis)
-    voxel = tuple(v * factor for v in volume.voxel_size)
+    # one matrix per distinct axis length
+    weights = {dim: _resample_weights(dim, out_dim, factor) for dim, out_dim in dict(zip(volume.shape, out)).items()}
+    w0, w1, w2 = (weights[dim] for dim in volume.shape)
+    # the three products share one allocation: as three arrays they fragmented
+    # a heap that glibc does not trim, and the peak RSS of a curve over
+    # 128x128x60 volumes rose by up to a tenth, by where the pieces landed
+    s0, s1 = m0 * n1 * n2, m0 * m1 * n2
+    scratch = np.empty(s0 + s1 + m0 * m1 * m2)
+    a0 = scratch[:s0].reshape(m0, n1 * n2)
+    a1 = scratch[s0 : s0 + s1].reshape(m0, m1, n2)
+    data = scratch[s0 + s1 :].reshape(m0 * m1, m2)
+    np.matmul(w0, volume.data.reshape(n0, n1 * n2).astype(np.float64, copy=False), out=a0)
+    np.matmul(w1, a0.reshape(m0, n1, n2), out=a1)
+    np.matmul(a1.reshape(m0 * m1, n2), w2.T, out=data)
     # Lanczos lobes can undershoot; magnitudes stay non-negative by clamping.
-    return Volume.from_array(np.maximum(data, 0.0), voxel)
+    np.maximum(data, 0.0, out=data)
+    voxel = tuple(v * factor for v in volume.voxel_size)
+    return Volume.from_array(data.reshape(m0, m1, m2), voxel)
 
 
 @dataclass(frozen=True)
@@ -149,14 +166,16 @@ def fit_power_law(resolutions, noises) -> tuple[float, float, float]:
     """Least-squares line through (log r, log noise): returns (m, y0, residual).
 
     The model is noise = y0 * r^(-m); residual is the RMS of the log-space
-    misfit. Requires >= 2 points with positive coordinates and distinct r.
+    misfit. Requires >= 2 points with finite positive coordinates and
+    distinct r.
     """
     r = np.asarray(resolutions, dtype=np.float64)
     n = np.asarray(noises, dtype=np.float64)
     if r.size != n.size or r.size < 2:
         raise ValueError("need >= 2 (resolution, noise) pairs")
-    if np.any(r <= 0) or np.any(n <= 0):
-        raise ValueError("resolutions and noises must be positive")
+    # NaN fails both comparisons; a non-finite point would reach the SVD of the fit
+    if not (np.all((r > 0) & (r < np.inf)) and np.all((n > 0) & (n < np.inf))):
+        raise ValueError("resolutions and noises must be finite and positive")
     if np.unique(r).size < 2:
         raise ValueError("resolutions must not all coincide")
     log_r, log_n = np.log(r), np.log(n)

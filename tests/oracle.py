@@ -4,12 +4,13 @@ Each statistic thresholds the pixels at one t directly, slice by slice, with
 plain numpy; ``noise._VolumeScan`` answers the same questions from
 cumulative tables and is checked against them. ``select_t_opt`` states the
 threshold search's selection as three branches taken in turn, an independent
-form of the search's one rule.
+form of the search's one rule. ``is_saturated`` is the probe walk's
+saturation test with a count lookup of its own an epsilon step up.
 """
 
 import numpy as np
 
-from qbench.noise import _NEAR_FULL_FRACTION, _TIE_REL_TOL
+from qbench.noise import _NEAR_FULL_FRACTION, _SATURATION_FLOOR, _TIE_REL_TOL, _stray_budget
 
 
 def homogeneity_variance(volume, t):
@@ -59,3 +60,12 @@ def select_t_opt(ts, variances, mean_sigmas, covered):
         return float(ts[i]), None
     sub = np.flatnonzero(separates & covered)
     return (float(ts[sub[first_tie(variances[sub])]]) if sub.size else t_max), None
+
+
+def is_saturated(scan, ts, epsilon):
+    """Per t: at least _SATURATION_FLOOR of all pixels are positive and <= t,
+    and the positive pixels in (t, t + epsilon] fit the stray budget; both
+    counts are looked up in the scan."""
+    retained = scan.positive_count(ts)
+    gained = scan.positive_count(ts + epsilon) - retained
+    return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))

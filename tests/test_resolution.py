@@ -92,6 +92,23 @@ class TestDownsample:
         with pytest.raises(ValueError):
             downsample(disk_volume, 100.0)  # collapses the slice axis
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_factor_is_a_named_error(self, disk_volume, factor):
+        with pytest.raises(ValueError, match="downsample factor must be a finite value >= 1"):
+            downsample(disk_volume, factor)
+
+    def test_axes_of_equal_length_share_one_weight_matrix(self, monkeypatch):
+        from qbench import resolution
+
+        built = []
+        monkeypatch.setattr(
+            resolution, "_resample_weights", lambda n_in, n_out, f: built.append(n_in) or _resample_weights(n_in, n_out, f)
+        )
+        downsample(volume_from(np.ones((10, 40, 40))), 2.0)
+        assert built == [10, 40]
+        downsample(volume_from(np.ones((12, 44, 48))), 2.0)
+        assert built == [10, 40, 12, 44, 48]
+
 
 def _loop_weights(n_in, n_out, factor):
     """Reference resampling matrix, built one output sample at a time."""
@@ -120,15 +137,36 @@ class TestResampleWeights:
             if n_out >= 1:
                 assert np.array_equal(_resample_weights(n_in, n_out, factor), _loop_weights(n_in, n_out, factor))
 
-    def test_downsample_of_non_cubic_volume_equals_oracle_tensordot(self):
+    def test_downsample_of_non_cubic_volume_equals_oracle_matmul(self):
+        # the loop-built weights through the same three matrix products, in
+        # axis order 0, 1, 2: BLAS sums each product in an order of its own,
+        # so only the same products make a bit-exact oracle of the weights,
+        # the axis handling and the clamp
         rng = np.random.default_rng(7)
         vol = volume_from(np.abs(500.0 + 80.0 * rng.standard_normal((7, 23, 41))), voxel=(2.0, 1.0, 0.5))
+        n0, n1, n2 = vol.shape
         for factor in (1.5, 2.7, 3.3):
+            w0, w1, w2 = (_loop_weights(dim, math.floor(dim / factor), factor) for dim in vol.shape)
+            m0, m1, m2 = (w.shape[0] for w in (w0, w1, w2))
+            data = w0 @ vol.data.reshape(n0, n1 * n2)
+            data = np.matmul(w1, data.reshape(m0, n1, n2))
+            data = (data.reshape(m0 * m1, n2) @ w2.T).reshape(m0, m1, m2)
+            assert np.array_equal(downsample(vol, factor).data, np.maximum(data, 0.0))
+
+    @pytest.mark.parametrize("shape", [(7, 23, 41), (10, 40, 40), (12, 44, 48)])
+    def test_downsample_is_within_8_ulp_of_the_tensordot_reference(self, shape):
+        # contracting one axis at a time with tensordot sums each output in
+        # another order; it may differ by a few ulp of the largest value
+        rng = np.random.default_rng(11)
+        vol = volume_from(np.abs(500.0 + 80.0 * rng.standard_normal(shape)))
+        for factor in RESAMPLE_FACTORS:
             data = vol.data
             for axis, dim in enumerate(data.shape):
                 w = _loop_weights(dim, math.floor(dim / factor), factor)
                 data = np.moveaxis(np.tensordot(w, data, axes=([1], [axis])), 0, axis)
-            assert np.array_equal(downsample(vol, factor).data, np.maximum(data, 0.0))
+            ref, got = np.maximum(data, 0.0), downsample(vol, factor).data
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 8 * np.spacing(np.max(np.abs(ref)))
 
 
 class TestFitPowerLaw:
@@ -148,6 +186,17 @@ class TestFitPowerLaw:
             fit_power_law([1.0, 2.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             fit_power_law([2.0, 2.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "rs, noises",
+        [([1.0, math.nan], [2.0, 1.0]), ([1.0, math.inf], [2.0, 1.0]), ([1.0, 2.0], [math.nan, 1.0]), ([1.0, 2.0], [2.0, math.inf])],
+        ids=["r-nan", "r-inf", "noise-nan", "noise-inf"],
+    )
+    def test_non_finite_point_is_rejected_before_the_fit(self, capfd, rs, noises):
+        # the fit's SVD would otherwise print LAPACK errors and not converge
+        with pytest.raises(ValueError, match="resolutions and noises must be finite and positive"):
+            fit_power_law(rs, noises)
+        assert capfd.readouterr().err == ""
 
     # two points: the fitted gradient is the secant of the log-log curve
     def test_flat_curve_gives_zero(self):

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbench import CORRECTION_FACTOR, EstimationError, SearchConfig, Volume, estimate
+from qbench import CORRECTION_FACTOR, EstimationError, SearchConfig, Volume, estimate, generate
 from qbench import noise
-from qbench.noise import _VolumeScan, find_t_opt
-from oracle import homogeneity_variance, positive_noise, zero_fraction
+from qbench.noise import _is_saturated, _probe_ladder, _probe_walk, _VolumeScan, find_t_opt
+from oracle import homogeneity_variance, is_saturated, positive_noise, zero_fraction
+from test_acceptance import _criterion_3_corpus
 
 # s2/n - (s1/n)**2 cancels: after k sequential additions a std near zero
 # carries an absolute error up to about sqrt(2k x 2**-52) x t_max, under
@@ -140,6 +141,78 @@ def test_histogram_layout_equals_sorted_layout(volume):
     assert hist.positive_sigmas(t, CORRECTION_FACTOR) == srt.positive_sigmas(t, CORRECTION_FACTOR)
     for cfg in CONFIGS:
         assert_same_threshold(find_t_opt(volume, cfg, scan=hist), find_t_opt(volume, cfg, scan=srt))
+
+
+def make_float_volume(seed, n, h, w, magnitude, levels, zero_fraction):
+    """Values up to ``magnitude``, on ``levels`` evenly spaced values (ties) when given."""
+    rng = np.random.default_rng(seed)
+    data = rng.random((n, h, w))
+    if levels:
+        data = np.floor(data * levels) / levels
+    data *= magnitude
+    data[rng.random((n, h, w)) < zero_fraction] = 0.0
+    return Volume.from_array(data)
+
+
+float_volumes = st.builds(
+    make_float_volume,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    magnitude=st.floats(1e-3, 1e6),
+    levels=st.sampled_from([None, 2, 7]),
+    zero_fraction=st.sampled_from([0.0, 0.4]),
+)
+
+
+@settings(max_examples=80, **EXAMPLES)
+@given(float_volumes)
+def test_sorted_prefix_sums_are_the_cumsums_of_values_and_squares(volume):
+    """Both sums of the sorted layout come from one complex ``cumsum``; each
+    part equals the real ``cumsum`` of the sorted values or of their squares
+    bit for bit, after a leading zero column."""
+    scan = _VolumeScan(volume)
+    values = np.sort(volume.data.reshape(volume.n_slices, -1), axis=1)
+    assert np.array_equal(scan._sorted, values)
+    zeros = np.zeros((volume.n_slices, 1))
+    assert np.array_equal(scan._sum1, np.hstack((zeros, np.cumsum(values, axis=1))))
+    assert np.array_equal(scan._sum2, np.hstack((zeros, np.cumsum(values * values, axis=1))))
+
+
+@settings(max_examples=200, **EXAMPLES)
+@given(t_max=st.floats(0.0, 1e6), t_start=st.floats(0.0, 100.0), epsilon=st.floats(1.0, 50.0))
+def test_probe_ladder_steps_by_epsilon_bit_for_bit(t_max, t_start, epsilon):
+    """A probe plus epsilon is the next probe, and the last one plus epsilon
+    reaches t_max: the saturation test reads its counts an epsilon step up
+    from the ladder's own lookup."""
+    cfg = SearchConfig(t_start=t_start, epsilon=epsilon).scaled_to(t_max)
+    ladder = _probe_ladder(cfg.t_start, cfg.epsilon, t_max)
+    assert np.array_equal(ladder[:-1] + cfg.epsilon, ladder[1:])
+    assert np.all(ladder < t_max)
+    if ladder.size:
+        assert ladder[0] == cfg.t_start and ladder[-1] + cfg.epsilon >= t_max
+
+
+def test_probe_walk_equals_the_two_lookup_saturation_test(monkeypatch):
+    """On the criterion-3 corpus, as f32 data and quantised to u16, on both
+    layouts: the saturation flags of the ladder's one lookup equal those of
+    ``oracle.is_saturated``, and so does the probe walk's t_lower."""
+    saturated = 0
+    for spec in _criterion_3_corpus():
+        phantom = generate(spec)
+        for volume in (phantom, as_u16(Volume.from_array(np.rint(phantom.data)))):
+            for scan in (_VolumeScan(volume), _SortedScan(volume)):
+                cfg = SearchConfig().scaled_to(scan.t_max)
+                ladder = _probe_ladder(cfg.t_start, cfg.epsilon, scan.t_max)
+                reference = is_saturated(scan, ladder, cfg.epsilon)
+                assert np.array_equal(_is_saturated(scan, scan.positive_count(ladder)), reference)
+                saturated += bool(reference.any())
+                t_lower = _probe_walk(scan, cfg)
+                with monkeypatch.context() as m:
+                    m.setattr(noise, "_is_saturated", lambda *_: reference)
+                    assert _probe_walk(scan, cfg) == t_lower
+    assert saturated > 0
 
 
 @settings(max_examples=8, **EXAMPLES)
