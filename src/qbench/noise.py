@@ -21,7 +21,8 @@ float64 copy, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,10 @@ CORRECTION_FACTOR_ANALYTIC = 1.0 / math.sqrt(2.0 - math.pi / 2.0)
 # (t_start=40, epsilon=10) assume typical 12-bit scanner data.
 _TWELVE_BIT_MAX = 4095.0
 
+# Most grid steps up to t_max a search may take (see _lattice); at the cap one
+# search peaks near 40 MB plus 50 MB per slice (sorted layout, tracemalloc).
+_MAX_STEPS = 2**20
+
 # Robustness constants for the descent detection in find_t_lower, frozen from
 # a tuning corpus of seeded synthetic volumes (disjoint from the test seeds).
 # A descent probe only counts when the curve has fallen to below
@@ -60,10 +65,11 @@ _TWELVE_BIT_MAX = 4095.0
 _DESCENT_DROP = 0.25
 _DESCENT_PERSIST = 2
 # Background-saturation stop: once at least _SATURATION_FLOOR of all pixels
-# lie at or below t and an epsilon-step adds no more than the stray budget,
-# the background is considered hole-free and the bracket starts at t. The
-# same test later validates a selected minimum: a threshold below which the
-# background is still filling up cannot be the holes-filled optimum.
+# are positive and at or below t and an epsilon step up adds no more than the
+# stray budget, the background is considered hole-free and the bracket starts
+# at t. The same test, an epsilon step down, later validates a selected
+# minimum: a threshold below which the background is still filling up cannot
+# be the holes-filled optimum.
 _SATURATION_FLOOR = 0.25
 _SATURATION_STRAYS = 2e-5
 _SATURATION_MIN_BUDGET = 2.0
@@ -88,9 +94,10 @@ class EstimationError(RuntimeError):
 class SearchConfig:
     """Knobs of the threshold search, all in intensity units.
 
-    ``t_start`` and ``epsilon`` are rescaled by intensity_max/4095 for volumes
-    exceeding the 12-bit range. The minimum is searched on a uniform grid of
-    quantum ``grid_step``.
+    Every threshold the search reads is a point n * grid_step of one lattice,
+    n a whole number (see _lattice). ``t_start`` and ``epsilon`` are first
+    rescaled by intensity_max/4095 for volumes exceeding the 12-bit range,
+    then snapped to whole steps, ``epsilon`` to at least one.
     """
 
     t_start: float = 40.0
@@ -108,22 +115,16 @@ class SearchConfig:
         if self.correction_factor <= 0:
             raise ValueError("correction_factor must be > 0")
 
-    def scaled_to(self, intensity_max: float) -> "SearchConfig":
-        """Config with t_start/epsilon rescaled for volumes beyond 12-bit range."""
-        if intensity_max <= _TWELVE_BIT_MAX:
-            return self
-        s = intensity_max / _TWELVE_BIT_MAX
-        return replace(self, t_start=self.t_start * s, epsilon=self.epsilon * s)
-
 
 @dataclass(frozen=True, eq=False)
 class ThresholdResult:
     """Outcome of the threshold search.
 
     ``curve`` holds the (t, variance-of-stds, mean-of-stds) sample at every
-    grid point, sorted strictly ascending in t and ending at t_max.
-    ``t_rejected`` is the minimum discarded by the no-object guard, if the
-    guard fired.
+    grid point, sorted strictly ascending in t: the lattice points n *
+    grid_step from t_lower below t_max, then t_max. ``t_lower`` is a
+    lattice point or t_max. ``t_rejected`` is the minimum
+    discarded by the no-object guard, if the guard fired.
     """
 
     t_opt: float
@@ -292,24 +293,14 @@ class _VolumeScan:
         """Population std per (t, slice) over all pixels, zeros included."""
         return self._stds(*self._lookup(ts, self._sum1, self._sum2))
 
-    @staticmethod
-    def _spread(stds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean_sigma = stds.mean(axis=1)
-        return ((stds - mean_sigma[:, None]) ** 2).mean(axis=1), mean_sigma
-
-    def curve(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Variance-of-stds and mean-of-stds for every t in ts.
-
-        The threshold grid is evaluated in one call; a t gives the same two
-        values in any call.
-        """
-        return self._spread(self.slice_stds(ts))
-
     def curve_and_count(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`curve` and :meth:`positive_count` of every t in ts, from one
-        lookup; the probe ladder is evaluated in one call."""
+        """Variance-of-stds, mean-of-stds and :meth:`positive_count` of every t
+        in ts, from one lookup; a t gives the same three values in any call.
+        The probe ladder is evaluated in one call, and so is the grid."""
         count, s1, s2 = self._lookup(ts, self._count, self._sum1, self._sum2)
-        return *self._spread(self._stds(s1, s2)), self._positives(count)
+        stds = self._stds(s1, s2)
+        mean_sigma = stds.mean(axis=1)
+        return ((stds - mean_sigma[:, None]) ** 2).mean(axis=1), mean_sigma, self._positives(count)
 
     def mean_above(self, t: float) -> float:
         """Mean of the pixels above t, 0.0 when none is.
@@ -348,45 +339,49 @@ def _stray_budget(scan: _VolumeScan) -> float:
     return max(_SATURATION_MIN_BUDGET, _SATURATION_STRAYS * scan.total_pixels)
 
 
-def _is_saturated(scan: _VolumeScan, retained: np.ndarray) -> np.ndarray:
-    """Per probe of a ladder (see _probe_ladder): the background is covered
-    at the probe, with most mass already below it and an epsilon step adding
-    at most a few stray pixels.
-
-    ``retained`` is the positive count at each probe. A probe plus epsilon is
-    the next probe, bit for bit, and the last probe plus epsilon is at least
-    t_max, where every positive pixel is retained; so the counts an epsilon
-    step up need no lookup of their own.
-    """
-    gained = np.append(retained[1:], scan.positive_pixels) - retained
+def _gap_free(scan: _VolumeScan, retained: np.ndarray, gained: np.ndarray) -> np.ndarray:
+    """Per t, the saturation test above: ``retained`` positive pixels, and the
+    ``gained`` ones of an epsilon step, up from a probe or down from a grid point."""
     return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
 
 
-def _background_covered(scan: _VolumeScan, ts: np.ndarray, epsilon: float) -> np.ndarray:
-    """Per t: the retained region below t is gap-free at its top, the last
-    epsilon of it gained only stray pixels. Unlike _is_saturated this ignores
-    what lies above t, so a minimum right before an object onset is valid."""
-    retained = scan.positive_count(ts)
-    gained = retained - scan.positive_count(np.maximum(ts - epsilon, 0.0))
-    return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
+class _Lattice(NamedTuple):
+    """The thresholds n * step of a search: the probes are the indices start,
+    start + epsilon, ... below stop, and n * step < t_max exactly when n < stop."""
+
+    step: float
+    start: int
+    epsilon: int
+    stop: int
 
 
-def _probe_ladder(t_start: float, epsilon: float, t_max: float) -> np.ndarray:
-    """Probes from t_start in epsilon steps, those below t_max.
+def _lattice(cfg: SearchConfig, t_max: float) -> _Lattice:
+    """Scale and snap the search to the lattice of quantum grid_step, once.
 
-    Repeated addition places the probes, so each probe plus epsilon is the
-    next one bit for bit, and the last one plus epsilon is at least t_max.
+    Beyond the 12-bit range t_start and epsilon are rescaled by t_max/4095,
+    then each is rounded to whole steps, ties to the even one (Python's
+    ``round``), epsilon to at least one. Over _MAX_STEPS steps up to t_max,
+    raises EstimationError.
     """
-    ladder = []
-    t = t_start
-    while t < t_max:
-        ladder.append(t)
-        t += epsilon
-    return np.array(ladder)
+    q = cfg.grid_step
+    steps = t_max / q
+    if not steps <= _MAX_STEPS:
+        raise EstimationError(f"t_max={t_max!r} is {steps:.4g} steps of grid_step={q!r}, over the cap of {_MAX_STEPS}")
+    stop = math.ceil(steps)
+    # the quotient is rounded; stop must hold for the products the grid computes
+    while stop > 0 and (stop - 1) * q >= t_max:
+        stop -= 1
+    while stop * q < t_max:
+        stop += 1
+    scale = max(1.0, t_max / _TWELVE_BIT_MAX)
+    # clamped at stop, which changes no probe and no count
+    start = round(min(cfg.t_start * scale / q, stop))
+    epsilon = max(1, round(min(cfg.epsilon * scale / q, stop)))
+    return _Lattice(q, start, epsilon, stop)
 
 
-def _probe_walk(scan: _VolumeScan, cfg: SearchConfig) -> float:
-    """Walk probes of epsilon width from t_start and locate a bracket start.
+def _probe_walk(scan: _VolumeScan, lattice: _Lattice) -> int | None:
+    """Walk the probe ladder and locate a bracket start.
 
     Two stopping rules:
 
@@ -394,46 +389,43 @@ def _probe_walk(scan: _VolumeScan, cfg: SearchConfig) -> float:
       running probe maximum while locally descending, for _DESCENT_PERSIST
       consecutive probes. Returns the probe preceding the descent, i.e. a
       point right of the structural maximum and left of the minimum.
-    * background saturation: see _is_saturated. Once the background is
-      covered without holes the minimum cannot lie further left.
+    * background saturation: the step up to the next probe is gap-free (see
+      _gap_free). Once the background is covered without holes the minimum
+      cannot lie further left.
 
     The whole probe ladder is evaluated by one lookup, and the first probe
-    at which a rule fires wins, the descent rule first. Falls back to t_max
-    when neither rule fires (curve never turns down). ``cfg`` is already
-    scaled to the scan's intensity range.
+    at which a rule fires wins, the descent rule first. Returns its lattice
+    index, or None, which means t_max, when neither rule fires (curve never
+    turns down).
     """
-    ts = _probe_ladder(cfg.t_start, cfg.epsilon, scan.t_max)
-    if not ts.size:
-        return scan.t_max
-    values, _, retained = scan.curve_and_count(ts)
+    ns = np.arange(lattice.start, lattice.stop, lattice.epsilon)
+    if not ns.size:
+        return None
+    values, _, retained = scan.curve_and_count(ns * lattice.step)
     run_max = np.maximum.accumulate(values)
-    descent = np.zeros(ts.size, dtype=bool)
+    descent = np.zeros(ns.size, dtype=bool)
     descent[1:] = (values[1:] < values[:-1]) & (values[1:] < _DESCENT_DROP * run_max[1:])
     # probe i fires when it ends a run of _DESCENT_PERSIST descents
     runs = np.concatenate(([0], np.cumsum(descent)))
     fires = np.flatnonzero(runs[_DESCENT_PERSIST:] - runs[:-_DESCENT_PERSIST] == _DESCENT_PERSIST)
     fires += _DESCENT_PERSIST - 1
-    saturated = np.flatnonzero(_is_saturated(scan, retained))
+    # a step up from a probe is the next one, and from the last at least
+    # t_max, where every positive pixel is retained
+    gained = np.append(retained[1:], scan.positive_pixels) - retained
+    saturated = np.flatnonzero(_gap_free(scan, retained, gained))
     if fires.size and (not saturated.size or fires[0] <= saturated[0]):
-        return float(ts[fires[0] - _DESCENT_PERSIST])
+        return int(ns[fires[0] - _DESCENT_PERSIST])
     if saturated.size:
-        return float(ts[saturated[0]])
-    return scan.t_max
+        return int(ns[saturated[0]])
+    return None
 
 
 def find_t_lower(volume: Volume, cfg: SearchConfig = SearchConfig()) -> float:
     """Left end of the minimum-search bracket (see _probe_walk)."""
     scan = _VolumeScan(volume)
-    return float(_probe_walk(scan, cfg.scaled_to(scan.t_max)))
-
-
-def _build_grid(t_lower: float, t_max: float, step: float) -> np.ndarray:
-    """Uniform grid of quantum ``step`` from t_lower, ending at t_max."""
-    count = int(math.floor((t_max - t_lower) / step)) + 1
-    ts = t_lower + step * np.arange(count)
-    if ts[-1] < t_max:
-        ts = np.concatenate((ts, [t_max]))
-    return ts
+    lattice = _lattice(cfg, scan.t_max)
+    n = _probe_walk(scan, lattice)
+    return scan.t_max if n is None else n * lattice.step
 
 
 def _tied_argmin(values: np.ndarray) -> int:
@@ -448,10 +440,9 @@ def find_t_opt(
 ) -> ThresholdResult:
     """Select the threshold minimizing the across-slice variance of stds.
 
-    The variance curve is evaluated on the uniform grid of quantum
-    ``grid_step`` over [t_lower, t_max] in one call. The grid ends at t_max,
-    so its last sample is the mean per-slice std of the unthresholded image,
-    the same value a lone t_max gives. One rule selects the threshold:
+    The grid is every lattice point n * grid_step from t_lower below t_max,
+    then t_max; one lookup, extended epsilon steps down, gives its curve and
+    coverage counts. One rule selects the threshold:
 
     * no-object guard: when the mean per-slice std at the raw minimum of the
       whole grid exceeds its value at t_max, the image holds nothing but
@@ -459,19 +450,31 @@ def find_t_opt(
     * otherwise t_opt is the smallest variance among the admissible grid
       points (ties within _TIE_REL_TOL go to the smallest t), or t_max when
       none is. A point is admissible when its mean per-slice std is at most
-      _NEAR_FULL_FRACTION of the value at t_max and the background below it
-      is covered (see _background_covered): offset backgrounds develop false
-      valleys mid-bulk, where the background is still filling up.
+      _NEAR_FULL_FRACTION of the value at t_max and the epsilon step below it
+      is gap-free (see _gap_free): offset backgrounds develop false valleys
+      mid-bulk, where the background is still filling up.
 
     ``scan`` is a prebuilt scan of ``volume``; one is built when it is
-    omitted. ``cfg`` is scaled to the volume's intensity range once, here.
+    omitted. Raises EstimationError when the lattice is over its cap.
     """
     if scan is None:
         scan = _VolumeScan(volume)
-    cfg = cfg.scaled_to(scan.t_max)
-    t_lower = _probe_walk(scan, cfg)
-    ts = _build_grid(t_lower, scan.t_max, cfg.grid_step)
-    variances, mean_sigmas = scan.curve(ts)
+    lattice = _lattice(cfg, scan.t_max)
+    eps, stop = lattice.epsilon, lattice.stop
+    lower = _probe_walk(scan, lattice)
+    if lower is None:
+        lower = stop  # the curve is t_max alone
+    first = max(lower - eps, 0)
+    ts = np.append(np.arange(first, stop) * lattice.step, scan.t_max)
+    variances, mean_sigmas, counts = scan.curve_and_count(ts)
+    # the curve starts at index k; a step down from lattice index n reads
+    # n - eps, or 0 (t = 0) below it. t_max off the lattice needs no flag: its
+    # mean std passes the near-full test only when it is 0, and then every
+    # variance is 0 and t_max, the last point, wins only as the fallback
+    k = lower - first
+    gained = counts[k:] - counts[np.maximum(np.arange(k - eps, ts.size - eps), 0)]
+    covered = _gap_free(scan, counts[k:], gained)
+    ts, variances, mean_sigmas = ts[k:], variances[k:], mean_sigmas[k:]
     sigma_at_max = float(mean_sigmas[-1])
     idx = _tied_argmin(variances)
     t_rejected = None
@@ -481,17 +484,13 @@ def find_t_opt(
     else:
         # the minimum over the thresholds that truly separate: hole-free
         # background and materially below the full image
-        admissible = mean_sigmas <= _NEAR_FULL_FRACTION * sigma_at_max
-        admissible &= _background_covered(scan, ts, cfg.epsilon)
-        sub = np.flatnonzero(admissible)
+        sub = np.flatnonzero((mean_sigmas <= _NEAR_FULL_FRACTION * sigma_at_max) & covered)
         t_opt = float(ts[sub[_tied_argmin(variances[sub])]]) if sub.size else scan.t_max
-
-    curve = np.column_stack((ts, variances, mean_sigmas))
     return ThresholdResult(
         t_opt=t_opt,
-        t_lower=float(t_lower),
+        t_lower=float(ts[0]),
         t_max=float(scan.t_max),
-        curve=curve,
+        curve=np.column_stack((ts, variances, mean_sigmas)),
         no_object=bool(t_opt == scan.t_max),
         t_rejected=t_rejected,
     )

@@ -4,8 +4,9 @@ Each statistic thresholds the pixels at one t directly, slice by slice, with
 plain numpy; ``noise._VolumeScan`` answers the same questions from
 cumulative tables and is checked against them. ``select_t_opt`` states the
 threshold search's selection as three branches taken in turn, an independent
-form of the search's one rule. ``is_saturated`` is the probe walk's
-saturation test with a count lookup of its own an epsilon step up.
+form of the search's one rule. ``is_saturated`` and ``background_covered``
+are the gap-free test of the probe walk and of the grid, each with count
+lookups of its own, an epsilon step up or down.
 """
 
 import numpy as np
@@ -68,4 +69,13 @@ def is_saturated(scan, ts, epsilon):
     counts are looked up in the scan."""
     retained = scan.positive_count(ts)
     gained = scan.positive_count(ts + epsilon) - retained
+    return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
+
+
+def background_covered(scan, ts, epsilon):
+    """Per t: at least _SATURATION_FLOOR of all pixels are positive and <= t,
+    and the positive pixels in (max(t - epsilon, 0), t] fit the stray budget;
+    both counts are looked up in the scan."""
+    retained = scan.positive_count(ts)
+    gained = retained - scan.positive_count(np.maximum(ts - epsilon, 0.0))
     return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))

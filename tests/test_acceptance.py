@@ -25,9 +25,9 @@ from qbench import (
     write_container,
 )
 from qbench.cli import EXIT_OK, main
-from qbench.noise import _background_covered, _VolumeScan
+from qbench.noise import _lattice, _VolumeScan
 from conftest import const_phantom
-from oracle import homogeneity_variance, select_t_opt
+from oracle import background_covered, homogeneity_variance, select_t_opt
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -103,10 +103,12 @@ def _criterion_3_corpus():
 
 def _selection_differs(vol, tr) -> bool:
     """Whether find_t_opt's (t_opt, t_rejected) differs from the three-branch
-    selection of the oracle on the same grid."""
+    selection of the oracle on the same grid, with the search's epsilon: a
+    whole number of grid steps."""
     scan = _VolumeScan(vol)
     ts, variances, mean_sigmas = tr.curve.T
-    covered = _background_covered(scan, ts, SearchConfig().scaled_to(scan.t_max).epsilon)
+    lattice = _lattice(SearchConfig(), scan.t_max)
+    covered = background_covered(scan, ts, lattice.epsilon * lattice.step)
     return (tr.t_opt, tr.t_rejected) != select_t_opt(ts, variances, mean_sigmas, covered)
 
 

@@ -222,6 +222,21 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("qbench: ") and err.count("\n") == 1
 
+    def test_search_over_the_step_cap_is_estimation_error(self, disk_container, capsys):
+        assert main(["estimate", str(disk_container), "--grid-step", "1e-6"]) == EXIT_ESTIMATION
+        err = capsys.readouterr().err
+        assert err.startswith("qbench: estimation failed: ") and err.count("\n") == 1
+        assert "over the cap" in err
+
+    def test_tiny_epsilon_snaps_to_one_grid_step(self, disk_container, tmp_path):
+        reports = []
+        for epsilon in ("1e-6", "1"):
+            out = tmp_path / f"eps-{epsilon}.json"
+            assert main(["estimate", str(disk_container), "--epsilon", epsilon, "--output", str(out)]) == EXIT_OK
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["config"]["epsilon"] == 1e-6
+        assert reports[0]["threshold"] == reports[1]["threshold"]
+
     def test_all_zero_volume_is_estimation_error(self, tmp_path, capsys):
         from qbench import Volume
 

@@ -11,7 +11,7 @@ from qbench import (
     background_roi_noise,
     estimate,
 )
-from qbench.noise import _VolumeScan
+from qbench.noise import _MAX_STEPS, _lattice, _VolumeScan
 from conftest import const_phantom, disk_phantom, pure_noise, volume_from
 from oracle import positive_noise
 
@@ -123,17 +123,17 @@ class TestHomogeneityVariance:
         rng = np.random.default_rng(4)
         sl = rng.random((5, 5)) * 30
         vol = volume_from(np.repeat(sl[None], 6, axis=0))
-        [var], _ = _VolumeScan(vol).curve(np.array([15.0]))
+        [var], _ = _VolumeScan(vol).curve_and_count(np.array([15.0]))[:2]
         assert var == pytest.approx(0.0, abs=1e-20)
 
     def test_degenerate_threshold(self):
         vol = disk_phantom(radius=10, value=500.0, sigma=50.0, seed=5)
-        [var], [mean_sigma] = _VolumeScan(vol).curve(np.zeros(1))
+        [var], [mean_sigma] = _VolumeScan(vol).curve_and_count(np.zeros(1))[:2]
         assert (var, mean_sigma) == (0.0, 0.0)
 
     def test_hand_example(self):
         # slice stds (zeros included) of 1 and 3 -> variance 1, mean 2
-        [var], [mean_sigma] = scan_of([0.0, 2.0], [0.0, 6.0]).curve(np.array([6.0]))
+        [var], [mean_sigma] = scan_of([0.0, 2.0], [0.0, 6.0]).curve_and_count(np.array([6.0]))[:2]
         assert var == pytest.approx(1.0)
         assert mean_sigma == pytest.approx(2.0)
 
@@ -252,9 +252,32 @@ class TestSearchConfig:
                 SearchConfig(**{field: float("nan")})
 
     def test_twelve_bit_rescaling(self):
-        cfg = SearchConfig()
-        assert cfg.scaled_to(4000.0) is cfg
-        scaled = cfg.scaled_to(40950.0)
-        assert scaled.t_start == pytest.approx(400.0)
-        assert scaled.epsilon == pytest.approx(100.0)
-        assert scaled.grid_step == cfg.grid_step
+        # up to 4095 the defaults are whole steps; beyond, t_start and epsilon
+        # scale with t_max/4095, and the grid step does not
+        assert _lattice(SearchConfig(), 4000.0) == (1.0, 40, 10, 4000)
+        assert _lattice(SearchConfig(), 40950.0) == (1.0, 400, 100, 40950)
+        assert _lattice(SearchConfig(grid_step=0.5), 40950.0) == (0.5, 800, 200, 81900)
+        # 40 x 4162/4095 = 40.65 and 10 x 4162/4095 = 10.16 snap to whole steps
+        assert _lattice(SearchConfig(), 4162.0) == (1.0, 41, 10, 4162)
+
+    def test_lattice_snaps_to_whole_steps_ties_to_even(self):
+        assert _lattice(SearchConfig(t_start=30.0, epsilon=5.0, grid_step=0.5), 100.0) == (0.5, 60, 10, 200)
+        assert _lattice(SearchConfig(t_start=2.5, epsilon=2.5), 100.0)[1:3] == (2, 2)
+        assert _lattice(SearchConfig(t_start=3.5, epsilon=3.5), 100.0)[1:3] == (4, 4)
+        # epsilon is at least one step; 0.3 / 0.1 is 2.9999999999999996 and rounds to 3
+        assert _lattice(SearchConfig(epsilon=1e-6), 100.0).epsilon == 1
+        assert _lattice(SearchConfig(epsilon=0.3, grid_step=0.1), 100.0).epsilon == 3
+
+    def test_lattice_stop_counts_the_products_below_t_max(self):
+        # 0.1 x 3 is 0.30000000000000004 > 0.3: three products lie below 0.3
+        assert _lattice(SearchConfig(grid_step=0.1), 0.3).stop == 3
+        assert _lattice(SearchConfig(), 7.0).stop == 7
+        assert _lattice(SearchConfig(), 7.5).stop == 8
+        assert _lattice(SearchConfig(), 0.0).stop == 0
+
+    def test_search_over_the_step_cap_is_an_estimation_error(self):
+        assert _lattice(SearchConfig(), float(_MAX_STEPS)).stop == _MAX_STEPS
+        with pytest.raises(EstimationError, match="over the cap"):
+            _lattice(SearchConfig(), _MAX_STEPS + 1.0)
+        with pytest.raises(EstimationError, match="over the cap"):
+            _lattice(SearchConfig(grid_step=1e-300), 1500.0)

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from qbench import CORRECTION_FACTOR, EstimationError, SearchConfig, Volume, estimate, generate
 from qbench import noise
-from qbench.noise import _is_saturated, _probe_ladder, _probe_walk, _VolumeScan, find_t_opt
-from oracle import homogeneity_variance, is_saturated, positive_noise, zero_fraction
+from qbench.noise import _gap_free, _lattice, _probe_walk, _VolumeScan, find_t_opt
+from oracle import background_covered, homogeneity_variance, is_saturated, positive_noise, zero_fraction
 from test_acceptance import _criterion_3_corpus
 
 # s2/n - (s1/n)**2 cancels: after k sequential additions a std near zero
@@ -79,7 +79,7 @@ def test_scan_matches_per_slice_reference(volume):
     counts = [int(((volume.data > 0) & (volume.data <= t)).sum()) for t in ts]
     assert scan.positive_count(ts).tolist() == counts
 
-    variances, means = scan.curve(ts)
+    variances, means, _ = scan.curve_and_count(ts)
     for t, var, mean in zip(ts, variances, means):
         ref_var, ref_mean = homogeneity_variance(volume, t)
         assert mean == pytest.approx(ref_mean, rel=REL_TOL, abs=REL_TOL * scale)
@@ -99,16 +99,14 @@ many_slices = volumes.map(lambda v: Volume.from_array(np.concatenate([v.data] * 
 @settings(max_examples=60, **EXAMPLES)
 @given(many_slices)
 def test_points_equal_one_t_at_a_time_bit_for_bit(volume):
-    """Each point of one ``curve`` call equals that t evaluated alone, on both
-    layouts: a threshold's variance and mean do not depend on what else the
-    grid holds, so the no-object guard compares the grid's minimum with the
-    very value a lone t_max gives."""
+    """Each point of one ``curve_and_count`` call equals that t evaluated
+    alone, on both layouts: a threshold's variance, mean and count do not
+    depend on what else the grid holds, so the no-object guard compares the
+    grid's minimum with the very value a lone t_max gives."""
     ts = thresholds(volume)
     for scan in (_VolumeScan(volume), _SortedScan(volume)):
-        variances, means = scan.curve(ts)
-        for t, var, mean in zip(ts, variances, means):
-            lone_var, lone_mean = scan.curve(np.array([t]))
-            assert (var, mean) == (lone_var[0], lone_mean[0])
+        for t, *point in zip(ts, *scan.curve_and_count(ts)):
+            assert point == [lone[0] for lone in scan.curve_and_count(np.array([t]))]
 
 
 def assert_same_threshold(a, b):
@@ -135,7 +133,7 @@ def test_histogram_layout_equals_sorted_layout(volume):
     for a, b in zip(*tables):
         assert np.array_equal(a, b)
     assert np.array_equal(hist.positive_count(ts), srt.positive_count(ts))
-    for a, b in zip(hist.curve(ts), srt.curve(ts)):
+    for a, b in zip(hist.curve_and_count(ts), srt.curve_and_count(ts)):
         assert np.array_equal(a, b)
     t = float(ts[len(ts) // 2])
     assert hist.positive_sigmas(t, CORRECTION_FACTOR) == srt.positive_sigmas(t, CORRECTION_FACTOR)
@@ -178,41 +176,6 @@ def test_sorted_prefix_sums_are_the_cumsums_of_values_and_squares(volume):
     zeros = np.zeros((volume.n_slices, 1))
     assert np.array_equal(scan._sum1, np.hstack((zeros, np.cumsum(values, axis=1))))
     assert np.array_equal(scan._sum2, np.hstack((zeros, np.cumsum(values * values, axis=1))))
-
-
-@settings(max_examples=200, **EXAMPLES)
-@given(t_max=st.floats(0.0, 1e6), t_start=st.floats(0.0, 100.0), epsilon=st.floats(1.0, 50.0))
-def test_probe_ladder_steps_by_epsilon_bit_for_bit(t_max, t_start, epsilon):
-    """A probe plus epsilon is the next probe, and the last one plus epsilon
-    reaches t_max: the saturation test reads its counts an epsilon step up
-    from the ladder's own lookup."""
-    cfg = SearchConfig(t_start=t_start, epsilon=epsilon).scaled_to(t_max)
-    ladder = _probe_ladder(cfg.t_start, cfg.epsilon, t_max)
-    assert np.array_equal(ladder[:-1] + cfg.epsilon, ladder[1:])
-    assert np.all(ladder < t_max)
-    if ladder.size:
-        assert ladder[0] == cfg.t_start and ladder[-1] + cfg.epsilon >= t_max
-
-
-def test_probe_walk_equals_the_two_lookup_saturation_test(monkeypatch):
-    """On the criterion-3 corpus, as f32 data and quantised to u16, on both
-    layouts: the saturation flags of the ladder's one lookup equal those of
-    ``oracle.is_saturated``, and so does the probe walk's t_lower."""
-    saturated = 0
-    for spec in _criterion_3_corpus():
-        phantom = generate(spec)
-        for volume in (phantom, as_u16(Volume.from_array(np.rint(phantom.data)))):
-            for scan in (_VolumeScan(volume), _SortedScan(volume)):
-                cfg = SearchConfig().scaled_to(scan.t_max)
-                ladder = _probe_ladder(cfg.t_start, cfg.epsilon, scan.t_max)
-                reference = is_saturated(scan, ladder, cfg.epsilon)
-                assert np.array_equal(_is_saturated(scan, scan.positive_count(ladder)), reference)
-                saturated += bool(reference.any())
-                t_lower = _probe_walk(scan, cfg)
-                with monkeypatch.context() as m:
-                    m.setattr(noise, "_is_saturated", lambda *_: reference)
-                    assert _probe_walk(scan, cfg) == t_lower
-    assert saturated > 0
 
 
 @settings(max_examples=8, **EXAMPLES)
@@ -259,6 +222,126 @@ unsigned_volumes = st.builds(
     # u16 also beyond the 8-bit range, where slices of up to 576 pixels take the sorted layout
     lambda v: st.just(v) if v.data.dtype == np.uint8 else st.sampled_from([v, Volume.from_array(v.data * np.uint16(37))])
 )
+
+
+def lattice_volume(volume, factor):
+    """``volume`` as is, or scaled by a factor that takes it off the integers."""
+    return volume if factor is None else Volume.from_array(volume.data * factor)
+
+
+lattice_volumes = st.builds(
+    lattice_volume,
+    st.builds(
+        make_unsigned_volume,
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        h=st.integers(4, 24),
+        w=st.integers(4, 24),
+        dtype=st.sampled_from([np.uint8, np.uint16]),
+        sigma=st.sampled_from([0.5, 4.0, 12.0, 40.0, 400.0]),
+        has_object=st.booleans(),
+        zero_fraction=st.sampled_from([0.0, 0.3]),
+    ),
+    st.sampled_from([None, 1.37]),
+)
+# dyadic steps: each n * step and t - epsilon is exact, so the lattice index
+# n - epsilon and the float t - epsilon name the same threshold
+search_configs = st.builds(
+    SearchConfig,
+    t_start=st.floats(0.0, 100.0),
+    epsilon=st.floats(0.1, 50.0),
+    grid_step=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+)
+
+
+@settings(max_examples=80, **EXAMPLES)
+@given(lattice_volumes, search_configs)
+def test_every_threshold_is_a_lattice_point(volume, cfg):
+    """On both layouts, the ladder and the grid read lattice points n * step
+    only, none above t_max, and the grid ends at t_max. The grid's one
+    lookup holds the count an epsilon step below every curve point, and its
+    coverage flags equal the two-lookup ``oracle.background_covered``."""
+    for scan in (_VolumeScan(volume), _SortedScan(volume)):
+        lookups, flags = [], []
+
+        def curve_and_count(ts, scan=scan):
+            lookups.append((ts, *_VolumeScan.curve_and_count(scan, ts)))
+            return lookups[-1][1:]
+
+        def gap_free(*args):
+            flags.append(_gap_free(*args))
+            return flags[-1]
+
+        scan.curve_and_count = curve_and_count
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(noise, "_gap_free", gap_free)
+            result = find_t_opt(volume, cfg, scan=scan)
+        q, start, eps, stop = _lattice(cfg, scan.t_max)
+        if len(lookups) == 2:
+            ladder = lookups[0][0]
+            assert np.array_equal(ladder, np.arange(start, stop, eps) * q) and np.all(ladder < scan.t_max)
+        grid, *_, counts = lookups[-1]
+        first = round(grid[0] / q)
+        assert np.array_equal(grid[:-1], np.arange(first, stop) * q) and grid[-1] == scan.t_max
+        assert np.all(grid[:-1] < scan.t_max)
+        ts = result.curve[:, 0]
+        assert np.array_equal(ts, grid[-ts.size :])
+        on = ts[:-1] if stop * q > scan.t_max else ts  # t_max off the lattice has no flag
+        below = counts[np.maximum(np.rint(on / q).astype(int) - eps, 0) - first]
+        assert np.array_equal(below, scan.positive_count(np.maximum(on - eps * q, 0.0)))
+        assert np.array_equal(flags[-1][: on.size], background_covered(scan, on, eps * q))
+
+
+def test_find_t_opt_looks_the_scan_up_twice(monkeypatch, disk_volume):
+    """The probe ladder once, then the grid with its coverage counts once."""
+    scan = _VolumeScan(disk_volume)
+    calls = []
+    lookup = _VolumeScan._lookup
+
+    def counting(self, ts, *tables):
+        calls.append(ts.size)
+        return lookup(self, ts, *tables)
+
+    monkeypatch.setattr(_VolumeScan, "_lookup", counting)
+    result = find_t_opt(disk_volume, scan=scan)
+    assert len(calls) == 2 and calls[0] > 0
+    assert calls[1] >= len(result.curve)
+
+
+@pytest.mark.parametrize(
+    "given, snapped",
+    [(dict(epsilon=2.5), dict(epsilon=2.0)), (dict(epsilon=3.5), dict(epsilon=4.0)), (dict(t_start=40.4), {})],
+)
+def test_search_flags_snap_to_whole_steps_ties_to_even(disk_volume, given, snapped):
+    assert_same_threshold(find_t_opt(disk_volume, SearchConfig(**given)), find_t_opt(disk_volume, SearchConfig(**snapped)))
+
+
+def test_search_over_the_cap_fails_before_any_lookup(monkeypatch, disk_volume):
+    scan = _VolumeScan(disk_volume)
+    monkeypatch.setattr(_VolumeScan, "_lookup", lambda *_: pytest.fail("looked up"))
+    with pytest.raises(EstimationError, match="over the cap"):
+        find_t_opt(disk_volume, SearchConfig(grid_step=1e-6), scan=scan)
+
+
+def test_probe_walk_equals_the_two_lookup_saturation_test(monkeypatch):
+    """On the criterion-3 corpus, as f32 data and quantised to u16, on both
+    layouts: the saturation flags of the ladder's one lookup equal those of
+    ``oracle.is_saturated``, with its own count lookup an epsilon step up."""
+    saturated = 0
+    for spec in _criterion_3_corpus():
+        phantom = generate(spec)
+        for volume in (phantom, as_u16(Volume.from_array(np.rint(phantom.data)))):
+            for scan in (_VolumeScan(volume), _SortedScan(volume)):
+                lattice = _lattice(SearchConfig(), scan.t_max)
+                ladder = np.arange(lattice.start, lattice.stop, lattice.epsilon) * lattice.step
+                reference = is_saturated(scan, ladder, lattice.epsilon * lattice.step)
+                flags = []
+                with monkeypatch.context() as m:
+                    m.setattr(noise, "_gap_free", lambda *a: flags.append(_gap_free(*a)) or flags[-1])
+                    _probe_walk(scan, lattice)
+                assert np.array_equal(flags[0], reference)
+                saturated += bool(reference.any())
+    assert saturated > 0
 
 
 def estimate_or_error(volume, cfg):

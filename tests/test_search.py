@@ -68,13 +68,13 @@ def brain_like_volume(seed=9):
 class TestFindTLower:
     def test_descending_curve_fires_at_t_start(self):
         vol = descending_at_start_volume()
-        variances, _ = _VolumeScan(vol).curve(np.array([40.0, 50.0]))
+        variances, _ = _VolumeScan(vol).curve_and_count(np.array([40.0, 50.0]))[:2]
         assert variances[1] < 0.25 * variances[0]  # shape precondition
         assert find_t_lower(vol) == 40.0
 
     def test_monotone_curve_falls_back_to_t_max(self):
         vol = staircase_volume()
-        seq, _ = _VolumeScan(vol).curve(np.arange(40.0, vol.intensity_max, 10.0))
+        seq, _ = _VolumeScan(vol).curve_and_count(np.arange(40.0, vol.intensity_max, 10.0))[:2]
         assert np.all(np.diff(seq) >= 0)  # shape precondition: no descent
         assert find_t_lower(vol) == vol.intensity_max
 
