@@ -50,9 +50,9 @@ class _UsageError(ValueError):
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     cfg = SearchConfig  # the defaults are the config's own
-    parser.add_argument("--t-start", type=float, default=cfg.t_start, help="first probed threshold (intensity units, snapped to whole grid steps)")
-    parser.add_argument("--epsilon", type=float, default=cfg.epsilon, help="probe step of the walk that finds t_lower (intensity units, whole grid steps, at least one)")
-    parser.add_argument("--grid-step", type=float, default=cfg.grid_step, help="threshold lattice quantum (intensity units); at most 2**20 steps up to the maximum")
+    parser.add_argument("--t-start", type=float, default=cfg.t_start, help="first probed threshold (12-bit intensity units, snapped to whole grid steps)")
+    parser.add_argument("--epsilon", type=float, default=cfg.epsilon, help="probe step of the walk that finds t_lower (12-bit intensity units, whole grid steps, at least one)")
+    parser.add_argument("--grid-step", type=float, default=cfg.grid_step, help="threshold lattice step (12-bit intensity units; times intensity_max/4095 above 4095); at most 2**20 steps up to the maximum")
     parser.add_argument("--correction-factor", type=float, default=cfg.correction_factor, help="background-std to sigma multiplier")
 
 

@@ -48,12 +48,14 @@ __all__ = [
 CORRECTION_FACTOR = 1.53
 CORRECTION_FACTOR_ANALYTIC = 1.0 / math.sqrt(2.0 - math.pi / 2.0)
 
-# Intensity range above which the probe constants are rescaled; the defaults
-# (t_start=40, epsilon=10) assume typical 12-bit scanner data.
+# Intensity range above which the lattice step grows with t_max; the defaults
+# (t_start=40, epsilon=10, grid_step=1) assume typical 12-bit scanner data.
 _TWELVE_BIT_MAX = 4095.0
 
-# Most grid steps up to t_max a search may take (see _lattice); at the cap one
-# search peaks near 40 MB plus 50 MB per slice (sorted layout, tracemalloc).
+# Most lattice steps up to t_max a search may take (see _lattice); at the cap
+# one search peaks near 40 MB plus 50 MB per slice (sorted layout,
+# tracemalloc). A default search takes at most 4096 at any intensity, so only
+# a grid_step below 4095/2**20 reaches it.
 _MAX_STEPS = 2**20
 
 # Robustness constants for the descent detection in find_t_lower, frozen from
@@ -94,10 +96,11 @@ class EstimationError(RuntimeError):
 class SearchConfig:
     """Knobs of the threshold search, all in intensity units.
 
-    Every threshold the search reads is a point n * grid_step of one lattice,
-    n a whole number (see _lattice). ``t_start`` and ``epsilon`` are first
-    rescaled by intensity_max/4095 for volumes exceeding the 12-bit range,
-    then snapped to whole steps, ``epsilon`` to at least one.
+    Every threshold the search reads is a point n * q of one lattice, n a
+    whole number (see _lattice). The step q is ``grid_step``, times
+    intensity_max/4095 for volumes exceeding the 12-bit range; ``t_start``
+    and ``epsilon`` are whole steps, their values snapped to multiples of
+    ``grid_step``, ``epsilon`` to at least one.
     """
 
     t_start: float = 40.0
@@ -121,8 +124,8 @@ class ThresholdResult:
     """Outcome of the threshold search.
 
     ``curve`` holds the (t, variance-of-stds, mean-of-stds) sample at every
-    grid point, sorted strictly ascending in t: the lattice points n *
-    grid_step from t_lower below t_max, then t_max. ``t_lower`` is a
+    grid point, sorted strictly ascending in t: the lattice points n * q
+    (see _lattice) from t_lower below t_max, then t_max. ``t_lower`` is a
     lattice point or t_max. ``t_rejected`` is the minimum
     discarded by the no-object guard, if the guard fired.
     """
@@ -356,27 +359,27 @@ class _Lattice(NamedTuple):
 
 
 def _lattice(cfg: SearchConfig, t_max: float) -> _Lattice:
-    """Scale and snap the search to the lattice of quantum grid_step, once.
+    """Scale and snap the search to one lattice, once.
 
-    Beyond the 12-bit range t_start and epsilon are rescaled by t_max/4095,
-    then each is rounded to whole steps, ties to the even one (Python's
-    ``round``), epsilon to at least one. Over _MAX_STEPS steps up to t_max,
-    raises EstimationError.
+    The step is the only number that depends on the data: grid_step, times
+    t_max/4095 beyond the 12-bit range. t_start and epsilon are whole steps
+    set by the flags alone, t_start/grid_step and epsilon/grid_step rounded
+    ties to the even one (Python's ``round``), epsilon to at least one. Over
+    _MAX_STEPS steps up to t_max, raises EstimationError.
     """
-    q = cfg.grid_step
+    q = cfg.grid_step * max(1.0, t_max / _TWELVE_BIT_MAX)
     steps = t_max / q
     if not steps <= _MAX_STEPS:
-        raise EstimationError(f"t_max={t_max!r} is {steps:.4g} steps of grid_step={q!r}, over the cap of {_MAX_STEPS}")
+        raise EstimationError(f"t_max={t_max!r} is {steps:.4g} lattice steps of {q!r}, over the cap of {_MAX_STEPS}")
     stop = math.ceil(steps)
     # the quotient is rounded; stop must hold for the products the grid computes
     while stop > 0 and (stop - 1) * q >= t_max:
         stop -= 1
     while stop * q < t_max:
         stop += 1
-    scale = max(1.0, t_max / _TWELVE_BIT_MAX)
     # clamped at stop, which changes no probe and no count
-    start = round(min(cfg.t_start * scale / q, stop))
-    epsilon = max(1, round(min(cfg.epsilon * scale / q, stop)))
+    start = round(min(cfg.t_start / cfg.grid_step, stop))
+    epsilon = max(1, round(min(cfg.epsilon / cfg.grid_step, stop)))
     return _Lattice(q, start, epsilon, stop)
 
 
@@ -440,7 +443,7 @@ def find_t_opt(
 ) -> ThresholdResult:
     """Select the threshold minimizing the across-slice variance of stds.
 
-    The grid is every lattice point n * grid_step from t_lower below t_max,
+    The grid is every lattice point n * q from t_lower below t_max,
     then t_max; one lookup, extended epsilon steps down, gives its curve and
     coverage counts. One rule selects the threshold:
 

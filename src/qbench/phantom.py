@@ -88,14 +88,6 @@ class PhantomObject:
         w, h = self.size
         return cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
 
-    def to_dict(self) -> dict:
-        d = {"shape": self.shape, "center": list(self.center), "value": self.value}
-        if self.shape == "disk":
-            d["radius"] = float(self.size)
-        else:
-            d["size"] = [float(self.size[0]), float(self.size[1])]
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomObject":
         shape = d["shape"]
@@ -133,19 +125,6 @@ class PhantomSpec:
             x0, x1, y0, y1 = obj.bounds()
             if x0 < 0 or y0 < 0 or x1 > self.width - 1 or y1 > self.height - 1:
                 raise ValueError(f"object {obj} extends beyond the {self.width}x{self.height} image")
-
-    def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "n_slices": self.n_slices,
-            "voxel_size_mm": list(self.voxel_size),
-            "background_value": self.background_value,
-            "objects": [o.to_dict() for o in self.objects],
-            "sigma": self.sigma,
-            "seed": self.seed,
-            "quantize": self.quantize,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomSpec":

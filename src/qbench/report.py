@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .noise import CORRECTION_FACTOR_ANALYTIC, NoiseEstimate, SearchConfig
-from .qvol import read_input, write_bytes_atomic
+from .qvol import write_bytes_atomic
 from .resolution import QualityScore, ResolutionCurve
 from .volume import Volume
 
@@ -65,19 +65,16 @@ UNITS = {
 }
 
 
-def input_digest(path, files: list[tuple[Path, bytes]] | None = None) -> str:
+def input_digest(path, files: list[tuple[Path, bytes]]) -> str:
     """SHA-256 of the input bytes.
 
     A container file hashes its bytes. A PGM stack directory hashes the name,
     a NUL byte and the bytes of each slice file the loader reads, in load
     order; other files in the directory do not count. ``files`` is what
     ``qvol.read_input`` returned for ``path``, so the loader's one read is
-    hashed; when it is omitted, the input is read here.
+    hashed.
     """
-    path = Path(path)
-    if files is None:
-        files = read_input(path)
-    if not path.is_dir():
+    if not Path(path).is_dir():
         [(_, raw)] = files
         return hashlib.sha256(raw).hexdigest()
     digest = hashlib.sha256()
@@ -114,6 +111,8 @@ def build_report(
         warnings.append(f"{skipped} slice(s) kept no positive pixel at t_opt and were skipped in the noise mean")
     if tr.no_object:
         warnings.append("no object separated from the background (t_opt == t_max); signal and SNR are zero")
+    if n < 2:
+        warnings.append("one slice only: the across-slice variance is 0 at every threshold, so the tie rule, not a variance minimum, picks t_opt")
 
     report = {
         "schema": REPORT_SCHEMA,

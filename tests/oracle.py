@@ -72,10 +72,11 @@ def is_saturated(scan, ts, epsilon):
     return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
 
 
-def background_covered(scan, ts, epsilon):
+def background_covered(scan, ts, lower):
     """Per t: at least _SATURATION_FLOOR of all pixels are positive and <= t,
-    and the positive pixels in (max(t - epsilon, 0), t] fit the stray budget;
-    both counts are looked up in the scan."""
+    and the positive pixels in (lower, t] fit the stray budget, ``lower``
+    being the threshold an epsilon step below each t; both counts are looked
+    up in the scan."""
     retained = scan.positive_count(ts)
-    gained = retained - scan.positive_count(np.maximum(ts - epsilon, 0.0))
+    gained = retained - scan.positive_count(lower)
     return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))

@@ -108,7 +108,7 @@ def _selection_differs(vol, tr) -> bool:
     scan = _VolumeScan(vol)
     ts, variances, mean_sigmas = tr.curve.T
     lattice = _lattice(SearchConfig(), scan.t_max)
-    covered = background_covered(scan, ts, lattice.epsilon * lattice.step)
+    covered = background_covered(scan, ts, np.maximum(ts - lattice.epsilon * lattice.step, 0.0))
     return (tr.t_opt, tr.t_rejected) != select_t_opt(ts, variances, mean_sigmas, covered)
 
 

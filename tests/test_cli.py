@@ -228,6 +228,15 @@ class TestEstimate:
         assert err.startswith("qbench: estimation failed: ") and err.count("\n") == 1
         assert "over the cap" in err
 
+    def test_float_volume_beyond_two_to_the_twenty_estimates_at_default_flags(self, tmp_path):
+        spec_path, volume, out = tmp_path / "bright.json", tmp_path / "bright.qvol", tmp_path / "report.json"
+        disk = {"shape": "disk", "center": [24, 24], "radius": 14, "value": 1.2e6}
+        write_spec(spec_path, background_value=0.0, objects=[disk], sigma=90000.0, quantize=False)
+        assert main(["synth", str(spec_path), "--output", str(volume)]) == EXIT_OK
+        assert main(["estimate", str(volume), "--output", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["input"]["intensity_max"] > 2**20 and not report["threshold"]["no_object"]
+
     def test_tiny_epsilon_snaps_to_one_grid_step(self, disk_container, tmp_path):
         reports = []
         for epsilon in ("1e-6", "1"):

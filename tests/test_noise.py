@@ -252,13 +252,17 @@ class TestSearchConfig:
                 SearchConfig(**{field: float("nan")})
 
     def test_twelve_bit_rescaling(self):
-        # up to 4095 the defaults are whole steps; beyond, t_start and epsilon
-        # scale with t_max/4095, and the grid step does not
+        # up to 4095 the step is grid_step; beyond, it scales with t_max/4095,
+        # and t_start and epsilon stay the same number of steps
         assert _lattice(SearchConfig(), 4000.0) == (1.0, 40, 10, 4000)
-        assert _lattice(SearchConfig(), 40950.0) == (1.0, 400, 100, 40950)
-        assert _lattice(SearchConfig(grid_step=0.5), 40950.0) == (0.5, 800, 200, 81900)
-        # 40 x 4162/4095 = 40.65 and 10 x 4162/4095 = 10.16 snap to whole steps
-        assert _lattice(SearchConfig(), 4162.0) == (1.0, 41, 10, 4162)
+        assert _lattice(SearchConfig(), 40950.0) == (10.0, 40, 10, 4095)
+        assert _lattice(SearchConfig(grid_step=0.5), 40950.0) == (5.0, 80, 20, 8190)
+        assert _lattice(SearchConfig(), 4162.0) == (4162.0 / 4095.0, 40, 10, 4095)
+
+    @pytest.mark.parametrize("t_max", [4096.0, 2.0**20 + 1, 1e12, 1e300])
+    def test_probes_are_set_by_the_flags_alone_at_any_intensity(self, t_max):
+        lattice = _lattice(SearchConfig(), t_max)
+        assert (lattice.start, lattice.epsilon) == (40, 10) and lattice.stop <= 4096
 
     def test_lattice_snaps_to_whole_steps_ties_to_even(self):
         assert _lattice(SearchConfig(t_start=30.0, epsilon=5.0, grid_step=0.5), 100.0) == (0.5, 60, 10, 200)
@@ -276,8 +280,9 @@ class TestSearchConfig:
         assert _lattice(SearchConfig(), 0.0).stop == 0
 
     def test_search_over_the_step_cap_is_an_estimation_error(self):
-        assert _lattice(SearchConfig(), float(_MAX_STEPS)).stop == _MAX_STEPS
+        # only a grid_step below 4095/2**20 goes over the cap
+        assert _lattice(SearchConfig(grid_step=4095 / 2**20), 4095.0).stop == _MAX_STEPS
         with pytest.raises(EstimationError, match="over the cap"):
-            _lattice(SearchConfig(), _MAX_STEPS + 1.0)
+            _lattice(SearchConfig(grid_step=1e-3), 4095.0)
         with pytest.raises(EstimationError, match="over the cap"):
             _lattice(SearchConfig(grid_step=1e-300), 1500.0)

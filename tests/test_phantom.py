@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -136,8 +137,14 @@ class TestQuantize:
 
 
 class TestSpecSerialization:
-    def test_round_trip(self):
-        spec = PhantomSpec(
+    def test_from_dict_parses_every_field(self):
+        data = json.loads(
+            """{"width": 48, "height": 40, "n_slices": 7, "voxel_size_mm": [0.5, 0.5, 2.0],
+                "background_value": 12.0, "sigma": 55.0, "seed": 99, "quantize": true,
+                "objects": [{"shape": "disk", "center": [24, 20], "radius": 10, "value": 900},
+                            {"shape": "rect", "center": [10.0, 10.0], "size": [6, 4], "value": 300.0}]}"""
+        )
+        assert PhantomSpec.from_dict(data) == PhantomSpec(
             width=48,
             height=40,
             n_slices=7,
@@ -151,4 +158,3 @@ class TestSpecSerialization:
             seed=99,
             quantize=True,
         )
-        assert PhantomSpec.from_dict(spec.to_dict()) == spec

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qbench import SearchConfig, estimate, noise_resolution_curve
+from qbench.qvol import read_input
 from qbench.report import UNITS, build_report, curve_csv, input_digest, report_json
 from conftest import const_phantom, disk_phantom, volume_from
 
@@ -56,6 +57,14 @@ class TestBuildReport:
         assert any("no object" in w for w in report["warnings"])
         assert report["threshold"]["no_object"] is True
 
+    @pytest.mark.parametrize("n_slices", [1, 2])
+    def test_single_slice_warning(self, n_slices):
+        # one slice: every threshold ties at variance 0, and the tie rule picks t_opt
+        vol = disk_phantom(radius=20, value=1000.0, sigma=80.0, seed=63, n_slices=n_slices)
+        est = estimate(vol)
+        report = build_report(digest="x", input_format="qvol", volume=vol, cfg=SearchConfig(), est=est)
+        assert any("one slice only" in w for w in report["warnings"]) == (n_slices == 1)
+
 
 class TestCurveCsv:
     def test_header_and_rows(self, disk_report):
@@ -81,9 +90,9 @@ class TestInputDigest:
     def test_pgm_stack_hashes_only_the_slices_it_loads(self, tmp_path):
         for i in range(2):
             (tmp_path / f"s{i}.PGM").write_bytes(b"P5\n2 1\n255\n" + bytes([i, 7]))
-        before = input_digest(tmp_path)
+        before = input_digest(tmp_path, read_input(tmp_path))
         (tmp_path / "README").write_text("notes")
         (tmp_path / "report.json").write_text("{}")
-        assert input_digest(tmp_path) == before
+        assert input_digest(tmp_path, read_input(tmp_path)) == before
         (tmp_path / "s1.PGM").write_bytes(b"P5\n2 1\n255\n" + bytes([1, 8]))
-        assert input_digest(tmp_path) != before
+        assert input_digest(tmp_path, read_input(tmp_path)) != before

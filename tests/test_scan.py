@@ -181,7 +181,7 @@ def test_sorted_prefix_sums_are_the_cumsums_of_values_and_squares(volume):
 @settings(max_examples=8, **EXAMPLES)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_scaled_config_beyond_twelve_bits(seed):
-    """t_max > 4095 rescales t_start and epsilon; 80x80 slices keep the histogram layout."""
+    """t_max > 4095 scales the lattice step; 80x80 slices keep the histogram layout."""
     rng = np.random.default_rng(seed)
     data = np.hypot(rng.normal(0.0, 300.0, (3, 80, 80)), rng.normal(0.0, 300.0, (3, 80, 80)))
     data[:, 25:55, 25:55] += 4200.0
@@ -196,6 +196,47 @@ def test_scaled_config_beyond_twelve_bits(seed):
         ref_var, ref_mean = homogeneity_variance(volume, t)
         assert mean == pytest.approx(ref_mean, rel=REL_TOL, abs=REL_TOL * scale)
         assert var == pytest.approx(ref_var, rel=REL_TOL, abs=REL_TOL * scale**2)
+
+
+def make_bright_volume(seed, n, h, w, sigma, has_object):
+    """Float Rayleigh background of scale ``sigma``, with or without an object block 10 sigma above it."""
+    rng = np.random.default_rng(seed)
+    data = np.hypot(rng.normal(0.0, sigma, (n, h, w)), rng.normal(0.0, sigma, (n, h, w)))
+    if has_object:
+        data[:, : max(1, h // 3), : max(1, w // 2)] += 10 * sigma
+    return Volume.from_array(data)
+
+
+bright_volumes = st.builds(
+    make_bright_volume,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    h=st.integers(8, 32),
+    w=st.integers(8, 32),
+    sigma=st.sampled_from([1500.0, 1e4, 3e5]),
+    has_object=st.booleans(),
+).filter(lambda v: v.intensity_max > 4095)
+
+
+@settings(max_examples=30, **EXAMPLES)
+@given(bright_volumes)
+def test_estimate_is_equivariant_under_powers_of_two_beyond_twelve_bits(volume):
+    """Beyond 4095 the lattice step follows t_max and the probes are whole
+    steps, so scaling a volume by 2**j scales every intensity of its estimate
+    by 2**j bit for bit, for every j that keeps t_max beyond 4095."""
+    base = estimate(volume)
+    for j in range(-3, 13):
+        k = 2.0**j
+        if k * volume.intensity_max <= 4095:
+            continue
+        est = estimate(Volume.from_array(volume.data * k))
+        tr, ref = est.threshold, base.threshold
+        assert (est.sigma, est.signal_mean) == (k * base.sigma, k * base.signal_mean)
+        assert (tr.t_opt, tr.t_lower, tr.t_max) == (k * ref.t_opt, k * ref.t_lower, k * ref.t_max)
+        assert tr.t_rejected == (None if ref.t_rejected is None else k * ref.t_rejected)
+        assert est.per_slice_sigma == tuple(None if v is None else k * v for v in base.per_slice_sigma)
+        assert (est.snr, tr.no_object, est.zero_fraction) == (base.snr, ref.no_object, base.zero_fraction)
+        assert np.array_equal(tr.curve, ref.curve * [k, k * k, k])
 
 
 def make_unsigned_volume(seed, n, h, w, dtype, sigma, has_object, zero_fraction):
@@ -244,8 +285,6 @@ lattice_volumes = st.builds(
     ),
     st.sampled_from([None, 1.37]),
 )
-# dyadic steps: each n * step and t - epsilon is exact, so the lattice index
-# n - epsilon and the float t - epsilon name the same threshold
 search_configs = st.builds(
     SearchConfig,
     t_start=st.floats(0.0, 100.0),
@@ -259,8 +298,10 @@ search_configs = st.builds(
 def test_every_threshold_is_a_lattice_point(volume, cfg):
     """On both layouts, the ladder and the grid read lattice points n * step
     only, none above t_max, and the grid ends at t_max. The grid's one
-    lookup holds the count an epsilon step below every curve point, and its
-    coverage flags equal the two-lookup ``oracle.background_covered``."""
+    lookup holds the count an epsilon step below every curve point, at the
+    lattice product (n - epsilon) * step, and its coverage flags equal the
+    two-lookup ``oracle.background_covered``. Above 4095 the step is not
+    dyadic, and t - epsilon * step can miss the product by an ulp."""
     for scan in (_VolumeScan(volume), _SortedScan(volume)):
         lookups, flags = [], []
 
@@ -287,9 +328,9 @@ def test_every_threshold_is_a_lattice_point(volume, cfg):
         ts = result.curve[:, 0]
         assert np.array_equal(ts, grid[-ts.size :])
         on = ts[:-1] if stop * q > scan.t_max else ts  # t_max off the lattice has no flag
-        below = counts[np.maximum(np.rint(on / q).astype(int) - eps, 0) - first]
-        assert np.array_equal(below, scan.positive_count(np.maximum(on - eps * q, 0.0)))
-        assert np.array_equal(flags[-1][: on.size], background_covered(scan, on, eps * q))
+        down = np.maximum(np.rint(on / q).astype(int) - eps, 0)
+        assert np.array_equal(counts[down - first], scan.positive_count(down * q))
+        assert np.array_equal(flags[-1][: on.size], background_covered(scan, on, down * q))
 
 
 def test_find_t_opt_looks_the_scan_up_twice(monkeypatch, disk_volume):
