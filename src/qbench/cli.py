@@ -52,7 +52,7 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     cfg = SearchConfig  # the defaults are the config's own
     parser.add_argument("--t-start", type=float, default=cfg.t_start, help="first probed threshold (12-bit intensity units, snapped to whole grid steps)")
     parser.add_argument("--epsilon", type=float, default=cfg.epsilon, help="probe step of the walk that finds t_lower (12-bit intensity units, whole grid steps, at least one)")
-    parser.add_argument("--grid-step", type=float, default=cfg.grid_step, help="threshold lattice step (12-bit intensity units; times intensity_max/4095 above 4095); at most 2**20 steps up to the maximum")
+    parser.add_argument("--grid-step", type=float, default=cfg.grid_step, help="threshold lattice step (12-bit intensity units; times intensity_max/4095 above 4095); at most 2**22 steps up to the maximum times slices")
     parser.add_argument("--correction-factor", type=float, default=cfg.correction_factor, help="background-std to sigma multiplier")
 
 
@@ -99,8 +99,9 @@ def _parse_factors(text: str) -> list[float]:
 
 def _load(path: str) -> tuple[Volume, str, str, list[str]]:
     """The volume, the SHA-256 of its input bytes, the input format and the
-    loader's warnings, from one read of the input. The bytes are released on
-    return, so they are not held through the analysis."""
+    loader's warnings, from one read of the input. A container's bytes are
+    the volume's array, so they live as long as the volume; a PGM stack's
+    are released on return."""
     files = read_input(path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -13,9 +13,9 @@ Noise is then the correction-factor-scaled std of the positive pixels of the
 thresholded slices, averaged over slices; signal is the mean of the original
 pixels above the threshold.
 
-A volume holds u8 or u16 samples or float64 ones (see ``volume``); every
-statistic is computed in float64 and is the same for u8/u16 data as for its
-float64 copy, bit for bit.
+A volume holds u8, u16, float32 or float64 samples (see ``volume``); every
+statistic is computed in float64 and is the same for u8, u16 or float32
+data as for its float64 copy, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,11 +52,13 @@ CORRECTION_FACTOR_ANALYTIC = 1.0 / math.sqrt(2.0 - math.pi / 2.0)
 # (t_start=40, epsilon=10, grid_step=1) assume typical 12-bit scanner data.
 _TWELVE_BIT_MAX = 4095.0
 
-# Most lattice steps up to t_max a search may take (see _lattice); at the cap
-# one search peaks near 40 MB plus 50 MB per slice (sorted layout,
-# tracemalloc). A default search takes at most 4096 at any intensity, so only
-# a grid_step below 4095/2**20 reaches it.
-_MAX_STEPS = 2**20
+# Most lattice steps up to t_max times slices a search may take (see
+# _lattice): the grid lookup gathers one table entry per step and slice, so
+# this bounds its memory. At the cap one search on the sorted layout peaks
+# near 120 MB from 4 to 1024 slices and near 325 MB on one (tracemalloc). A
+# default search takes at most 4096 steps at any intensity, so up to 1024
+# slices only a smaller grid_step reaches the cap.
+_MAX_STEP_SLICES = 2**22
 
 # Robustness constants for the descent detection in find_t_lower, frozen from
 # a tuning corpus of seeded synthetic volumes (disjoint from the test seeds).
@@ -181,10 +183,12 @@ class _VolumeScan:
       prefix sums below bit for bit, and the whole curve costs
       O(slices x levels) whatever the voxel count. The histogram is counted
       one slice at a time, straight from the integer rows;
-    * sorted: any other volume, float64 data included, even when its values
+    * sorted: any other volume, float data included, even when its values
       happen to be integers. Each slice is sorted once (one in-place
-      ``sort(axis=1)``) and column k covers its k smallest values, so
-      ``count`` is just k; a lookup binary-searches the sorted slices.
+      ``sort(axis=1)``, in float32 for a float32 volume, else in float64)
+      and column k covers its k smallest values, so ``count`` is just k; a
+      lookup binary-searches the sorted slices, a float32 one with every t
+      rounded down to float32.
       ``sum1`` and ``sum2`` are the real and imaginary parts of one complex
       table, built by one ``cumsum``: complex addition adds the two parts
       apart, in the same order, so each part equals the real ``cumsum`` of
@@ -238,21 +242,27 @@ class _VolumeScan:
 
     def _build_sorted(self, flat: np.ndarray) -> None:
         n, m = flat.shape
+        # float32 values sort as they are, anything else as float64; each is
+        # widened exactly, so the sums are those of the volume's float64 copy
+        dtype = np.dtype(np.float32 if flat.dtype == np.float32 else np.float64)
         # the sums table and the sorted values share one allocation: as two,
         # they fragmented a heap that glibc does not trim, and the peak RSS of
         # a curve over 128x128x60 volumes rose by a tenth
-        buf = np.empty(n * (3 * m + 2))
-        sums = buf[: 2 * n * (m + 1)].view(np.complex128).reshape(n, m + 1)
-        self._sorted = buf[2 * n * (m + 1) :].reshape(n, m)
+        table = 16 * n * (m + 1)
+        buf = np.empty(table + dtype.itemsize * n * m, dtype=np.uint8)
+        sums = buf[:table].view(np.complex128).reshape(n, m + 1)
+        self._sorted = buf[table:].view(dtype).reshape(n, m)
         self._sorted[...] = flat
         self._sorted.sort(axis=1)
         # a view: column k of every slice holds k values
         self._count = np.broadcast_to(np.arange(m + 1), (n, m + 1))
         # values in the real part, squares in the imaginary part, both prefix
-        # sums in one pass; 0.0 + x is x, so the leading zero column changes no sum
+        # sums in one pass; 0.0 + x is x, so the leading zero column changes no
+        # sum. The squares are of the float64 values: a float32 product rounds.
         sums[:, 0] = 0.0
-        sums.real[:, 1:] = self._sorted
-        np.multiply(self._sorted, self._sorted, out=sums.imag[:, 1:])
+        values = sums.real[:, 1:]
+        values[...] = self._sorted
+        np.multiply(values, values, out=sums.imag[:, 1:])
         np.cumsum(sums, axis=1, out=sums)
         self._sum1, self._sum2 = sums.real, sums.imag
 
@@ -269,6 +279,11 @@ class _VolumeScan:
         """
         if self._sorted is None:
             return np.clip(np.floor(ts), 0, self._count.shape[1] - 1).astype(np.intp)
+        if self._sorted.dtype != ts.dtype:
+            # the largest float32 <= t: a float32 value is <= t exactly when it
+            # is <= that, and a float32 search does not widen the row per call
+            near = ts.astype(self._sorted.dtype)
+            ts = np.where(near > ts, np.nextafter(near, near.dtype.type(-np.inf)), near)
         k = np.empty((ts.size, self.n_slices), dtype=np.intp)
         for j, row in enumerate(self._sorted):
             k[:, j] = np.searchsorted(row, ts, side="right")
@@ -280,7 +295,9 @@ class _VolumeScan:
         return [table.T[key] for table in tables]
 
     def _positives(self, count: np.ndarray) -> np.ndarray:
-        return (count - self._zeros).sum(axis=1)
+        """Per t, the positive pixels of a looked-up ``count``, which this consumes."""
+        count -= self._zeros
+        return count.sum(axis=1)
 
     def positive_count(self, ts: np.ndarray) -> np.ndarray:
         """Number of positive pixels <= t in the whole volume, for every t in ts."""
@@ -288,9 +305,16 @@ class _VolumeScan:
         return self._positives(count)
 
     def _stds(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+        """Population stds of looked-up sums, computed in place: s2/n - (s1/n)**2,
+        floored at 0, then the root. The lookup's copies are consumed, so a
+        grid at the step cap holds no table-sized temporary beyond them."""
         n = self.pixels_per_slice
-        var = s2 / n - (s1 / n) ** 2
-        return np.sqrt(np.maximum(var, 0.0))
+        s1 /= n
+        s1 *= s1
+        s2 /= n
+        s2 -= s1
+        np.maximum(s2, 0.0, out=s2)
+        return np.sqrt(s2, out=s2)
 
     def slice_stds(self, ts: np.ndarray) -> np.ndarray:
         """Population std per (t, slice) over all pixels, zeros included."""
@@ -301,9 +325,12 @@ class _VolumeScan:
         in ts, from one lookup; a t gives the same three values in any call.
         The probe ladder is evaluated in one call, and so is the grid."""
         count, s1, s2 = self._lookup(ts, self._count, self._sum1, self._sum2)
+        positives = self._positives(count)
         stds = self._stds(s1, s2)
         mean_sigma = stds.mean(axis=1)
-        return ((stds - mean_sigma[:, None]) ** 2).mean(axis=1), mean_sigma, self._positives(count)
+        stds -= mean_sigma[:, None]
+        stds *= stds
+        return stds.mean(axis=1), mean_sigma, positives
 
     def mean_above(self, t: float) -> float:
         """Mean of the pixels above t, 0.0 when none is.
@@ -315,8 +342,9 @@ class _VolumeScan:
         order, so there the mean is taken over the pixels themselves.
         """
         if self._sorted is not None:
-            above = self._flat[self._flat > t]
-            return float(above.mean()) if above.size else 0.0
+            # a float64 t: a Python float would compare in float32 (NEP 50)
+            above = self._flat[self._flat > np.float64(t)]
+            return float(above.astype(np.float64, copy=False).mean()) if above.size else 0.0
         count, s1 = self._lookup(np.array([float(t)]), self._count, self._sum1)
         n_above = self.total_pixels - int(count.sum())
         if n_above == 0:
@@ -358,19 +386,22 @@ class _Lattice(NamedTuple):
     stop: int
 
 
-def _lattice(cfg: SearchConfig, t_max: float) -> _Lattice:
-    """Scale and snap the search to one lattice, once.
+def _lattice(cfg: SearchConfig, t_max: float, n_slices: int = 1) -> _Lattice:
+    """Scale and snap the search of a volume of ``n_slices`` to one lattice, once.
 
     The step is the only number that depends on the data: grid_step, times
     t_max/4095 beyond the 12-bit range. t_start and epsilon are whole steps
     set by the flags alone, t_start/grid_step and epsilon/grid_step rounded
     ties to the even one (Python's ``round``), epsilon to at least one. Over
-    _MAX_STEPS steps up to t_max, raises EstimationError.
+    _MAX_STEP_SLICES steps up to t_max times slices, raises EstimationError.
     """
     q = cfg.grid_step * max(1.0, t_max / _TWELVE_BIT_MAX)
     steps = t_max / q
-    if not steps <= _MAX_STEPS:
-        raise EstimationError(f"t_max={t_max!r} is {steps:.4g} lattice steps of {q!r}, over the cap of {_MAX_STEPS}")
+    if not steps * n_slices <= _MAX_STEP_SLICES:
+        raise EstimationError(
+            f"t_max={t_max!r} is {steps:.4g} lattice steps of {q!r} for each of {n_slices} slices, "
+            f"over the cap of {_MAX_STEP_SLICES} steps x slices"
+        )
     stop = math.ceil(steps)
     # the quotient is rounded; stop must hold for the products the grid computes
     while stop > 0 and (stop - 1) * q >= t_max:
@@ -426,7 +457,7 @@ def _probe_walk(scan: _VolumeScan, lattice: _Lattice) -> int | None:
 def find_t_lower(volume: Volume, cfg: SearchConfig = SearchConfig()) -> float:
     """Left end of the minimum-search bracket (see _probe_walk)."""
     scan = _VolumeScan(volume)
-    lattice = _lattice(cfg, scan.t_max)
+    lattice = _lattice(cfg, scan.t_max, scan.n_slices)
     n = _probe_walk(scan, lattice)
     return scan.t_max if n is None else n * lattice.step
 
@@ -458,11 +489,12 @@ def find_t_opt(
       mid-bulk, where the background is still filling up.
 
     ``scan`` is a prebuilt scan of ``volume``; one is built when it is
-    omitted. Raises EstimationError when the lattice is over its cap.
+    omitted. Raises EstimationError, before any lookup, when the lattice
+    steps times the slices are over their cap.
     """
     if scan is None:
         scan = _VolumeScan(volume)
-    lattice = _lattice(cfg, scan.t_max)
+    lattice = _lattice(cfg, scan.t_max, scan.n_slices)
     eps, stop = lattice.epsilon, lattice.stop
     lower = _probe_walk(scan, lattice)
     if lower is None:

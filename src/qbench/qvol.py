@@ -12,8 +12,9 @@ a load. PGM stacks are directories of binary (P5) PGM files, imported in
 lexicographic filename order with a default voxel size of 1 mm isotropic.
 
 u16 and PGM samples load as native u16 or u8 volumes, f32 samples as
-float64. The parsers check the file structure; the pixel and voxel-size
-contracts are ``volume``'s, and a violation of them is a
+float32 ones. A container's volume is a read-only view of the bytes the
+loader read, not a copy. The parsers check the file structure; the pixel
+and voxel-size contracts are ``volume``'s, and a violation of them is a
 :class:`VolumeFormatError` here. :func:`load_volume` is the one loader, for
 both formats. :func:`read_input` reads the bytes of an input once;
 :func:`load_volume` parses them, and the report hashes the same bytes.
@@ -96,8 +97,8 @@ def _parse_container(path: Path, raw: bytes) -> Volume:
     expected = w * h * n * _DTYPES[dtype].itemsize
     if payload_bytes != expected:
         raise VolumeFormatError(f"{path}: payload is {payload_bytes} bytes, expected {expected}")
-    # a read-only view of the payload; Volume.from_array makes the one copy and
-    # checks the samples, so a non-finite or negative f32 pixel fails there
+    # a read-only view of the payload, which Volume.from_array adopts without a
+    # copy; it checks the samples, so a non-finite or negative f32 pixel fails there
     samples = np.frombuffer(raw, dtype=_DTYPES[dtype], offset=nl + 1)
     try:
         return Volume.from_array(samples.reshape(n, h, w), voxel)

@@ -1,10 +1,13 @@
 """Volumetric data model.
 
 A Volume is one read-only (n_slices, height, width) array of magnitudes plus
-voxel-size metadata. Scanner data arrives as unsigned integers, and a u8 or
-u16 source keeps its dtype; any other source becomes float64. A Volume is
-immutable after construction, so concurrent reads are safe. ``Volume`` owns
-the pixel contract, and :func:`voxel_size_mm` is the one voxel-size check.
+voxel-size metadata. Scanner data arrives as unsigned integers or single
+floats, and a u8, u16 or float32 source keeps its dtype; any other source
+becomes float64. A source that already is such an array over an immutable
+``bytes`` object, as a loaded container's payload is, becomes the volume
+without a copy. A Volume is immutable after construction, so concurrent
+reads are safe. ``Volume`` owns the pixel contract, and
+:func:`voxel_size_mm` is the one voxel-size check.
 """
 
 from __future__ import annotations
@@ -18,7 +21,16 @@ __all__ = ["Volume", "voxel_size_mm"]
 
 
 # Source dtypes a Volume keeps; every value of theirs converts to float64 exactly.
-_KEPT_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16))
+_KEPT_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.float32))
+
+
+def _over_bytes(src: np.ndarray) -> bool:
+    """Whether ``src`` is a read-only view whose chain of bases ends in a
+    ``bytes`` object, which no one can write to."""
+    base = src
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return type(base) is bytes and not src.flags.writeable
 
 
 def voxel_size_mm(values) -> tuple[float, float, float]:
@@ -36,13 +48,15 @@ def voxel_size_mm(values) -> tuple[float, float, float]:
 class Volume:
     """A read-only (n_slices, height, width) array with voxel size in mm per axis.
 
-    Construction copies the data once and validates it (3-d, non-empty,
-    finite, non-negative) and the voxel size (see :func:`voxel_size_mm`);
-    any violation is a ValueError. The copy keeps a native u8 or u16 source
-    dtype, which holds scanner data in a quarter of the float64 size or
-    less; any other source is converted to float64. ``intensity_max`` is
-    cached at construction; the array is read-only, so the cache stays
-    consistent with a recomputation.
+    Construction validates the data (3-d, non-empty, finite, non-negative)
+    and the voxel size (see :func:`voxel_size_mm`); any violation is a
+    ValueError. A native u8, u16 or float32 source keeps its dtype, which
+    holds scanner data in half the float64 size or less; any other source
+    is converted to float64. A C-contiguous source in a kept dtype that is
+    a read-only view of a ``bytes`` object becomes the volume's array as it
+    is; every other source, writable ones included, is copied once.
+    ``intensity_max`` is cached at construction; the array is read-only, so
+    the cache stays consistent with a recomputation.
     """
 
     data: np.ndarray = field(repr=False)
@@ -51,14 +65,17 @@ class Volume:
 
     def __post_init__(self):
         src = np.asarray(self.data)
-        dtype = src.dtype if src.dtype in _KEPT_DTYPES else np.float64
-        data = np.array(src, dtype=dtype, order="C", copy=True)
+        kept = src.dtype in _KEPT_DTYPES
+        if kept and src.flags.c_contiguous and _over_bytes(src):
+            data = src.view()
+        else:
+            data = np.array(src, dtype=src.dtype if kept else np.float64, order="C", copy=True)
         if data.ndim != 3:
             raise ValueError(f"expected 3-d pixel data, got {data.ndim}-d")
         if data.size == 0:
             raise ValueError("pixel data must be non-empty")
         # Conversion to float64 is monotone, so the extremes of the source samples
-        # convert to the extremes of the copy; min and max propagate NaN and reach
+        # convert to the extremes of the volume; min and max propagate NaN and reach
         # any infinity, and a wide float beyond the float64 range converts to inf.
         lo, hi = np.float64(src.min()), np.float64(src.max())
         if not (np.isfinite(lo) and np.isfinite(hi)):

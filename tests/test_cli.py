@@ -1,10 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbench import PhantomSpec, generate, write_container
-from qbench import cli
+from qbench import PhantomSpec, Volume, generate, load_volume, write_container
+from qbench import cli, qvol
 from qbench.cli import EXIT_ESTIMATION, EXIT_INTERNAL, EXIT_LOAD, EXIT_OK, EXIT_USAGE, main
 from qbench.report import REPORT_SCHEMA
 
@@ -319,6 +323,61 @@ class TestCurve:
         code = main(["curve", str(tmp_path / "none.qvol"), "--factors", factors, "--output", str(tmp_path / "c.json")])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "qbench: --factors must all be finite\n"
+
+
+class _WideningLoader:
+    """Stands in for ``Volume`` in ``qvol``: hands every loaded volume over as a float64 copy."""
+
+    @staticmethod
+    def from_array(data, voxel_size):
+        return Volume.from_array(np.asarray(data, dtype=np.float64), voxel_size)
+
+
+class TestFloat32Containers:
+    """An f32 container loads as a float32 volume: its reports are those of
+    its float64 copy, and, for integral samples, those of the u16 container."""
+
+    @staticmethod
+    def outputs(directory, container):
+        """Report bytes of ``estimate`` and ``curve`` on the container, and the curve CSV."""
+        texts = []
+        for command in ("estimate", "curve"):
+            out = directory / f"{container.stem}-{command}.json"
+            argv = [command, str(container), "--output", str(out)]
+            assert main(argv + (["--factors", "1,1.5,2"] if command == "curve" else [])) == EXIT_OK
+            texts.append(out.read_text())
+        return texts + [out.with_suffix(".csv").read_text()]
+
+    @staticmethod
+    def without_digest(texts):
+        reports = [json.loads(t) for t in texts[:2]]
+        for report in reports:
+            del report["input"]["sha256"]
+        return reports, texts[2]
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), sigma=st.sampled_from([4.0, 90.0, 2500.0]), has_object=st.booleans())
+    def test_f32_reports_equal_the_float64_and_u16_reports(self, seed, sigma, has_object):
+        objects = [{"shape": "disk", "center": [16, 16], "radius": 9, "value": 12.0 * sigma}] if has_object else []
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            for quantize in (False, True):
+                spec = directory / "spec.json"
+                shape = dict(width=32, height=32, n_slices=8, background_value=0.0)
+                write_spec(spec, **shape, objects=objects, sigma=sigma, seed=seed, quantize=quantize)
+                container = directory / ("u16.qvol" if quantize else "f32.qvol")
+                assert main(["synth", str(spec), "--output", str(container)]) == EXIT_OK
+            u16, f32 = directory / "u16.qvol", directory / "f32.qvol"
+            assert load_volume(f32).data.dtype == np.float32
+            texts = self.outputs(directory, f32)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(qvol, "Volume", _WideningLoader)
+                assert self.outputs(directory, f32) == texts
+            # the quantized phantom as f32: the sorted layout against the u16 histogram
+            quantized = directory / "quantized.qvol"
+            write_container(quantized, load_volume(u16), dtype="f32")
+            as_u16 = self.without_digest(self.outputs(directory, u16))
+            assert self.without_digest(self.outputs(directory, quantized)) == as_u16
 
 
 class TestPgmInputWarning:

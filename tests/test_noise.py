@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from qbench import (
     Volume,
     background_roi_noise,
     estimate,
+    find_t_opt,
 )
-from qbench.noise import _MAX_STEPS, _lattice, _VolumeScan
+from qbench.noise import _MAX_STEP_SLICES, _lattice, _VolumeScan
 from conftest import const_phantom, disk_phantom, pure_noise, volume_from
 from oracle import positive_noise
 
@@ -280,9 +282,37 @@ class TestSearchConfig:
         assert _lattice(SearchConfig(), 0.0).stop == 0
 
     def test_search_over_the_step_cap_is_an_estimation_error(self):
-        # only a grid_step below 4095/2**20 goes over the cap
-        assert _lattice(SearchConfig(grid_step=4095 / 2**20), 4095.0).stop == _MAX_STEPS
+        # the cap bounds lattice steps times slices: 2**22 steps on one slice, 2**20 on four
+        assert _lattice(SearchConfig(grid_step=4095 / 2**22), 4095.0).stop == _MAX_STEP_SLICES
+        assert _lattice(SearchConfig(grid_step=4095 / 2**20), 4095.0, 4).stop * 4 == _MAX_STEP_SLICES
+        with pytest.raises(EstimationError, match=r"1\.049e\+06 lattice steps .* each of 5 slices, over the cap"):
+            _lattice(SearchConfig(grid_step=4095 / 2**20), 4095.0, 5)
         with pytest.raises(EstimationError, match="over the cap"):
-            _lattice(SearchConfig(grid_step=1e-3), 4095.0)
+            _lattice(SearchConfig(grid_step=1e-3), 4095.0, 2)
         with pytest.raises(EstimationError, match="over the cap"):
             _lattice(SearchConfig(grid_step=1e-300), 1500.0)
+
+    @pytest.mark.parametrize("t_max", [4095.0, 4096.0, 1e300])
+    def test_default_search_of_1024_slices_is_under_the_cap(self, t_max):
+        assert _lattice(SearchConfig(), t_max, 1024).stop * 1024 <= _MAX_STEP_SLICES
+
+    def test_search_at_the_cap_stays_under_its_peak(self):
+        """2**16 lattice steps of 64 float32 slices, the sorted layout, is the
+        cap: the grid lookup gathers 2**22 (t, slice) entries, and the search
+        peaks under 160 MB (tracemalloc). One slice more is over the cap."""
+        rng = np.random.default_rng(3)
+        data = np.hypot(*rng.normal(0.0, 100.0, (2, 64, 16, 16))).astype(np.float32)
+        data[:, 0, 0] = 4095.0
+        volume = Volume.from_array(data)
+        scan = _VolumeScan(volume)
+        cfg = SearchConfig(grid_step=4095 / 2**16)
+        tracemalloc.start()
+        try:
+            result = find_t_opt(volume, cfg, scan=scan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.curve.shape[0] > 2**15
+        assert peak < 160e6
+        with pytest.raises(EstimationError, match="each of 65 slices, over the cap"):
+            find_t_opt(Volume.from_array(np.concatenate([data, data[:1]])), cfg)

@@ -188,7 +188,7 @@ class TestPgmStack:
 
 
 class TestOneRead:
-    """The loader reads an input once; the volume keeps u8/u16 samples and the digest hashes the same bytes."""
+    """The loader reads an input once; the volume keeps u8/u16/f32 samples and the digest hashes the same bytes."""
 
     @settings(max_examples=30, **EXAMPLES)
     @given(
@@ -205,11 +205,23 @@ class TestOneRead:
             files = read_input(path)
             assert [p for p, _ in files] == [path]
             vol = load_volume(path, files)
-            assert vol.data.dtype == (np.uint16 if dtype == "u16" else np.float64)
+            assert vol.data.dtype == (np.uint16 if dtype == "u16" else np.float32)
             assert np.array_equal(vol.data, data)
             assert load_volume(path).data.dtype == vol.data.dtype
             expected = hashlib.sha256(path.read_bytes()).hexdigest()
             assert input_digest(path, files) == expected
+
+    @pytest.mark.parametrize("dtype", ["u16", "f32"])
+    def test_container_volume_is_a_readonly_view_of_the_bytes_read(self, tmp_path, dtype):
+        path = tmp_path / "vol.qvol"
+        write_container(path, volume_from(np.arange(60.0).reshape(3, 4, 5)), dtype=dtype)
+        files = read_input(path)
+        vol = load_volume(path, files)
+        [(_, raw)] = files
+        assert np.shares_memory(vol.data, np.frombuffer(raw, dtype=np.uint8))
+        assert not vol.data.flags.writeable
+        with pytest.raises(ValueError):
+            vol.data[0, 0, 0] = 1
 
     @settings(max_examples=30, **EXAMPLES)
     @given(seed=st.integers(0, 2**32 - 1), n_slices=st.integers(1, 4), eight_bit=st.booleans())

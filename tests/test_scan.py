@@ -417,6 +417,64 @@ def test_unsigned_volume_estimates_like_its_float64_copy(volume, cfg):
     assert a.zero_fraction == zero_fraction(volume)
 
 
+def make_f32_volume(seed, n, h, w, sigma, has_object, ties):
+    """Rayleigh noise of ``sigma``, a bright square when asked, in float32;
+    with ``ties``, values on a grid of sigma/4, so many pixels share a value."""
+    rng = np.random.default_rng(seed)
+    data = np.hypot(rng.normal(0.0, sigma, (n, h, w)), rng.normal(0.0, sigma, (n, h, w)))
+    if has_object:
+        data[:, h // 4 : h - h // 4, w // 4 : w - w // 4] += 12.0 * sigma
+    if ties:
+        data = np.floor(data / sigma * 4.0) * (sigma / 4.0)
+    return Volume.from_array(data.astype(np.float32))
+
+
+f32_volumes = st.builds(
+    make_f32_volume,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    h=st.integers(4, 16),
+    w=st.integers(4, 16),
+    sigma=st.sampled_from([1e-3, 0.7, 100.0, 3e5]),
+    has_object=st.booleans(),
+    ties=st.booleans(),
+)
+
+
+def bits(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@settings(max_examples=60, **EXAMPLES)
+@given(f32_volumes, st.sampled_from(CONFIGS))
+def test_float32_volume_scans_and_estimates_like_its_float64_copy(volume, cfg):
+    """A float32 volume is sorted in float32 and searched with every t
+    rounded down to float32. Its tables, its lookups at, one float64 ulp
+    above and one below every value present, its signal mean there and its
+    estimate equal those of its float64 copy bit for bit."""
+    copy = Volume.from_array(volume.data.astype(np.float64), volume.voxel_size)
+    assert volume.data.dtype == np.float32 and copy.data.dtype == np.float64
+    a, b = _VolumeScan(volume), _VolumeScan(copy)
+    assert a._sorted.dtype == np.float32 and b._sorted.dtype == np.float64
+    assert bits(a._sum1, a._sum2) == bits(b._sum1, b._sum2)
+    levels = np.unique(copy.data)
+    ts = np.unique(np.concatenate(([0.0], levels, np.nextafter(levels, np.inf), np.nextafter(levels, -np.inf))))
+    assert bits(*a._lookup(ts, a._count, a._sum1, a._sum2)) == bits(*b._lookup(ts, b._count, b._sum1, b._sum2))
+    assert [a.mean_above(t) for t in ts] == [b.mean_above(t) for t in ts]
+    x, y = estimate_or_error(volume, cfg), estimate_or_error(copy, cfg)
+    if isinstance(x, str) or isinstance(y, str):
+        assert x == y
+        return
+    assert (x.sigma, x.signal_mean, x.snr, x.per_slice_sigma, x.zero_fraction) == (
+        y.sigma,
+        y.signal_mean,
+        y.snr,
+        y.per_slice_sigma,
+        y.zero_fraction,
+    )
+    assert_same_threshold(x.threshold, y.threshold)
+
+
 def test_quantized_disk_phantom_estimates_like_its_float64_copy(disk_volume):
     data = np.rint(disk_volume.data)
     u16, copy = Volume.from_array(data.astype(np.uint16)), Volume.from_array(data)

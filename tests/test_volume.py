@@ -83,6 +83,42 @@ class TestSliceAndVolume:
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 5.0
 
+    def test_readonly_view_of_bytes_is_adopted(self):
+        data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        for dtype in (np.uint8, np.uint16, np.float32):
+            src = np.frombuffer(data.astype(dtype).tobytes(), dtype).reshape(2, 3, 4)
+            vol = Volume.from_array(src)
+            assert vol.data.dtype == dtype and np.shares_memory(vol.data, src)
+            assert not vol.data.flags.writeable
+
+    def test_every_other_source_is_copied(self):
+        data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        buf = bytearray(data.tobytes())
+        wide = np.arange(48, dtype=np.float32).reshape(2, 3, 8)
+        readonly_over_bytearray = np.frombuffer(buf, np.float32).reshape(2, 3, 4)
+        readonly_over_bytearray.flags.writeable = False
+        sources = {
+            "writable": data.copy(),
+            "bytearray": np.frombuffer(buf, np.float32).reshape(2, 3, 4),
+            "memoryview": np.frombuffer(memoryview(buf), np.float32).reshape(2, 3, 4),
+            "read-only over a bytearray": readonly_over_bytearray,
+            "non-contiguous": wide[:, :, ::2],
+            "non-contiguous over bytes": np.frombuffer(wide.tobytes(), np.float32).reshape(2, 3, 8)[:, :, ::2],
+            "byte-swapped": data.astype(">f4"),
+            "byte-swapped over bytes": np.frombuffer(data.astype(">u2").tobytes(), ">u2").reshape(2, 3, 4),
+        }
+        volumes = {name: Volume.from_array(src) for name, src in sources.items()}
+        expected = {name: np.array(src, dtype=np.float64) for name, src in sources.items()}
+        for name, src in sources.items():
+            assert not np.shares_memory(volumes[name].data, src), name
+            if src.flags.writeable:
+                src[...] = 7.0
+        buf[:] = bytes(len(buf))
+        wide[...] = 7.0
+        for name, vol in volumes.items():
+            assert np.array_equal(vol.data, expected[name]) and not vol.data.flags.writeable, name
+            assert vol.data.flags.c_contiguous and vol.data.dtype.isnative, name
+
     def test_intensity_max_matches_recomputation(self):
         rng = np.random.default_rng(11)
         vol = Volume.from_array(rng.random((4, 8, 8)) * 50)
