@@ -83,15 +83,55 @@ def _resample_weights(n_in: int, n_out: int, factor: float) -> np.ndarray:
     return weights
 
 
+# Widest span of source samples, from a band's first nonzero weight to its
+# last, that a band of output rows grows to: a wider band multiplies more
+# zeros, a narrower one calls BLAS more often. 32 was the fastest of 16-64 on
+# 60x128x128 volumes at factors 1.5, 2 and 3.
+_BAND_SPAN = 32
+
+
+def _bands(weights: np.ndarray) -> list[tuple[slice, slice, np.ndarray]]:
+    """Cut a resampling matrix into row bands, as (rows, cols, w) triples.
+
+    A band is a run of output rows that grows while its last row's last
+    nonzero weight lies at most ``_BAND_SPAN`` samples past its first row's
+    first. It keeps at least 2 rows, and a lone last row joins the band
+    before it: numpy hands a one-row product to a matrix-vector kernel,
+    which sums in another order than the matrix kernel. ``cols`` is the
+    smallest window of source samples that holds every nonzero weight of the
+    band's rows and ``w`` is ``weights[rows, cols]`` as a contiguous array,
+    so every weight outside the window is 0.0.
+    """
+    n_out, n_in = weights.shape
+    nonzero = weights != 0.0
+    first = nonzero.argmax(axis=1)
+    last = n_in - 1 - nonzero[:, ::-1].argmax(axis=1)
+    bands = []
+    a = 0
+    while a < n_out:
+        b = a + 2
+        while b < n_out and last[b] - first[a] <= _BAND_SPAN:
+            b += 1
+        b = n_out if b >= n_out - 1 else b
+        rows = slice(a, b)
+        cols = slice(int(first[rows].min()), int(last[rows].max()) + 1)
+        bands.append((rows, cols, np.ascontiguousarray(weights[rows, cols])))
+        a = b
+    return bands
+
+
 def downsample(volume: Volume, factor: float) -> Volume:
     """Separable Lanczos resampling of all three axes by one factor >= 1.
 
     Output dimensions are floor(dim / factor) per axis and the voxel size
     grows by the factor. factor == 1 returns an identical volume.
 
-    Each axis is one matrix product on a contiguous array, in axis order
-    0, 1, 2, and axes of equal length share one weight matrix. The result is
-    clamped in place, so ``Volume`` makes the one copy after the last product.
+    Axes are resampled in order 0, 1, 2. Each axis's weight matrix is cut
+    into row bands (:func:`_bands`), and each band is one matrix product
+    over the band's window of source samples only: the filter's support, not
+    the zeros around it. Axes of equal length share one set of bands. All
+    products write into one scratch allocation; the result is clamped in
+    place, so ``Volume`` makes the one copy after the last product.
     """
     factor = float(factor)
     if not 1.0 <= factor < math.inf:
@@ -101,9 +141,9 @@ def downsample(volume: Volume, factor: float) -> Volume:
     for axis, (dim, out_dim) in enumerate(zip(volume.shape, out)):
         if out_dim < 1:
             raise ValueError(f"factor {factor} collapses axis {axis} (size {dim}) to zero")
-    # one matrix per distinct axis length
-    weights = {dim: _resample_weights(dim, out_dim, factor) for dim, out_dim in dict(zip(volume.shape, out)).items()}
-    w0, w1, w2 = (weights[dim] for dim in volume.shape)
+    # one set of bands per distinct axis length
+    bands = {dim: _bands(_resample_weights(dim, out_dim, factor)) for dim, out_dim in dict(zip(volume.shape, out)).items()}
+    b0, b1, b2 = (bands[dim] for dim in volume.shape)
     # the three products share one allocation: as three arrays they fragmented
     # a heap that glibc does not trim, and the peak RSS of a curve over
     # 128x128x60 volumes rose by up to a tenth, by where the pieces landed
@@ -112,9 +152,15 @@ def downsample(volume: Volume, factor: float) -> Volume:
     a0 = scratch[:s0].reshape(m0, n1 * n2)
     a1 = scratch[s0 : s0 + s1].reshape(m0, m1, n2)
     data = scratch[s0 + s1 :].reshape(m0 * m1, m2)
-    np.matmul(w0, volume.data.reshape(n0, n1 * n2).astype(np.float64, copy=False), out=a0)
-    np.matmul(w1, a0.reshape(m0, n1, n2), out=a1)
-    np.matmul(a1.reshape(m0 * m1, n2), w2.T, out=data)
+    x = volume.data.reshape(n0, n1 * n2).astype(np.float64, copy=False)
+    for rows, cols, w in b0:
+        np.matmul(w, x[cols], out=a0[rows])
+    a0 = a0.reshape(m0, n1, n2)
+    for rows, cols, w in b1:
+        np.matmul(w, a0[:, cols], out=a1[:, rows])
+    a1 = a1.reshape(m0 * m1, n2)
+    for rows, cols, w in b2:
+        np.matmul(a1[:, cols], w.T, out=data[:, rows])
     # Lanczos lobes can undershoot; magnitudes stay non-negative by clamping.
     np.maximum(data, 0.0, out=data)
     voxel = tuple(v * factor for v in volume.voxel_size)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbench import (
     QualityScore,
@@ -16,7 +18,7 @@ from qbench import (
     noise_resolution_curve,
     normalize_quality,
 )
-from qbench.resolution import _resample_weights
+from qbench.resolution import _bands, _resample_weights
 from conftest import const_phantom, disk_phantom, volume_from
 
 
@@ -127,6 +129,45 @@ def _loop_weights(n_in, n_out, factor):
 RESAMPLE_FACTORS = (1.0, 1.5, 2.0, 2.7, 3.0, 3.3)
 
 
+def _axis_weights(shape, factor):
+    return [_loop_weights(dim, math.floor(dim / factor), factor) for dim in shape]
+
+
+def _dense_products(data, factor):
+    """The loop-built weights as one dense matrix product per axis, in axis
+    order 0, 1, 2, clamped at zero."""
+    n0, n1, n2 = data.shape
+    w0, w1, w2 = _axis_weights(data.shape, factor)
+    m0, m1, m2 = (w.shape[0] for w in (w0, w1, w2))
+    out = w0 @ data.reshape(n0, n1 * n2)
+    out = np.matmul(w1, out.reshape(m0, n1, n2))
+    out = (out.reshape(m0 * m1, n2) @ w2.T).reshape(m0, m1, m2)
+    return np.maximum(out, 0.0)
+
+
+def _band_products(data, factor):
+    """The loop-built weights through the band products of ``downsample``:
+    each band of each axis is one matrix product over its window, in axis
+    order 0, 1, 2, clamped at zero."""
+    n0, n1, n2 = data.shape
+    b0, b1, b2 = (_bands(w) for w in _axis_weights(data.shape, factor))
+    m0, m1, m2 = (bands[-1][0].stop for bands in (b0, b1, b2))
+    x, a0 = data.reshape(n0, n1 * n2), np.empty((m0, n1 * n2))
+    for rows, cols, w in b0:
+        a0[rows] = w @ x[cols]
+    a0, a1 = a0.reshape(m0, n1, n2), np.empty((m0, m1, n2))
+    for rows, cols, w in b1:
+        a1[:, rows] = np.matmul(w, a0[:, cols])
+    a1, out = a1.reshape(m0 * m1, n2), np.empty((m0 * m1, m2))
+    for rows, cols, w in b2:
+        out[:, rows] = a1[:, cols] @ w.T
+    return np.maximum(out.reshape(m0, m1, m2), 0.0)
+
+
+def _ulp_distance(got, ref, scale):
+    return np.max(np.abs(got - ref)) / np.spacing(np.max(np.abs(scale)))
+
+
 class TestResampleWeights:
     @pytest.mark.parametrize("factor", RESAMPLE_FACTORS)
     def test_equals_per_row_loop_bit_for_bit(self, factor):
@@ -138,20 +179,17 @@ class TestResampleWeights:
                 assert np.array_equal(_resample_weights(n_in, n_out, factor), _loop_weights(n_in, n_out, factor))
 
     def test_downsample_of_non_cubic_volume_equals_oracle_matmul(self):
-        # the loop-built weights through the same three matrix products, in
-        # axis order 0, 1, 2: BLAS sums each product in an order of its own,
-        # so only the same products make a bit-exact oracle of the weights,
-        # the axis handling and the clamp
+        # the loop-built weights through the same band products, in axis
+        # order 0, 1, 2: BLAS sums each product in an order of its own, so
+        # only the same products make a bit-exact oracle of the weights, the
+        # bands, the axis handling and the clamp; the dense products sum the
+        # same terms in another grouping, a few ulp away
         rng = np.random.default_rng(7)
         vol = volume_from(np.abs(500.0 + 80.0 * rng.standard_normal((7, 23, 41))), voxel=(2.0, 1.0, 0.5))
-        n0, n1, n2 = vol.shape
         for factor in (1.5, 2.7, 3.3):
-            w0, w1, w2 = (_loop_weights(dim, math.floor(dim / factor), factor) for dim in vol.shape)
-            m0, m1, m2 = (w.shape[0] for w in (w0, w1, w2))
-            data = w0 @ vol.data.reshape(n0, n1 * n2)
-            data = np.matmul(w1, data.reshape(m0, n1, n2))
-            data = (data.reshape(m0 * m1, n2) @ w2.T).reshape(m0, m1, m2)
-            assert np.array_equal(downsample(vol, factor).data, np.maximum(data, 0.0))
+            got = downsample(vol, factor).data
+            assert np.array_equal(got, _band_products(vol.data, factor))
+            assert _ulp_distance(got, _dense_products(vol.data, factor), vol.data) <= 4
 
     @pytest.mark.parametrize("shape", [(7, 23, 41), (10, 40, 40), (12, 44, 48)])
     def test_downsample_is_within_8_ulp_of_the_tensordot_reference(self, shape):
@@ -167,6 +205,54 @@ class TestResampleWeights:
             ref, got = np.maximum(data, 0.0), downsample(vol, factor).data
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 8 * np.spacing(np.max(np.abs(ref)))
+
+
+class TestBands:
+    # axis lengths from below the kernel's support to above the bench's 256
+    LENGTHS = [*range(1, 41), 60, 97, 128, 140, 256]
+
+    @staticmethod
+    def _all_bands():
+        for factor in RESAMPLE_FACTORS:
+            for n_in in TestBands.LENGTHS:
+                n_out = math.floor(n_in / factor)
+                if n_out >= 1:
+                    weights = _resample_weights(n_in, n_out, factor)
+                    yield weights, _bands(weights)
+
+    def test_every_output_row_lies_in_exactly_one_band(self):
+        for weights, bands in self._all_bands():
+            rows = [i for r, _, _ in bands for i in range(weights.shape[0])[r]]
+            assert rows == list(range(weights.shape[0]))
+
+    def test_each_band_has_at_least_two_rows(self):
+        for weights, bands in self._all_bands():
+            assert all(r.stop - r.start >= min(2, weights.shape[0]) for r, _, _ in bands)
+
+    def test_every_weight_outside_a_band_window_is_zero(self):
+        # a band drops only terms whose weight is exactly 0.0, so it sums the
+        # same terms as the dense row: the argument for bit-identity
+        for weights, bands in self._all_bands():
+            for rows, cols, w in bands:
+                assert w.flags.c_contiguous and np.array_equal(w, weights[rows, cols])
+                outside = weights[rows].copy()
+                outside[:, cols] = 0.0
+                assert not outside.any()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        factor=st.sampled_from(RESAMPLE_FACTORS),
+        dims=st.lists(st.integers(3, 140), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_downsample_is_within_4_ulp_of_the_dense_products(self, factor, dims, seed):
+        shape = tuple(max(dim, math.ceil(factor)) for dim in dims)
+        data = np.abs(500.0 + 80.0 * np.random.default_rng(seed).standard_normal(shape))
+        got = downsample(volume_from(data), factor).data
+        if factor == 1.0:
+            assert np.array_equal(got, data)
+        assert got.shape == tuple(math.floor(dim / factor) for dim in shape)
+        assert _ulp_distance(got, _dense_products(data, factor), data) <= 4
 
 
 class TestFitPowerLaw:
