@@ -9,8 +9,10 @@ Exit codes: 0 success, 2 usage error, 3 input load error, 4 estimation error,
 ``qbench: internal error: ...`` line with no traceback).
 A no-object result is a successful run that prints a prominent warning.
 The input is read once: the loader parses the bytes it read and the report
-hashes the same bytes. ``curve`` estimates the input volume once and reuses
-that estimate for both the report and the curve's factor-1 point.
+hashes the same bytes, on one worker thread that starts before the parse
+and runs while the main thread parses and analyses. ``curve`` estimates the
+input volume once and reuses that estimate for both the report and the
+curve's factor-1 point.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import json
 import sys
 import warnings
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -97,17 +100,19 @@ def _parse_factors(text: str) -> list[float]:
     return check_factors(factors, "--factors")
 
 
-def _load(path: str) -> tuple[Volume, str, str, list[str]]:
-    """The volume, the SHA-256 of its input bytes, the input format and the
-    loader's warnings, from one read of the input. A container's bytes are
-    the volume's array, so they live as long as the volume; a PGM stack's
-    are released on return."""
+def _load(path: str, executor: Executor) -> tuple[Volume, Future[str], str, list[str]]:
+    """The volume, the future SHA-256 of its input bytes, the input format
+    and the loader's warnings, from one read of the input. The hash starts
+    on ``executor`` before the parse, so it runs while the bytes are parsed
+    and analysed. A container's bytes are the volume's array, so they live
+    as long as the volume; a PGM stack's are released once both are done."""
     files = read_input(path)
+    digest = input_digest(path, files, executor)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         volume = load_volume(path, files)
     fmt = "pgm-stack" if Path(path).is_dir() else "qvol"
-    return volume, input_digest(path, files), fmt, [str(w.message) for w in caught]
+    return volume, digest, fmt, [str(w.message) for w in caught]
 
 
 def _cmd_analyze(args) -> int:
@@ -121,20 +126,22 @@ def _cmd_analyze(args) -> int:
         factors = _parse_factors(args.factors) if args.command == "curve" else None
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    volume, digest, fmt, load_warnings = _load(args.input)
-    est = estimate(volume, cfg)
-    curve = None if factors is None else noise_resolution_curve(volume, factors, cfg, full=est)
-    score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
-    report = build_report(
-        digest=digest,
-        input_format=fmt,
-        volume=volume,
-        cfg=cfg,
-        est=est,
-        curve=curve,
-        score=score,
-        extra_warnings=tuple(load_warnings),
-    )
+    # leaving the block joins the hashing thread, on every exit path
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        volume, digest, fmt, load_warnings = _load(args.input, executor)
+        est = estimate(volume, cfg)
+        curve = None if factors is None else noise_resolution_curve(volume, factors, cfg, full=est)
+        score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
+        report = build_report(
+            digest=digest.result(),
+            input_format=fmt,
+            volume=volume,
+            cfg=cfg,
+            est=est,
+            curve=curve,
+            score=score,
+            extra_warnings=tuple(load_warnings),
+        )
     text = report_json(report)
     if args.output:
         write_text_atomic(args.output, text)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import Executor, Future
 from dataclasses import asdict
 from pathlib import Path
 
@@ -65,15 +66,20 @@ UNITS = {
 }
 
 
-def input_digest(path, files: list[tuple[Path, bytes]]) -> str:
-    """SHA-256 of the input bytes.
+def input_digest(path, files: list[tuple[Path, bytes]], executor: Executor) -> Future[str]:
+    """SHA-256 of the input bytes, as a future of ``executor``.
 
     A container file hashes its bytes. A PGM stack directory hashes the name,
     a NUL byte and the bytes of each slice file the loader reads, in load
     order; other files in the directory do not count. ``files`` is what
     ``qvol.read_input`` returned for ``path``, so the loader's one read is
-    hashed.
+    hashed. The bytes are immutable and ``hashlib`` releases the GIL while
+    it hashes them, so the caller can parse and analyse them meanwhile.
     """
+    return executor.submit(_input_sha256, path, files)
+
+
+def _input_sha256(path, files: list[tuple[Path, bytes]]) -> str:
     if not Path(path).is_dir():
         [(_, raw)] = files
         return hashlib.sha256(raw).hexdigest()

@@ -10,6 +10,7 @@ resolution so volumes acquired at different voxel sizes become comparable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,6 +121,18 @@ def _bands(weights: np.ndarray) -> list[tuple[slice, slice, np.ndarray]]:
     return bands
 
 
+# A curve asks for the same few axes on every call: 2 axis lengths times 3
+# factors on 60x128x128 volumes. The bound keeps a long-lived caller's cache small.
+@functools.lru_cache(maxsize=32)
+def _axis_bands(n_in: int, n_out: int, factor: float) -> tuple[tuple[slice, slice, np.ndarray], ...]:
+    """The bands of one axis's resampling matrix, built once per (n_in, n_out,
+    factor) and shared by every later call, so their weights are read-only."""
+    bands = _bands(_resample_weights(n_in, n_out, factor))
+    for _, _, w in bands:
+        w.flags.writeable = False
+    return tuple(bands)
+
+
 def downsample(volume: Volume, factor: float) -> Volume:
     """Separable Lanczos resampling of all three axes by one factor >= 1.
 
@@ -129,7 +142,8 @@ def downsample(volume: Volume, factor: float) -> Volume:
     Axes are resampled in order 0, 1, 2. Each axis's weight matrix is cut
     into row bands (:func:`_bands`), and each band is one matrix product
     over the band's window of source samples only: the filter's support, not
-    the zeros around it. Axes of equal length share one set of bands. All
+    the zeros around it. Axes of equal length share one set of bands, and
+    so do later calls on the same axis lengths and factor. All
     products write into one scratch allocation; the result is clamped in
     place, so ``Volume`` makes the one copy after the last product.
     """
@@ -141,9 +155,7 @@ def downsample(volume: Volume, factor: float) -> Volume:
     for axis, (dim, out_dim) in enumerate(zip(volume.shape, out)):
         if out_dim < 1:
             raise ValueError(f"factor {factor} collapses axis {axis} (size {dim}) to zero")
-    # one set of bands per distinct axis length
-    bands = {dim: _bands(_resample_weights(dim, out_dim, factor)) for dim, out_dim in dict(zip(volume.shape, out)).items()}
-    b0, b1, b2 = (bands[dim] for dim in volume.shape)
+    b0, b1, b2 = (_axis_bands(dim, out_dim, factor) for dim, out_dim in zip(volume.shape, out))
     # the three products share one allocation: as three arrays they fragmented
     # a heap that glibc does not trim, and the peak RSS of a curve over
     # 128x128x60 volumes rose by up to a tenth, by where the pieces landed

@@ -77,11 +77,14 @@ class Volume:
         # Conversion to float64 is monotone, so the extremes of the source samples
         # convert to the extremes of the volume; min and max propagate NaN and reach
         # any infinity, and a wide float beyond the float64 range converts to inf.
-        lo, hi = np.float64(src.min()), np.float64(src.max())
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("pixel values must be finite; found non-finite pixel")
-        if lo < 0:
-            raise ValueError("magnitude data is non-negative; found negative pixel")
+        # An unsigned sample is a finite non-negative integer, so its max alone counts.
+        hi = np.float64(src.max())
+        if src.dtype.kind != "u":
+            lo = np.float64(src.min())
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError("pixel values must be finite; found non-finite pixel")
+            if lo < 0:
+                raise ValueError("magnitude data is non-negative; found negative pixel")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "voxel_size", voxel_size_mm(self.voxel_size))

@@ -1,7 +1,10 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from qbench import PhantomObject, PhantomSpec, Volume, generate
+from qbench.report import input_digest
 
 
 def pure_noise(sigma, seed, width=64, height=64, n_slices=20):
@@ -23,6 +26,12 @@ def disk_phantom(radius, value, sigma, seed, width=64, height=64, n_slices=20, c
 def disk_mask(width, height, center, radius):
     yy, xx = np.mgrid[0:height, 0:width]
     return (xx - center[0]) ** 2 + (yy - center[1]) ** 2 <= radius**2
+
+
+def resolved_digest(path, files):
+    """``report.input_digest`` of ``path``'s files, hashed on a one-worker pool and resolved."""
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        return input_digest(path, files, executor).result()
 
 
 def volume_from(data, voxel=(1.0, 1.0, 1.0)):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbench import PhantomSpec, Volume, generate, load_volume, write_container
-from qbench import cli, qvol
+from qbench import cli, qvol, report
 from qbench.cli import EXIT_ESTIMATION, EXIT_INTERNAL, EXIT_LOAD, EXIT_OK, EXIT_USAGE, main
 from qbench.report import REPORT_SCHEMA
 
@@ -274,6 +276,60 @@ class TestInternalError:
         assert main(argv) == EXIT_INTERNAL
         assert capsys.readouterr().err == "qbench: internal error: RuntimeError: scan failed\n"
         assert not output.exists()
+
+
+class TestHashingThread:
+    """The input is hashed on one worker thread, which every exit joins."""
+
+    @staticmethod
+    def raise_runtime_error(*args, **kwargs):
+        raise RuntimeError("scan\nfailed")
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [("estimate", EXIT_OK), ("curve", EXIT_OK), ("truncated", EXIT_LOAD), ("step-cap", EXIT_ESTIMATION), ("raises", EXIT_INTERNAL)],
+    )
+    def test_no_thread_outlives_main(self, disk_container, tmp_path, monkeypatch, case, code):
+        path, extra = disk_container, []
+        if case == "curve":
+            extra = ["--factors", "1,2"]
+        elif case == "truncated":
+            path = tmp_path / "cut.qvol"
+            path.write_bytes(disk_container.read_bytes()[:-100])
+        elif case == "step-cap":
+            extra = ["--grid-step", "1e-6"]
+        elif case == "raises":
+            monkeypatch.setattr(cli, "estimate", self.raise_runtime_error)
+        command = "curve" if case == "curve" else "estimate"
+        before = set(threading.enumerate())
+        assert main([command, str(path), *extra, "--output", str(tmp_path / "r.json")]) == code
+        assert set(threading.enumerate()) == before
+
+    def test_exception_on_the_hashing_thread_is_one_line_internal_error(self, disk_container, tmp_path, monkeypatch, capsys):
+        hashing = []
+
+        def fail(*args):
+            hashing.append(threading.current_thread())
+            self.raise_runtime_error()
+
+        monkeypatch.setattr(report, "_input_sha256", fail)
+        output = tmp_path / "r.json"
+        assert main(["estimate", str(disk_container), "--output", str(output)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "qbench: internal error: RuntimeError: scan failed\n"
+        assert hashing and hashing[0] is not threading.main_thread()
+        assert not output.exists()
+
+    def test_pgm_stack_report_hashes_names_and_bytes(self, tmp_path, capsys):
+        vol = generate(PhantomSpec(width=16, height=12, n_slices=3, background_value=300.0, sigma=60.0, seed=5, quantize=True))
+        stack = tmp_path / "stack"
+        stack.mkdir()
+        expected = hashlib.sha256()
+        for i, pixels in enumerate(vol.data):
+            raw = b"P5\n16 12\n65535\n" + pixels.astype(">u2").tobytes()
+            (stack / f"s{i}.pgm").write_bytes(raw)
+            expected.update(f"s{i}.pgm".encode() + b"\x00" + raw)
+        assert main(["estimate", str(stack)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["input"]["sha256"] == expected.hexdigest()
 
 
 class TestCurve:

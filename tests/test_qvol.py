@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbench import Volume, VolumeFormatError, load_volume, read_input, write_container
-from qbench.report import input_digest
-from conftest import volume_from
+from conftest import resolved_digest, volume_from
 
 # the same examples on every run, so the suite cannot flake
 EXAMPLES = dict(deadline=None, derandomize=True)
@@ -209,7 +208,7 @@ class TestOneRead:
             assert np.array_equal(vol.data, data)
             assert load_volume(path).data.dtype == vol.data.dtype
             expected = hashlib.sha256(path.read_bytes()).hexdigest()
-            assert input_digest(path, files) == expected
+            assert resolved_digest(path, files) == expected
 
     @pytest.mark.parametrize("dtype", ["u16", "f32"])
     def test_container_volume_is_a_readonly_view_of_the_bytes_read(self, tmp_path, dtype):
@@ -246,4 +245,4 @@ class TestOneRead:
             expected = hashlib.sha256()
             for name in sorted(names):
                 expected.update(name.encode() + b"\x00" + (directory / name).read_bytes())
-            assert input_digest(directory, files) == expected.hexdigest()
+            assert resolved_digest(directory, files) == expected.hexdigest()

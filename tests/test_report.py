@@ -4,8 +4,8 @@ import pytest
 
 from qbench import SearchConfig, estimate, noise_resolution_curve
 from qbench.qvol import read_input
-from qbench.report import UNITS, build_report, curve_csv, input_digest, report_json
-from conftest import const_phantom, disk_phantom, volume_from
+from qbench.report import UNITS, build_report, curve_csv, report_json
+from conftest import const_phantom, disk_phantom, resolved_digest, volume_from
 
 import numpy as np
 
@@ -90,9 +90,9 @@ class TestInputDigest:
     def test_pgm_stack_hashes_only_the_slices_it_loads(self, tmp_path):
         for i in range(2):
             (tmp_path / f"s{i}.PGM").write_bytes(b"P5\n2 1\n255\n" + bytes([i, 7]))
-        before = input_digest(tmp_path, read_input(tmp_path))
+        before = resolved_digest(tmp_path, read_input(tmp_path))
         (tmp_path / "README").write_text("notes")
         (tmp_path / "report.json").write_text("{}")
-        assert input_digest(tmp_path, read_input(tmp_path)) == before
+        assert resolved_digest(tmp_path, read_input(tmp_path)) == before
         (tmp_path / "s1.PGM").write_bytes(b"P5\n2 1\n255\n" + bytes([1, 8]))
-        assert input_digest(tmp_path, read_input(tmp_path)) != before
+        assert resolved_digest(tmp_path, read_input(tmp_path)) != before

@@ -102,6 +102,7 @@ class TestDownsample:
     def test_axes_of_equal_length_share_one_weight_matrix(self, monkeypatch):
         from qbench import resolution
 
+        resolution._axis_bands.cache_clear()
         built = []
         monkeypatch.setattr(
             resolution, "_resample_weights", lambda n_in, n_out, f: built.append(n_in) or _resample_weights(n_in, n_out, f)
@@ -110,6 +111,23 @@ class TestDownsample:
         assert built == [10, 40]
         downsample(volume_from(np.ones((12, 44, 48))), 2.0)
         assert built == [10, 40, 12, 44, 48]
+        # a later call on the same axis lengths and factor builds nothing
+        downsample(volume_from(np.ones((12, 40, 44))), 2.0)
+        assert built == [10, 40, 12, 44, 48]
+        downsample(volume_from(np.ones((12, 40, 44))), 3.0)
+        assert built == [10, 40, 12, 44, 48, 12, 40, 44]
+
+    def test_cached_bands_are_read_only_and_give_the_cold_result(self):
+        from qbench import resolution
+
+        vol = volume_from(np.random.default_rng(4).random((9, 30, 26)) * 1000)
+        resolution._axis_bands.cache_clear()
+        cold = downsample(vol, 1.7).data
+        warm = downsample(vol, 1.7).data
+        assert resolution._axis_bands.cache_info().hits == 3
+        assert np.array_equal(cold, warm)
+        for n_in, n_out in ((9, 5), (30, 17), (26, 15)):
+            assert all(not w.flags.writeable for _, _, w in resolution._axis_bands(n_in, n_out, 1.7))
 
 
 def _loop_weights(n_in, n_out, factor):
