@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import warnings
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -100,19 +99,14 @@ def _parse_factors(text: str) -> list[float]:
     return check_factors(factors, "--factors")
 
 
-def _load(path: str, executor: Executor) -> tuple[Volume, Future[str], str, list[str]]:
-    """The volume, the future SHA-256 of its input bytes, the input format
-    and the loader's warnings, from one read of the input. The hash starts
-    on ``executor`` before the parse, so it runs while the bytes are parsed
-    and analysed. A container's bytes are the volume's array, so they live
-    as long as the volume; a PGM stack's are released once both are done."""
-    files = read_input(path)
-    digest = input_digest(path, files, executor)
+def _load(path: str, files: list[tuple[Path, bytes]]) -> tuple[Volume, str, list[str]]:
+    """The volume parsed from ``files``, the bytes ``read_input`` read from
+    ``path``, with the input format and the loader's warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         volume = load_volume(path, files)
     fmt = "pgm-stack" if Path(path).is_dir() else "qvol"
-    return volume, digest, fmt, [str(w.message) for w in caught]
+    return volume, fmt, [str(w.message) for w in caught]
 
 
 def _cmd_analyze(args) -> int:
@@ -126,9 +120,14 @@ def _cmd_analyze(args) -> int:
         factors = _parse_factors(args.factors) if args.command == "curve" else None
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    # leaving the block joins the hashing thread, on every exit path
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        volume, digest, fmt, load_warnings = _load(args.input, executor)
+    files = read_input(args.input)
+    # the hash starts before the parse and runs while the bytes are parsed and
+    # analysed; leaving the block joins the hashing thread, on every exit path.
+    # A container's bytes are the volume's array, so they live as long as the
+    # volume; a PGM stack's are released once both the parse and the hash are done.
+    with input_digest(args.input, files) as digest:
+        volume, fmt, load_warnings = _load(args.input, files)
+        del files
         est = estimate(volume, cfg)
         curve = None if factors is None else noise_resolution_curve(volume, factors, cfg, full=est)
         score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)

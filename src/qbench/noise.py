@@ -253,7 +253,9 @@ class _VolumeScan:
         sums = buf[:table].view(np.complex128).reshape(n, m + 1)
         self._sorted = buf[table:].view(dtype).reshape(n, m)
         self._sorted[...] = flat
-        self._sorted.sort(axis=1)
+        # row by row, in place, so that no sort temporary reaches the table's size
+        for row in self._sorted:
+            row.sort()
         # a view: column k of every slice holds k values
         self._count = np.broadcast_to(np.arange(m + 1), (n, m + 1))
         # values in the real part, squares in the imaginary part, both prefix

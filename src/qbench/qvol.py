@@ -131,9 +131,11 @@ def write_container(path, volume: Volume, dtype: str = "f32") -> None:
         raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
     data = volume.data
     if dtype == "u16":
-        if not np.array_equal(data, np.rint(data)) or data.max() > 65535:
+        # up to 65535 the cast truncates each non-negative pixel, so the cast
+        # equals the data exactly when every pixel is integral; it is the payload
+        if data.max() > 65535 or not np.array_equal(samples := data.astype("<u2"), data):
             raise ValueError("u16 container requires integral pixel values in [0, 65535]")
-        payload = data.astype("<u2").tobytes()
+        payload = samples.tobytes()
     else:
         payload = data.astype("<f4").tobytes()
     n, h, w = volume.shape

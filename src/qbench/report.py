@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import Executor, Future
 from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
+from ._threads import Background
 from .noise import CORRECTION_FACTOR_ANALYTIC, NoiseEstimate, SearchConfig
 from .qvol import write_bytes_atomic
 from .resolution import QualityScore, ResolutionCurve
@@ -66,17 +66,19 @@ UNITS = {
 }
 
 
-def input_digest(path, files: list[tuple[Path, bytes]], executor: Executor) -> Future[str]:
-    """SHA-256 of the input bytes, as a future of ``executor``.
+def input_digest(path, files: list[tuple[Path, bytes]]) -> Background:
+    """SHA-256 of the input bytes, hashed on a thread of its own, started here.
 
     A container file hashes its bytes. A PGM stack directory hashes the name,
     a NUL byte and the bytes of each slice file the loader reads, in load
     order; other files in the directory do not count. ``files`` is what
     ``qvol.read_input`` returned for ``path``, so the loader's one read is
     hashed. The bytes are immutable and ``hashlib`` releases the GIL while
-    it hashes them, so the caller can parse and analyse them meanwhile.
+    it hashes them, so the caller can parse and analyse them meanwhile;
+    ``result()`` is the hex digest, and leaving a ``with`` block on the
+    returned object joins the thread.
     """
-    return executor.submit(_input_sha256, path, files)
+    return Background(_input_sha256, path, files)
 
 
 def _input_sha256(path, files: list[tuple[Path, bytes]]) -> str:

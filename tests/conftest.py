@@ -1,5 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -29,9 +27,8 @@ def disk_mask(width, height, center, radius):
 
 
 def resolved_digest(path, files):
-    """``report.input_digest`` of ``path``'s files, hashed on a one-worker pool and resolved."""
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        return input_digest(path, files, executor).result()
+    """``report.input_digest`` of ``path``'s files, hashed on its thread and resolved."""
+    return input_digest(path, files).result()
 
 
 def volume_from(data, voxel=(1.0, 1.0, 1.0)):

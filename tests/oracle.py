@@ -6,11 +6,13 @@ cumulative tables and is checked against them. ``select_t_opt`` states the
 threshold search's selection as three branches taken in turn, an independent
 form of the search's one rule. ``is_saturated`` and ``background_covered``
 are the gap-free test of the probe walk and of the grid, each with count
-lookups of its own, an epsilon step up or down.
+lookups of its own, an epsilon step up or down. ``phantom`` builds a phantom
+out of place, step by step, for ``phantom.generate`` to match byte for byte.
 """
 
 import numpy as np
 
+from qbench import render_template
 from qbench.noise import _NEAR_FULL_FRACTION, _SATURATION_FLOOR, _TIE_REL_TOL, _stray_budget
 
 
@@ -80,3 +82,17 @@ def background_covered(scan, ts, lower):
     retained = scan.positive_count(ts)
     gained = retained - scan.positive_count(lower)
     return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
+
+
+def phantom(spec):
+    """The pixels of ``spec``'s phantom, each step a new array: the template,
+    plus sigma times the stream's first block as the real channel, sigma
+    times its second block as the imaginary one, their ``np.hypot``, then
+    ``np.rint`` when the spec quantizes. At sigma 0 nothing is drawn."""
+    data = render_template(spec).data
+    if spec.sigma > 0:
+        rng = np.random.Generator(np.random.PCG64(spec.seed))
+        real = data + spec.sigma * rng.standard_normal(data.shape)
+        imag = spec.sigma * rng.standard_normal(data.shape)
+        data = np.hypot(real, imag)
+    return np.rint(data) if spec.quantize else data

@@ -1,10 +1,17 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbench import PhantomObject, PhantomSpec, Volume, add_complex_gaussian, generate, quantize, render_template
+from qbench import PhantomObject, PhantomSpec, Volume, _threads, add_complex_gaussian, generate, quantize, render_template
+from qbench import phantom as phantom_module
+from qbench.cli import EXIT_OK, main
+
+from oracle import phantom as out_of_place_phantom
 
 RAYLEIGH_STD = math.sqrt(2.0 - math.pi / 2.0)
 RAYLEIGH_MEAN = math.sqrt(math.pi / 2.0)
@@ -122,6 +129,84 @@ class TestDeterminism:
             PhantomSpec(width=4, height=4, n_slices=1, seed=-1)
         with pytest.raises(ValueError):
             PhantomSpec(width=4, height=4, n_slices=1, seed=2**64)
+
+
+@st.composite
+def phantom_specs(draw):
+    """Specs of 1 to 60 slices, with or without noise, objects and an offset background."""
+    width, height = draw(st.integers(4, 20)), draw(st.integers(4, 20))
+    objects = []
+    for _ in range(draw(st.integers(0, 2))):
+        shape = draw(st.sampled_from(["disk", "rect"]))
+        if shape == "disk":
+            half_w = half_h = size = draw(st.floats(0.5, (min(width, height) - 1) / 2))
+        else:
+            size = (draw(st.floats(0.5, width - 1)), draw(st.floats(0.5, height - 1)))
+            half_w, half_h = size[0] / 2, size[1] / 2
+        center = (draw(st.floats(half_w, width - 1 - half_w)), draw(st.floats(half_h, height - 1 - half_h)))
+        objects.append(PhantomObject(shape, center, size, draw(st.floats(0.0, 3000.0))))
+    return PhantomSpec(
+        width=width,
+        height=height,
+        n_slices=draw(st.integers(1, 60)),
+        background_value=draw(st.sampled_from([0.0, 0.0, 7.25, 250.0])),
+        objects=tuple(objects),
+        sigma=draw(st.sampled_from([0.0, 0.5, 40.0, 1500.0])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        quantize=draw(st.booleans()),
+    )
+
+
+class TestOneBuffer:
+    """``generate`` builds in one buffer, with threads; the out-of-place oracle is the reference."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=phantom_specs(), parts=st.integers(1, 4))
+    def test_matches_the_out_of_place_oracle_byte_for_byte(self, spec, parts):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_threads, "WIDTH", parts)
+            vol = generate(spec)
+        expected = out_of_place_phantom(spec)
+        assert vol.data.dtype == expected.dtype == np.float64
+        assert vol.data.tobytes() == expected.tobytes()
+
+    def test_no_thread_outlives_generate_or_synth(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_threads, "WIDTH", 4)
+        spec = {"width": 24, "height": 16, "n_slices": 5, "sigma": 30.0, "seed": 4, "quantize": True}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        before = set(threading.enumerate())
+        generate(PhantomSpec.from_dict(spec))
+        assert set(threading.enumerate()) == before
+        assert main(["synth", str(spec_path), "--output", str(tmp_path / "vol.qvol")]) == EXIT_OK
+        assert set(threading.enumerate()) == before
+
+    def test_exception_on_a_worker_propagates(self, monkeypatch):
+        monkeypatch.setattr(_threads, "WIDTH", 3)
+        hypot, callers = np.hypot, []
+
+        def hypot_failing_off_main(*args, **kwargs):
+            callers.append(threading.current_thread())
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("hypot failed")
+            return hypot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "hypot", hypot_failing_off_main)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="hypot failed"):
+            generate(PhantomSpec(width=8, height=8, n_slices=6, sigma=5.0, seed=1))
+        assert set(threading.enumerate()) == before
+        assert len(callers) == 3 and callers.count(threading.main_thread()) == 1
+
+    def test_exception_on_the_worker_beside_the_draw_propagates(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("offset failed")
+
+        monkeypatch.setattr(phantom_module, "_offset", fail)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="offset failed"):
+            generate(PhantomSpec(width=8, height=8, n_slices=6, sigma=5.0, seed=1))
+        assert set(threading.enumerate()) == before
 
 
 class TestQuantize:

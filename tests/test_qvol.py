@@ -60,9 +60,10 @@ class TestContainerRoundTrip:
         vol = volume_from(np.array([[[0.5]]]))
         with pytest.raises(ValueError, match="integral"):
             write_container(tmp_path / "x.qvol", vol, dtype="u16")
-        big = volume_from(np.array([[[70000.0]]]))
-        with pytest.raises(ValueError):
-            write_container(tmp_path / "y.qvol", big, dtype="u16")
+        for beyond in (65535.5, 65536.0, 70000.0):
+            with pytest.raises(ValueError, match=r"integral pixel values in \[0, 65535\]"):
+                write_container(tmp_path / "y.qvol", volume_from(np.array([[[1.0, beyond]]])), dtype="u16")
+        assert not list(tmp_path.iterdir())
 
 
 class TestContainerErrors:
