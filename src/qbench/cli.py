@@ -167,7 +167,7 @@ def _cmd_synth(args) -> int:
     volume = generate(spec)
     try:
         write_container(args.output, volume, dtype="u16" if spec.quantize else "f32")
-    except ValueError as exc:  # a quantized pixel beyond the u16 range
+    except ValueError as exc:  # a pixel beyond the container dtype's range
         raise _UsageError(f"{args.spec}: {exc}") from exc
     return EXIT_OK
 
@@ -181,7 +181,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"qbench: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (VolumeFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except VolumeFormatError as exc:
         print(f"qbench: cannot load input: {exc}", file=sys.stderr)
         return EXIT_LOAD
     except OSError as exc:

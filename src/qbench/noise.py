@@ -184,19 +184,22 @@ class _VolumeScan:
       O(slices x levels) whatever the voxel count. The histogram is counted
       one slice at a time, straight from the integer rows;
     * sorted: any other volume, float data included, even when its values
-      happen to be integers. Each slice is sorted once (one in-place
-      ``sort(axis=1)``, in float32 for a float32 volume, else in float64)
+      happen to be integers. The scan holds a copy of the volume, float32
+      for a float32 volume, else float64, with each slice sorted in place,
       and column k covers its k smallest values, so ``count`` is just k; a
       lookup binary-searches the sorted slices, a float32 one with every t
       rounded down to float32.
       ``sum1`` and ``sum2`` are the real and imaginary parts of one complex
       table, built by one ``cumsum``: complex addition adds the two parts
       apart, in the same order, so each part equals the real ``cumsum`` of
-      the values or of their squares bit for bit.
+      the values or of their squares bit for bit. The sorted copy and this
+      table are the scan's memory.
 
-    Every query reads the tables through one lookup, t-major with each t's
-    slices contiguous, so both layouts and any set of ts sum a t's slices in
-    the same order, and give the same values bit for bit.
+    The scan answers three queries: :meth:`curve_and_count` for a set of
+    ts, and :meth:`positive_sigmas` and :meth:`mean_above` at the chosen t.
+    Each reads the tables through one lookup, t-major with each t's slices
+    contiguous, so both layouts and any set of ts sum a t's slices in the
+    same order, and give the same values bit for bit.
 
     This is the histogram view of the background noise of Sijbers et al.,
     "Automatic estimation of the noise variance from the histogram of a
@@ -242,17 +245,14 @@ class _VolumeScan:
 
     def _build_sorted(self, flat: np.ndarray) -> None:
         n, m = flat.shape
+        # Every entry past column 0 is written below, so the table is not
+        # zeroed. It is allocated before the sorted copy: the other way round,
+        # with glibc's heap never trimmed (bench/run.py PINNED_ENV), the peak
+        # RSS of estimates on 128x128x60 f32 volumes rose from 68.4 to 78.7 MB.
+        sums = np.empty((n, m + 1), np.complex128)
         # float32 values sort as they are, anything else as float64; each is
         # widened exactly, so the sums are those of the volume's float64 copy
-        dtype = np.dtype(np.float32 if flat.dtype == np.float32 else np.float64)
-        # the sums table and the sorted values share one allocation: as two,
-        # they fragmented a heap that glibc does not trim, and the peak RSS of
-        # a curve over 128x128x60 volumes rose by a tenth
-        table = 16 * n * (m + 1)
-        buf = np.empty(table + dtype.itemsize * n * m, dtype=np.uint8)
-        sums = buf[:table].view(np.complex128).reshape(n, m + 1)
-        self._sorted = buf[table:].view(dtype).reshape(n, m)
-        self._sorted[...] = flat
+        self._sorted = flat.astype(np.float32 if flat.dtype == np.float32 else np.float64)
         # row by row, in place, so that no sort temporary reaches the table's size
         for row in self._sorted:
             row.sort()
@@ -296,16 +296,6 @@ class _VolumeScan:
         key = self._columns(ts)
         return [table.T[key] for table in tables]
 
-    def _positives(self, count: np.ndarray) -> np.ndarray:
-        """Per t, the positive pixels of a looked-up ``count``, which this consumes."""
-        count -= self._zeros
-        return count.sum(axis=1)
-
-    def positive_count(self, ts: np.ndarray) -> np.ndarray:
-        """Number of positive pixels <= t in the whole volume, for every t in ts."""
-        [count] = self._lookup(ts, self._count)
-        return self._positives(count)
-
     def _stds(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
         """Population stds of looked-up sums, computed in place: s2/n - (s1/n)**2,
         floored at 0, then the root. The lookup's copies are consumed, so a
@@ -318,16 +308,15 @@ class _VolumeScan:
         np.maximum(s2, 0.0, out=s2)
         return np.sqrt(s2, out=s2)
 
-    def slice_stds(self, ts: np.ndarray) -> np.ndarray:
-        """Population std per (t, slice) over all pixels, zeros included."""
-        return self._stds(*self._lookup(ts, self._sum1, self._sum2))
-
     def curve_and_count(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Variance-of-stds, mean-of-stds and :meth:`positive_count` of every t
-        in ts, from one lookup; a t gives the same three values in any call.
-        The probe ladder is evaluated in one call, and so is the grid."""
+        """Per t in ts, from one lookup: the variance over slices of the
+        population stds (all pixels, zeros included), their mean, and the
+        number of positive pixels <= t in the whole volume. A t gives the
+        same three values in any call. The probe ladder is evaluated in one
+        call, and so is the grid."""
         count, s1, s2 = self._lookup(ts, self._count, self._sum1, self._sum2)
-        positives = self._positives(count)
+        count -= self._zeros
+        positives = count.sum(axis=1)
         stds = self._stds(s1, s2)
         mean_sigma = stds.mean(axis=1)
         stds -= mean_sigma[:, None]

@@ -35,7 +35,6 @@ __all__ = [
     "VolumeFormatError",
     "write_container",
     "write_bytes_atomic",
-    "pgm_slice_paths",
     "read_input",
     "load_volume",
 ]
@@ -124,7 +123,8 @@ def write_container(path, volume: Volume, dtype: str = "f32") -> None:
     """Write a QVOL1 container atomically (temp file + rename).
 
     dtype 'u16' requires every pixel to be an integer in [0, 65535]; 'f32'
-    stores the values rounded to single precision.
+    stores the values rounded to single precision, and requires each to
+    round to a finite one (at most about 3.4028235e38).
     """
     path = Path(path)
     if dtype not in _DTYPES:
@@ -137,7 +137,11 @@ def write_container(path, volume: Volume, dtype: str = "f32") -> None:
             raise ValueError("u16 container requires integral pixel values in [0, 65535]")
         payload = samples.tobytes()
     else:
-        payload = data.astype("<f4").tobytes()
+        try:
+            with np.errstate(over="raise"):
+                payload = data.astype("<f4").tobytes()
+        except FloatingPointError:
+            raise ValueError("f32 container requires pixel values within the float32 range") from None
     n, h, w = volume.shape
     header = "{} dims={},{},{} voxel_size_mm={} dtype={} byteorder=le\n".format(
         _MAGIC, w, h, n, ",".join(_format_float(v) for v in volume.voxel_size), dtype
@@ -183,7 +187,7 @@ def _read_pgm(path: Path, raw: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype=sample).reshape(height, width)
 
 
-def pgm_slice_paths(directory) -> list[Path]:
+def _pgm_slice_paths(directory) -> list[Path]:
     """The slice files of a PGM stack, in load order: every ``*.pgm`` file
     (suffix matched case-insensitively), sorted by name."""
     return sorted(p for p in Path(directory).iterdir() if p.is_file() and p.suffix.lower() == ".pgm")
@@ -208,7 +212,7 @@ def read_input(path) -> list[tuple[Path, bytes]]:
     load order."""
     path = Path(path)
     if path.is_dir():
-        paths = pgm_slice_paths(path)
+        paths = _pgm_slice_paths(path)
         if not paths:
             raise VolumeFormatError(f"{path}: no .pgm files found")
     elif path.exists():

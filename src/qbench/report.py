@@ -153,22 +153,14 @@ def build_report(
     }
     if curve is not None:
         report["resolution_curve"] = {
-            "points": [
-                {"resolution_mm": p.resolution_mm, "noise": p.noise, "snr": p.snr} for p in curve.points
-            ],
+            "points": [asdict(p) for p in curve.points],
             "gradient_m": curve.gradient_m,
             "y0": curve.y0,
             "residual": curve.residual,
             "failures": [{"factor": f, "reason": reason} for f, reason in curve.failures],
         }
     if score is not None:
-        report["quality_score"] = {
-            "snr_measured": score.snr_measured,
-            "resolution_mm": score.resolution_mm,
-            "reference_resolution_mm": score.reference_resolution_mm,
-            "exponent_m": score.exponent_m,
-            "snr_normalized": score.snr_normalized,
-        }
+        report["quality_score"] = asdict(score)
     return report
 
 

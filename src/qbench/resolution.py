@@ -143,8 +143,8 @@ def downsample(volume: Volume, factor: float) -> Volume:
     into row bands (:func:`_bands`), and each band is one matrix product
     over the band's window of source samples only: the filter's support, not
     the zeros around it. Axes of equal length share one set of bands, and
-    so do later calls on the same axis lengths and factor. All
-    products write into one scratch allocation; the result is clamped in
+    so do later calls on the same axis lengths and factor. Each axis's
+    products write into one array of their own; the last is clamped in
     place, so ``Volume`` makes the one copy after the last product.
     """
     factor = float(factor)
@@ -156,14 +156,9 @@ def downsample(volume: Volume, factor: float) -> Volume:
         if out_dim < 1:
             raise ValueError(f"factor {factor} collapses axis {axis} (size {dim}) to zero")
     b0, b1, b2 = (_axis_bands(dim, out_dim, factor) for dim, out_dim in zip(volume.shape, out))
-    # the three products share one allocation: as three arrays they fragmented
-    # a heap that glibc does not trim, and the peak RSS of a curve over
-    # 128x128x60 volumes rose by up to a tenth, by where the pieces landed
-    s0, s1 = m0 * n1 * n2, m0 * m1 * n2
-    scratch = np.empty(s0 + s1 + m0 * m1 * m2)
-    a0 = scratch[:s0].reshape(m0, n1 * n2)
-    a1 = scratch[s0 : s0 + s1].reshape(m0, m1, n2)
-    data = scratch[s0 + s1 :].reshape(m0 * m1, m2)
+    a0 = np.empty((m0, n1 * n2))
+    a1 = np.empty((m0, m1, n2))
+    data = np.empty((m0 * m1, m2))
     x = volume.data.reshape(n0, n1 * n2).astype(np.float64, copy=False)
     for rows, cols, w in b0:
         np.matmul(w, x[cols], out=a0[rows])

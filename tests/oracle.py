@@ -69,8 +69,8 @@ def is_saturated(scan, ts, epsilon):
     """Per t: at least _SATURATION_FLOOR of all pixels are positive and <= t,
     and the positive pixels in (t, t + epsilon] fit the stray budget; both
     counts are looked up in the scan."""
-    retained = scan.positive_count(ts)
-    gained = scan.positive_count(ts + epsilon) - retained
+    retained = scan.curve_and_count(ts)[2]
+    gained = scan.curve_and_count(ts + epsilon)[2] - retained
     return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
 
 
@@ -79,8 +79,8 @@ def background_covered(scan, ts, lower):
     and the positive pixels in (lower, t] fit the stray budget, ``lower``
     being the threshold an epsilon step below each t; both counts are looked
     up in the scan."""
-    retained = scan.positive_count(ts)
-    gained = retained - scan.positive_count(lower)
+    retained = scan.curve_and_count(ts)[2]
+    gained = retained - scan.curve_and_count(lower)[2]
     return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
 
 

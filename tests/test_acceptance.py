@@ -238,11 +238,12 @@ def test_criterion_7_property_suites(tmp_path):
     rng = np.random.default_rng(6006)
     arr = rng.random((1, 16, 16)) * 300
     scan = _VolumeScan(Volume.from_array(arr))
-    counts = scan.positive_count(np.array([0.0, 50.0, 120.0, 300.0])).tolist()
+    counts = scan.curve_and_count(np.array([0.0, 50.0, 120.0, 300.0]))[2].tolist()
     once = _VolumeScan(Volume.from_array(np.where(arr <= 90.0, arr, 0.0)))
     at_90 = np.array([90.0])
+    # one slice: the mean of the slice stds is that slice's std
     checks["threshold monotone+idempotent"] = counts == sorted(counts) and np.array_equal(
-        once.slice_stds(at_90), scan.slice_stds(at_90)
+        once.curve_and_count(at_90)[1], scan.curve_and_count(at_90)[1]
     )
 
     # scale equivariance of sigma and t_opt

@@ -2,6 +2,7 @@ import hashlib
 import json
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,17 @@ class TestSynth:
         assert err.startswith(f"qbench: {spec_path}: ") and err.count("\n") == 1 and "65535" in err
         assert list(tmp_path.iterdir()) == [spec_path]
 
+    def test_pixel_beyond_float32_is_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path, background_value=1e39, quantize=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["synth", str(spec_path), "--output", str(tmp_path / "vol.qvol")]) == EXIT_USAGE
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err == f"qbench: {spec_path}: f32 container requires pixel values within the float32 range\n"
+        assert list(tmp_path.iterdir()) == [spec_path]
+
     @pytest.mark.parametrize(
         "field, value",
         [("voxel_size_mm", [float("nan"), 1.0, 1.0]), ("sigma", float("nan")), ("background_value", float("inf"))],
@@ -129,6 +141,36 @@ class TestSynth:
 
     def test_missing_spec_file_is_load_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "none.json"), "--output", str(tmp_path / "x.qvol")]) == EXIT_LOAD
+
+
+def unwritable_outputs(tmp_path):
+    """An output in a directory that does not exist, and one that is an existing directory."""
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    return [tmp_path / "missing" / "r.json", taken]
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is an I/O error, not a load error,
+    and leaves no temp file beside the target."""
+
+    def assert_io_error(self, argv, tmp_path, capsys, before):
+        assert main(argv) == EXIT_LOAD
+        assert capsys.readouterr().err.startswith("qbench: I/O error: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", [["estimate"], ["curve", "--factors", "1,2"]])
+    def test_estimate_and_curve(self, disk_container, tmp_path, capsys, command):
+        for out in unwritable_outputs(tmp_path):
+            before = sorted(tmp_path.rglob("*"))
+            self.assert_io_error([command[0], str(disk_container), *command[1:], "--output", str(out)], tmp_path, capsys, before)
+
+    def test_synth(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path)
+        for out in unwritable_outputs(tmp_path):
+            before = sorted(tmp_path.rglob("*"))
+            self.assert_io_error(["synth", str(spec_path), "--output", str(out)], tmp_path, capsys, before)
 
 
 class TestEstimate:

@@ -29,44 +29,47 @@ class TestApplyThreshold:
     def test_threshold_at_max_is_identity(self):
         rng = np.random.default_rng(0)
         vol = volume_from(rng.random((1, 5, 5)) * 80)
-        scan = _VolumeScan(vol)
-        [[std]] = scan.slice_stds(np.array([vol.intensity_max]))
+        # one slice: the mean of the slice stds is that slice's std
+        _, [std], [count] = _VolumeScan(vol).curve_and_count(np.array([vol.intensity_max]))
         assert std == pytest.approx(vol.data.std(), rel=1e-12)
-        assert scan.positive_count(np.array([vol.intensity_max]))[0] == np.count_nonzero(vol.data)
+        assert count == np.count_nonzero(vol.data)
 
     def test_zero_threshold_clears_positives(self):
         scan = scan_of([0.0, 3.0, 7.5])
-        ts = np.zeros(1)
-        assert scan.positive_count(ts)[0] == 0
-        assert scan.slice_stds(ts)[0, 0] == 0.0
+        _, [std], [count] = scan.curve_and_count(np.zeros(1))
+        assert count == 0
+        assert std == 0.0
         assert scan.positive_sigmas(0.0, CORRECTION_FACTOR) == [None]
 
     def test_hand_example(self):
         # 400 lies above t = 100: the slice reads [50, 0, 90]
         scan = scan_of([50.0, 400.0, 90.0])
-        assert scan.positive_count(np.array([100.0]))[0] == 2
-        assert scan.slice_stds(np.array([100.0]))[0, 0] == pytest.approx(np.std([50.0, 0.0, 90.0]))
+        _, [std], [count] = scan.curve_and_count(np.array([100.0]))
+        assert count == 2
+        assert std == pytest.approx(np.std([50.0, 0.0, 90.0]))
 
     def test_retained_values_bounded(self):
         rng = np.random.default_rng(1)
         vol = volume_from(rng.random((1, 4, 4)) * 200)
         kept = vol.data[vol.data <= 60.0]
         scan = _VolumeScan(vol)
-        assert scan.positive_count(np.array([60.0]))[0] == kept.size
+        assert scan.curve_and_count(np.array([60.0]))[2][0] == kept.size
         assert scan.positive_sigmas(60.0, 1.0) == [pytest.approx(kept.std())]
 
     def test_idempotent(self):
-        # the scan of the volume thresholded at t reads the same stds at t
+        # the scan of the volume thresholded at t reads the same variance,
+        # mean std and positive count at t
         rng = np.random.default_rng(2)
         vol = volume_from(rng.random((3, 6, 6)) * 10)
         once = volume_from(np.where(vol.data <= 4.0, vol.data, 0.0))
         ts = np.array([4.0])
-        assert np.array_equal(_VolumeScan(once).slice_stds(ts), _VolumeScan(vol).slice_stds(ts))
+        for a, b in zip(_VolumeScan(once).curve_and_count(ts), _VolumeScan(vol).curve_and_count(ts)):
+            assert np.array_equal(a, b)
 
     def test_positive_count_monotone_in_t(self):
         rng = np.random.default_rng(3)
         scan = _VolumeScan(volume_from(rng.random((1, 8, 8)) * 100))
-        counts = scan.positive_count(np.array([0.0, 10.0, 25.0, 50.0, 100.0])).tolist()
+        counts = scan.curve_and_count(np.array([0.0, 10.0, 25.0, 50.0, 100.0]))[2].tolist()
         assert counts == sorted(counts)
 
 
@@ -138,6 +141,25 @@ class TestHomogeneityVariance:
         [var], [mean_sigma] = scan_of([0.0, 2.0], [0.0, 6.0]).curve_and_count(np.array([6.0]))[:2]
         assert var == pytest.approx(1.0)
         assert mean_sigma == pytest.approx(2.0)
+
+
+class TestScanMemory:
+    def test_sorted_layout_peaks_at_the_sorted_copy_and_the_table(self):
+        """Building the scan of a float32 60x128x128 volume peaks within 5 % of
+        what the scan keeps, the float32 sorted copy and the complex sums
+        table (tracemalloc): no full-size temporary, such as a 2-D sort's or a
+        squares array, comes on top."""
+        rng = np.random.default_rng(4)
+        volume = Volume.from_array(rng.random((60, 128, 128), dtype=np.float32) * 1000)
+        tracemalloc.start()
+        try:
+            scan = _VolumeScan(volume)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = scan._sorted.nbytes + np.dtype(np.complex128).itemsize * 60 * (128 * 128 + 1)
+        assert scan._sorted.dtype == np.float32
+        assert kept <= peak <= 1.05 * kept
 
 
 class TestBackgroundRoiNoise:

@@ -65,6 +65,16 @@ class TestContainerRoundTrip:
                 write_container(tmp_path / "y.qvol", volume_from(np.array([[[1.0, beyond]]])), dtype="u16")
         assert not list(tmp_path.iterdir())
 
+    def test_f32_requires_values_within_the_float32_range(self, tmp_path):
+        # 3.4028235e38 lies above the float32 maximum but rounds down to it;
+        # 2**128 - 2**103, halfway to the next power of two, rounds to infinity
+        path = tmp_path / "max.qvol"
+        write_container(path, volume_from(np.array([[[1.0, 3.4028235e38]]])), dtype="f32")
+        assert load_volume(path).data[0, 0, 1] == np.finfo(np.float32).max
+        with pytest.raises(ValueError, match="f32 container requires pixel values within the float32 range"):
+            write_container(tmp_path / "inf.qvol", volume_from(np.array([[[1.0, 2.0**128 - 2.0**103]]])), dtype="f32")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["max.qvol"]
+
 
 class TestContainerErrors:
     def good_bytes(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,25 @@ class TestLanczosKernel:
 
 
 class TestDownsample:
+    def test_peak_is_the_widening_the_three_products_and_the_copy(self):
+        """One downsample of a float32 60x128x128 volume peaks within 5 % of
+        its float64 widening, the three axis products and the ``Volume`` copy
+        of the last (tracemalloc): no full-size temporary comes on top."""
+        rng = np.random.default_rng(5)
+        volume = Volume.from_array(rng.random((60, 128, 128), dtype=np.float32) * 1000)
+        downsample(volume, 1.5)  # the bands are cached from here on
+        tracemalloc.start()
+        try:
+            out = downsample(volume, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m0, m1, m2 = out.shape
+        products = m0 * 128 * 128 + m0 * m1 * 128 + m0 * m1 * m2
+        expected = 8 * (volume.data.size + products) + out.data.nbytes
+        assert out.data.dtype == np.float64
+        assert expected <= peak <= 1.05 * expected
+
     def test_identity_factor(self, disk_volume):
         out = downsample(disk_volume, 1.0)
         assert out.shape == disk_volume.shape

@@ -77,9 +77,8 @@ def test_scan_matches_per_slice_reference(volume):
     scale = max(volume.intensity_max, 1.0)
 
     counts = [int(((volume.data > 0) & (volume.data <= t)).sum()) for t in ts]
-    assert scan.positive_count(ts).tolist() == counts
-
-    variances, means, _ = scan.curve_and_count(ts)
+    variances, means, positives = scan.curve_and_count(ts)
+    assert positives.tolist() == counts
     for t, var, mean in zip(ts, variances, means):
         ref_var, ref_mean = homogeneity_variance(volume, t)
         assert mean == pytest.approx(ref_mean, rel=REL_TOL, abs=REL_TOL * scale)
@@ -132,7 +131,6 @@ def test_histogram_layout_equals_sorted_layout(volume):
     tables = [scan._lookup(ts, scan._count, scan._sum1, scan._sum2) for scan in (hist, srt)]
     for a, b in zip(*tables):
         assert np.array_equal(a, b)
-    assert np.array_equal(hist.positive_count(ts), srt.positive_count(ts))
     for a, b in zip(hist.curve_and_count(ts), srt.curve_and_count(ts)):
         assert np.array_equal(a, b)
     t = float(ts[len(ts) // 2])
@@ -329,7 +327,7 @@ def test_every_threshold_is_a_lattice_point(volume, cfg):
         assert np.array_equal(ts, grid[-ts.size :])
         on = ts[:-1] if stop * q > scan.t_max else ts  # t_max off the lattice has no flag
         down = np.maximum(np.rint(on / q).astype(int) - eps, 0)
-        assert np.array_equal(counts[down - first], scan.positive_count(down * q))
+        assert np.array_equal(counts[down - first], _VolumeScan.curve_and_count(scan, down * q)[2])
         assert np.array_equal(flags[-1][: on.size], background_covered(scan, on, down * q))
 
 

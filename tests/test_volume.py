@@ -18,14 +18,15 @@ def scan_of(values, shape=None):
 
 
 def stats_all(scan, t=np.inf):
-    """Population std of the one slice at t over all its pixels, zeros included."""
-    return float(scan.slice_stds(np.array([t]))[0, 0])
+    """Population std of the one slice at t over all its pixels, zeros
+    included: with one slice, the mean of the slice stds."""
+    return float(scan.curve_and_count(np.array([t]))[1][0])
 
 
 def stats_positive(scan, t=np.inf):
     """Count and population std of the one slice's positive pixels <= t (std None when there is none)."""
     [std] = scan.positive_sigmas(t, 1.0)
-    return int(scan.positive_count(np.array([t]))[0]), std
+    return int(scan.curve_and_count(np.array([t]))[2][0]), std
 
 
 class TestSliceAndVolume:
