@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .noise import EstimationError, SearchConfig, estimate
 from .phantom import PhantomSpec, generate
-from .qvol import VolumeFormatError, load_volume, read_input, write_container
+from .qvol import VolumeFormatError, check_writable, load_volume, read_input, write_container
 from .report import build_report, curve_csv, input_digest, report_json, write_text_atomic
 from .resolution import (
     DEFAULT_EXPONENT,
@@ -54,7 +54,7 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     cfg = SearchConfig  # the defaults are the config's own
     parser.add_argument("--t-start", type=float, default=cfg.t_start, help="first probed threshold (12-bit intensity units, snapped to whole grid steps)")
     parser.add_argument("--epsilon", type=float, default=cfg.epsilon, help="probe step of the walk that finds t_lower (12-bit intensity units, whole grid steps, at least one)")
-    parser.add_argument("--grid-step", type=float, default=cfg.grid_step, help="threshold lattice step (12-bit intensity units; times intensity_max/4095 above 4095); at most 2**22 steps up to the maximum times slices")
+    parser.add_argument("--grid-step", type=float, default=cfg.grid_step, help="threshold lattice step (12-bit intensity units; times intensity_max/4095 above 4095); at most 2**22 steps up to the maximum times slices, where a search takes about 105 MB on 64 or more slices and up to 460 MB on one")
     parser.add_argument("--correction-factor", type=float, default=cfg.correction_factor, help="background-std to sigma multiplier")
 
 
@@ -112,14 +112,18 @@ def _load(path: str, files: list[tuple[Path, bytes]]) -> tuple[Volume, str, list
 def _cmd_analyze(args) -> int:
     """``estimate`` and ``curve``: one analysis, in which the resolution curve
     and its CSV sidecar are the only extras of ``curve``. Every flag is
-    checked, by the module that owns its contract, before the input is
-    loaded."""
+    checked, by the module that owns its contract, and every output path
+    is checked for writing, before the input is loaded."""
     try:
         cfg = _config_from(args)
         check_quality_params(args.exponent_m, args.ref_resolution, ("--exponent-m", "--ref-resolution"))
         factors = _parse_factors(args.factors) if args.command == "curve" else None
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    if args.output:
+        check_writable(args.output)
+    if factors is not None:
+        check_writable(Path(args.output).with_suffix(".csv"))
     files = read_input(args.input)
     # the hash starts before the parse and runs while the bytes are parsed and
     # analysed; leaving the block joins the hashing thread, on every exit path.
@@ -164,6 +168,7 @@ def _cmd_synth(args) -> int:
         spec = PhantomSpec.from_dict(spec_data)
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"{args.spec}: invalid phantom spec: {exc}") from exc
+    check_writable(args.output)
     volume = generate(spec)
     try:
         write_container(args.output, volume, dtype="u16" if spec.quantize else "f32")

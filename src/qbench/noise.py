@@ -13,9 +13,12 @@ Noise is then the correction-factor-scaled std of the positive pixels of the
 thresholded slices, averaged over slices; signal is the mean of the original
 pixels above the threshold.
 
-A volume holds u8, u16, float32 or float64 samples (see ``volume``); every
-statistic is computed in float64 and is the same for u8, u16 or float32
-data as for its float64 copy, bit for bit.
+A volume holds u8, u16, float32 or float64 samples (see ``volume``). Every
+threshold the search reads is a point of one lattice, and every statistic
+at a threshold is read from one scan of the volume: per-slice tables of its
+pixels binned on that lattice (see _VolumeScan), built the same way for
+every dtype. Every statistic is computed in float64 and is the same for u8,
+u16 or float32 data as for its float64 copy, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,12 +56,17 @@ CORRECTION_FACTOR_ANALYTIC = 1.0 / math.sqrt(2.0 - math.pi / 2.0)
 _TWELVE_BIT_MAX = 4095.0
 
 # Most lattice steps up to t_max times slices a search may take (see
-# _lattice): the grid lookup gathers one table entry per step and slice, so
-# this bounds its memory. At the cap one search on the sorted layout peaks
-# near 120 MB from 4 to 1024 slices and near 325 MB on one (tracemalloc). A
-# default search takes at most 4096 steps at any intensity, so up to 1024
-# slices only a smaller grid_step reaches the cap.
+# _lattice): the scan keeps three float64 table entries per step and slice,
+# 24 bytes, so this bounds its memory. At the cap one search, the scan's
+# build included, peaks near 105 MB from 64 to 1024 slices, 122 MB on 16,
+# 190 MB on 4 and 460 MB on one, where the grid's per-step arrays, about 85
+# bytes a step, add the most (tracemalloc). A default search takes at most
+# 4096 steps at any intensity, so up to 1024 slices only a smaller grid_step
+# reaches the cap.
 _MAX_STEP_SLICES = 2**22
+# (index, slice) entries that one block of curve_and_count takes from the
+# tables: a grid at the cap copies 1.5 MB of them at a time, not 100 MB.
+_BLOCK = 2**16
 
 # Robustness constants for the descent detection in find_t_lower, frozen from
 # a tuning corpus of seeded synthetic volumes (disjoint from the test seeds).
@@ -167,139 +175,80 @@ class NoiseEstimate:
 
 
 class _VolumeScan:
-    """Cumulative count, sum and sum of squares of each slice's values, by threshold.
+    """Cumulative count, sum and sum of squares of each slice's pixels, by lattice index.
 
-    Thresholding at t keeps each slice's values <= t, so every per-slice
-    statistic at any t is a lookup in three cumulative tables, ``count``,
-    ``sum1`` and ``sum2``, of shape (n_slices, columns). The layout is chosen
-    from the volume's dtype and size alone, and decides only how the tables
-    are built and which column a t reads:
+    Thresholding at t keeps each slice's pixels <= t, and every threshold a
+    search reads is a point n * q of its lattice (see _lattice) or t_max.
+    So the scan bins each slice's pixels on the lattice, bin n holding
+    (n - 1) * q < x <= n * q (see _lattice_index): bin 0 holds the zeros,
+    and bin ``stop`` reaches t_max. Per bin it takes the count, the sum and
+    the sum of squares, in float64, and their cumulative sums over the bins
+    are three tables of shape (n_slices, stop + 1), stacked in ``_tables``:
+    column n holds the statistics of each slice's pixels <= n * q, and
+    column ``stop`` those of all its pixels, which is where t_max reads.
 
-    * histogram: the volume holds unsigned integers (u8 or u16), every
-      prefix sum is exact in float64 (pixels_per_slice * t_max**2 < 2**53)
-      and the tables are no larger than the volume. Column L then covers the
-      values <= L, so a lookup at t reads column floor(t) of every slice.
-      Each sum is an integer below 2**53, so the tables equal the sorted
-      prefix sums below bit for bit, and the whole curve costs
-      O(slices x levels) whatever the voxel count. The histogram is counted
-      one slice at a time, straight from the integer rows;
-    * sorted: any other volume, float data included, even when its values
-      happen to be integers. The scan holds a copy of the volume, float32
-      for a float32 volume, else float64, with each slice sorted in place,
-      and column k covers its k smallest values, so ``count`` is just k; a
-      lookup binary-searches the sorted slices, a float32 one with every t
-      rounded down to float32.
-      ``sum1`` and ``sum2`` are the real and imaginary parts of one complex
-      table, built by one ``cumsum``: complex addition adds the two parts
-      apart, in the same order, so each part equals the real ``cumsum`` of
-      the values or of their squares bit for bit. The sorted copy and this
-      table are the scan's memory.
+    An integer (u8 or u16) row counts its levels with one ``bincount`` and
+    folds those counts into the levels' bins (at q = 1, level L is bin L);
+    any other row bins each pixel and fills the sums with weighted
+    ``bincount`` calls. On integer data every sum is an integer, exact while
+    a slice's sum of squares stays below 2**53 (up to about two million u16
+    pixels a slice), so a u8 or u16 volume gives the tables of its float64
+    copy bit for bit; a float32 volume's pixels widen exactly and are summed
+    in the same order as its float64 copy's, so it does too.
 
-    The scan answers three queries: :meth:`curve_and_count` for a set of
-    ts, and :meth:`positive_sigmas` and :meth:`mean_above` at the chosen t.
-    Each reads the tables through one lookup, t-major with each t's slices
-    contiguous, so both layouts and any set of ts sum a t's slices in the
-    same order, and give the same values bit for bit.
+    The scan answers three queries by lattice index: :meth:`curve_and_count`
+    for a set of indices, and :meth:`positive_sigmas` and :meth:`mean_above`
+    at the chosen one. Each takes table columns as rows, t-major with each
+    t's slices contiguous, so an index gives the same values alone as inside
+    a grid.
 
     This is the histogram view of the background noise of Sijbers et al.,
     "Automatic estimation of the noise variance from the histogram of a
     magnitude MR image", MRI 25(1), 2007.
     """
 
-    def __init__(self, volume: Volume):
+    def __init__(self, volume: Volume, lattice: _Lattice):
         self.n_slices, h, w = volume.shape
         self.pixels_per_slice = h * w
         self.total_pixels = self.n_slices * self.pixels_per_slice
         self.t_max = volume.intensity_max
-        self._rows = np.arange(self.n_slices)
+        self.lattice = lattice
         self._flat = volume.data.reshape(self.n_slices, self.pixels_per_slice)
-        hist = self._histogram(self._flat)
-        if hist is not None:
-            self._build_histogram(hist)
-        else:
-            self._build_sorted(self._flat)
-        # magnitudes are non-negative, so the values <= 0 are the zeros
-        [self._zeros] = self._lookup(np.zeros(1), self._count)
+        self._integral = self._flat.dtype.kind == "u"
+        if self._integral:
+            self._levels = np.arange(int(self.t_max) + 1, dtype=np.float64)
+            # at q = 1 level L is bin L, and the fold is the identity
+            self._level_bins = None if lattice.step == 1.0 else _lattice_index(self._levels, lattice.step)
+        self._tables = np.empty((3, self.n_slices, lattice.stop + 1))
+        for j, row in enumerate(self._flat):
+            for table, sums in zip(self._tables, self._bin_sums(row)):
+                table[j] = sums
+        np.cumsum(self._tables, axis=2, out=self._tables)
+        # magnitudes are non-negative, so bin 0 holds the zeros
+        self._zeros = self._tables[0, :, 0]
         n_zeros = int(self._zeros.sum())
         self.positive_pixels = self.total_pixels - n_zeros
         self.zero_fraction = n_zeros / self.total_pixels
 
-    def _histogram(self, flat: np.ndarray) -> np.ndarray | None:
-        """Per-slice counts of each integer level when the histogram layout applies, else None."""
-        m = self.pixels_per_slice
-        if flat.dtype.kind != "u" or not (m * self.t_max**2 < 2.0**53 and self.t_max + 1 <= m):
-            return None
-        width = int(self.t_max) + 1
-        hist = np.empty((self.n_slices, width), dtype=np.intp)
-        # slice by slice, so the levels never take a volume-sized intp copy
-        for j, row in enumerate(flat):
-            hist[j] = np.bincount(row, minlength=width)
-        return hist
-
-    def _build_histogram(self, hist: np.ndarray) -> None:
-        values = np.arange(hist.shape[1], dtype=np.float64)
-        self._sorted = None
-        self._count = np.cumsum(hist, axis=1)
-        self._sum1 = np.cumsum(hist * values, axis=1)
-        self._sum2 = np.cumsum(hist * (values * values), axis=1)
-
-    def _build_sorted(self, flat: np.ndarray) -> None:
-        n, m = flat.shape
-        # Every entry past column 0 is written below, so the table is not
-        # zeroed. It is allocated before the sorted copy: the other way round,
-        # with glibc's heap never trimmed (bench/run.py PINNED_ENV), the peak
-        # RSS of estimates on 128x128x60 f32 volumes rose from 68.4 to 78.7 MB.
-        sums = np.empty((n, m + 1), np.complex128)
-        # float32 values sort as they are, anything else as float64; each is
-        # widened exactly, so the sums are those of the volume's float64 copy
-        self._sorted = flat.astype(np.float32 if flat.dtype == np.float32 else np.float64)
-        # row by row, in place, so that no sort temporary reaches the table's size
-        for row in self._sorted:
-            row.sort()
-        # a view: column k of every slice holds k values
-        self._count = np.broadcast_to(np.arange(m + 1), (n, m + 1))
-        # values in the real part, squares in the imaginary part, both prefix
-        # sums in one pass; 0.0 + x is x, so the leading zero column changes no
-        # sum. The squares are of the float64 values: a float32 product rounds.
-        sums[:, 0] = 0.0
-        values = sums.real[:, 1:]
-        values[...] = self._sorted
-        np.multiply(values, values, out=sums.imag[:, 1:])
-        np.cumsum(sums, axis=1, out=sums)
-        self._sum1, self._sum2 = sums.real, sums.imag
-
-    def _columns(self, ts: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Index of every t into a transposed, (columns, n_slices), table.
-
-        On the histogram layout, the highest level <= t, shape (len(ts),):
-        a row take, several times faster than numpy's general two-array
-        gather. On the sorted one, the count of each slice's values <= t,
-        shape (len(ts), n_slices), paired with the slice index.
-
-        numpy has no batched searchsorted; one call per slice over all of ts
-        costs what any vectorised form would.
-        """
-        if self._sorted is None:
-            return np.clip(np.floor(ts), 0, self._count.shape[1] - 1).astype(np.intp)
-        if self._sorted.dtype != ts.dtype:
-            # the largest float32 <= t: a float32 value is <= t exactly when it
-            # is <= that, and a float32 search does not widen the row per call
-            near = ts.astype(self._sorted.dtype)
-            ts = np.where(near > ts, np.nextafter(near, near.dtype.type(-np.inf)), near)
-        k = np.empty((ts.size, self.n_slices), dtype=np.intp)
-        for j, row in enumerate(self._sorted):
-            k[:, j] = np.searchsorted(row, ts, side="right")
-        return k, self._rows
-
-    def _lookup(self, ts: np.ndarray, *tables: np.ndarray) -> list[np.ndarray]:
-        """Each table at every (t, slice): t-major, each t's slices contiguous."""
-        key = self._columns(ts)
-        return [table.T[key] for table in tables]
+    def _bin_sums(self, row: np.ndarray) -> list[np.ndarray]:
+        """Count, sum and sum of squares of one slice's pixels in each lattice bin."""
+        if row.dtype.kind == "u":
+            count = np.bincount(row, minlength=self._levels.size)
+            values, bins = self._levels, self._level_bins
+            first = count * values
+        else:
+            # each pixel is its own bin entry, of weight one
+            count, values = None, row.astype(np.float64)
+            bins = _lattice_index(values, self.lattice.step)
+            first = values
+        sums = [count, first, values * first]
+        if bins is None:
+            return sums
+        return [np.bincount(bins, w, self.lattice.stop + 1) for w in sums]
 
     def _stds(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-        """Population stds of looked-up sums, computed in place: s2/n - (s1/n)**2,
-        floored at 0, then the root. The lookup's copies are consumed, so a
-        grid at the step cap holds no table-sized temporary beyond them."""
+        """Population stds of taken sums, computed in place: s2/n - (s1/n)**2,
+        floored at 0, then the root."""
         n = self.pixels_per_slice
         s1 /= n
         s1 *= s1
@@ -308,13 +257,24 @@ class _VolumeScan:
         np.maximum(s2, 0.0, out=s2)
         return np.sqrt(s2, out=s2)
 
-    def curve_and_count(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per t in ts, from one lookup: the variance over slices of the
+    def curve_and_count(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per lattice index in ns: the variance over slices of the
         population stds (all pixels, zeros included), their mean, and the
-        number of positive pixels <= t in the whole volume. A t gives the
-        same three values in any call. The probe ladder is evaluated in one
-        call, and so is the grid."""
-        count, s1, s2 = self._lookup(ts, self._count, self._sum1, self._sum2)
+        number of positive pixels up to that threshold in the whole volume.
+        The probe ladder is evaluated in one call, and so is the grid. The
+        indices are taken in blocks of about _BLOCK (index, slice) entries,
+        so a grid at the step cap holds no copy the size of the tables; an
+        index gives the same three values in any block of any call."""
+        out = np.empty((3, ns.size))
+        rows = max(1, _BLOCK // self.n_slices)
+        for i in range(0, ns.size, rows):
+            out[:, i : i + rows] = self._curve(ns[i : i + rows])
+        return out[0], out[1], out[2]
+
+    def _curve(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``curve_and_count`` of one block, from one row take of each table:
+        t-major, each t's slices contiguous."""
+        count, s1, s2 = [table.T[ns] for table in self._tables]
         count -= self._zeros
         positives = count.sum(axis=1)
         stds = self._stds(s1, s2)
@@ -323,32 +283,33 @@ class _VolumeScan:
         stds *= stds
         return stds.mean(axis=1), mean_sigma, positives
 
-    def mean_above(self, t: float) -> float:
-        """Mean of the pixels above t, 0.0 when none is.
+    def mean_above(self, n: int) -> float:
+        """Mean of the pixels above lattice index n, 0.0 when none is.
 
-        On the histogram layout the tables hold integers, so the count and
-        sum above t are exact differences and need no pass over the volume;
-        the sum is taken in Python integers and divided once, the correctly
-        rounded mean. The sorted layout's prefix sums are rounded in sorted
-        order, so there the mean is taken over the pixels themselves.
+        On u8 and u16 data each slice's sum, at most 65535 times its pixel
+        count, is an exact integer in the tables, so the count and sum above
+        are exact differences and need no pass over the volume; the sum is
+        taken in Python integers and divided once, the correctly rounded
+        mean. Float sums are rounded bin by bin, so for them the mean is
+        taken over the pixels themselves.
         """
-        if self._sorted is not None:
-            # a float64 t: a Python float would compare in float32 (NEP 50)
-            above = self._flat[self._flat > np.float64(t)]
+        if not self._integral:
+            # a float64 threshold: a Python float would compare in float32 (NEP 50)
+            above = self._flat[self._flat > np.float64(n * self.lattice.step)]
             return float(above.astype(np.float64, copy=False).mean()) if above.size else 0.0
-        count, s1 = self._lookup(np.array([float(t)]), self._count, self._sum1)
-        n_above = self.total_pixels - int(count.sum())
+        count, s1, _ = self._tables
+        n_above = self.total_pixels - int(count[:, n].sum())
         if n_above == 0:
             return 0.0
-        return sum(map(int, self._sum1[:, -1] - s1[0])) / n_above
+        return sum(map(int, s1[:, -1] - s1[:, n])) / n_above
 
-    def positive_sigmas(self, t: float, f_e: float) -> list[float | None]:
-        """Corrected positive-pixel std per slice at t (None when empty)."""
-        count, s1, s2 = self._lookup(np.array([float(t)]), self._count, self._sum1, self._sum2)
+    def positive_sigmas(self, n: int, f_e: float) -> list[float | None]:
+        """Corrected positive-pixel std per slice at lattice index n (None when empty)."""
+        count, s1, s2 = self._tables[:, :, n]
         out: list[float | None] = []
         # scalar arithmetic on purpose: numpy's scalar ** 2 calls pow(), which
         # can differ in the last bit from the array ** 2 (a product)
-        for kj, a, b in zip(count[0] - self._zeros[0], s1[0], s2[0]):
+        for kj, a, b in zip(count - self._zeros, s1, s2):
             if kj == 0:
                 out.append(None)
             else:
@@ -377,6 +338,17 @@ class _Lattice(NamedTuple):
     stop: int
 
 
+def _lattice_index(x, step: float):
+    """The lattice index of every value of ``x``: the smallest whole n with
+    x <= n * step, for the float64 products n * step the grid computes. A
+    lattice point n * step has index n, and t_max index ``stop``. x / step is
+    rounded, so its ceiling may be one step off either way."""
+    n = np.ceil(x / step)
+    n -= (n - 1.0) * step >= x
+    n += n * step < x
+    return n.astype(np.intp)
+
+
 def _lattice(cfg: SearchConfig, t_max: float, n_slices: int = 1) -> _Lattice:
     """Scale and snap the search of a volume of ``n_slices`` to one lattice, once.
 
@@ -393,19 +365,14 @@ def _lattice(cfg: SearchConfig, t_max: float, n_slices: int = 1) -> _Lattice:
             f"t_max={t_max!r} is {steps:.4g} lattice steps of {q!r} for each of {n_slices} slices, "
             f"over the cap of {_MAX_STEP_SLICES} steps x slices"
         )
-    stop = math.ceil(steps)
-    # the quotient is rounded; stop must hold for the products the grid computes
-    while stop > 0 and (stop - 1) * q >= t_max:
-        stop -= 1
-    while stop * q < t_max:
-        stop += 1
+    stop = int(_lattice_index(t_max, q))
     # clamped at stop, which changes no probe and no count
     start = round(min(cfg.t_start / cfg.grid_step, stop))
     epsilon = max(1, round(min(cfg.epsilon / cfg.grid_step, stop)))
     return _Lattice(q, start, epsilon, stop)
 
 
-def _probe_walk(scan: _VolumeScan, lattice: _Lattice) -> int | None:
+def _probe_walk(scan: _VolumeScan) -> int | None:
     """Walk the probe ladder and locate a bracket start.
 
     Two stopping rules:
@@ -418,15 +385,16 @@ def _probe_walk(scan: _VolumeScan, lattice: _Lattice) -> int | None:
       _gap_free). Once the background is covered without holes the minimum
       cannot lie further left.
 
-    The whole probe ladder is evaluated by one lookup, and the first probe
+    The whole probe ladder is evaluated by one row take, and the first probe
     at which a rule fires wins, the descent rule first. Returns its lattice
     index, or None, which means t_max, when neither rule fires (curve never
     turns down).
     """
+    lattice = scan.lattice
     ns = np.arange(lattice.start, lattice.stop, lattice.epsilon)
     if not ns.size:
         return None
-    values, _, retained = scan.curve_and_count(ns * lattice.step)
+    values, _, retained = scan.curve_and_count(ns)
     run_max = np.maximum.accumulate(values)
     descent = np.zeros(ns.size, dtype=bool)
     descent[1:] = (values[1:] < values[:-1]) & (values[1:] < _DESCENT_DROP * run_max[1:])
@@ -447,10 +415,9 @@ def _probe_walk(scan: _VolumeScan, lattice: _Lattice) -> int | None:
 
 def find_t_lower(volume: Volume, cfg: SearchConfig = SearchConfig()) -> float:
     """Left end of the minimum-search bracket (see _probe_walk)."""
-    scan = _VolumeScan(volume)
-    lattice = _lattice(cfg, scan.t_max, scan.n_slices)
-    n = _probe_walk(scan, lattice)
-    return scan.t_max if n is None else n * lattice.step
+    lattice = _lattice(cfg, volume.intensity_max, volume.n_slices)
+    n = _probe_walk(_VolumeScan(volume, lattice))
+    return volume.intensity_max if n is None else n * lattice.step
 
 
 def _tied_argmin(values: np.ndarray) -> int:
@@ -466,8 +433,8 @@ def find_t_opt(
     """Select the threshold minimizing the across-slice variance of stds.
 
     The grid is every lattice point n * q from t_lower below t_max,
-    then t_max; one lookup, extended epsilon steps down, gives its curve and
-    coverage counts. One rule selects the threshold:
+    then t_max; one row take, extended epsilon steps down, gives its curve
+    and coverage counts. One rule selects the threshold:
 
     * no-object guard: when the mean per-slice std at the raw minimum of the
       whole grid exceeds its value at t_max, the image holds nothing but
@@ -479,28 +446,31 @@ def find_t_opt(
       is gap-free (see _gap_free): offset backgrounds develop false valleys
       mid-bulk, where the background is still filling up.
 
-    ``scan`` is a prebuilt scan of ``volume``; one is built when it is
-    omitted. Raises EstimationError, before any lookup, when the lattice
-    steps times the slices are over their cap.
+    ``scan`` is a prebuilt scan of ``volume`` on the lattice of ``cfg``; one
+    is built when it is omitted. Raises EstimationError, before any scan is
+    built, when the lattice steps times the slices are over their cap.
     """
+    lattice = _lattice(cfg, volume.intensity_max, volume.n_slices)
     if scan is None:
-        scan = _VolumeScan(volume)
-    lattice = _lattice(cfg, scan.t_max, scan.n_slices)
+        scan = _VolumeScan(volume, lattice)
     eps, stop = lattice.epsilon, lattice.stop
-    lower = _probe_walk(scan, lattice)
+    lower = _probe_walk(scan)
     if lower is None:
         lower = stop  # the curve is t_max alone
     first = max(lower - eps, 0)
-    ts = np.append(np.arange(first, stop) * lattice.step, scan.t_max)
-    variances, mean_sigmas, counts = scan.curve_and_count(ts)
+    ns = np.arange(first, stop + 1)
+    variances, mean_sigmas, counts = scan.curve_and_count(ns)
     # the curve starts at index k; a step down from lattice index n reads
     # n - eps, or 0 (t = 0) below it. t_max off the lattice needs no flag: its
     # mean std passes the near-full test only when it is 0, and then every
     # variance is 0 and t_max, the last point, wins only as the fallback
     k = lower - first
-    gained = counts[k:] - counts[np.maximum(np.arange(k - eps, ts.size - eps), 0)]
+    gained = counts[k:] - counts[np.maximum(np.arange(k - eps, ns.size - eps), 0)]
     covered = _gap_free(scan, counts[k:], gained)
-    ts, variances, mean_sigmas = ts[k:], variances[k:], mean_sigmas[k:]
+    # index stop reads t_max
+    ts = ns[k:] * lattice.step
+    ts[-1] = scan.t_max
+    variances, mean_sigmas = variances[k:], mean_sigmas[k:]
     sigma_at_max = float(mean_sigmas[-1])
     idx = _tied_argmin(variances)
     t_rejected = None
@@ -529,9 +499,11 @@ def estimate(volume: Volume, cfg: SearchConfig = SearchConfig()) -> NoiseEstimat
     no_object there are no such pixels and signal/SNR are zero. Every figure,
     the zero fraction included, comes from the one scan of the volume.
     """
-    scan = _VolumeScan(volume)
+    lattice = _lattice(cfg, volume.intensity_max, volume.n_slices)
+    scan = _VolumeScan(volume, lattice)
     threshold = find_t_opt(volume, cfg, scan=scan)
-    per_slice = tuple(scan.positive_sigmas(threshold.t_opt, cfg.correction_factor))
+    n = _lattice_index(threshold.t_opt, lattice.step)
+    per_slice = tuple(scan.positive_sigmas(n, cfg.correction_factor))
     present = [v for v in per_slice if v is not None]
     if not present:
         raise EstimationError(
@@ -541,7 +513,7 @@ def estimate(volume: Volume, cfg: SearchConfig = SearchConfig()) -> NoiseEstimat
     if threshold.no_object:
         signal_mean, snr = 0.0, 0.0
     else:
-        signal_mean = scan.mean_above(threshold.t_opt)
+        signal_mean = scan.mean_above(n)
         snr = signal_mean / sigma if sigma > 0 else 0.0
     return NoiseEstimate(sigma, signal_mean, snr, per_slice, threshold, scan.zero_fraction)
 

@@ -35,6 +35,7 @@ __all__ = [
     "VolumeFormatError",
     "write_container",
     "write_bytes_atomic",
+    "check_writable",
     "read_input",
     "load_volume",
 ]
@@ -117,6 +118,20 @@ def write_bytes_atomic(path: Path, blob: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def check_writable(path) -> None:
+    """Raise OSError, naming ``path``, when :func:`write_bytes_atomic`
+    cannot write it: its directory is missing or takes no new file, or
+    ``path`` is a directory."""
+    path = Path(path)
+    parent = path.parent
+    if not parent.is_dir():
+        raise OSError(f"{path}: no such directory: {parent}")
+    if path.is_dir():
+        raise OSError(f"{path}: is a directory")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise OSError(f"{path}: directory not writable: {parent}")
 
 
 def write_container(path, volume: Volume, dtype: str = "f32") -> None:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qbench import PhantomObject, PhantomSpec, Volume, generate
+from qbench import PhantomObject, PhantomSpec, SearchConfig, Volume, generate
+from qbench.noise import _lattice, _VolumeScan
 from qbench.report import input_digest
 
 
@@ -29,6 +30,20 @@ def disk_mask(width, height, center, radius):
 def resolved_digest(path, files):
     """``report.input_digest`` of ``path``'s files, hashed on its thread and resolved."""
     return input_digest(path, files).result()
+
+
+class _PixelScan(_VolumeScan):
+    """The scan with every row binned pixel by pixel, integer rows included."""
+
+    def _bin_sums(self, row):
+        return super()._bin_sums(row.astype(np.float64))
+
+
+def build_scan(volume, cfg=SearchConfig(), *, per_pixel=False):
+    """The noise scan of ``volume`` on the lattice of ``cfg``; with
+    ``per_pixel``, integer rows are binned pixel by pixel instead of by level."""
+    lattice = _lattice(cfg, volume.intensity_max, volume.n_slices)
+    return (_PixelScan if per_pixel else _VolumeScan)(volume, lattice)
 
 
 def volume_from(data, voxel=(1.0, 1.0, 1.0)):

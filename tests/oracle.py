@@ -2,13 +2,16 @@
 
 Each statistic thresholds the pixels at one t directly, slice by slice, with
 plain numpy; ``noise._VolumeScan`` answers the same questions from
-cumulative tables and is checked against them. ``select_t_opt`` states the
+cumulative tables on its lattice and is checked against them, and
+``lattice_sums`` gives what those tables hold at one threshold. ``select_t_opt`` states the
 threshold search's selection as three branches taken in turn, an independent
 form of the search's one rule. ``is_saturated`` and ``background_covered``
 are the gap-free test of the probe walk and of the grid, each with count
 lookups of its own, an epsilon step up or down. ``phantom`` builds a phantom
 out of place, step by step, for ``phantom.generate`` to match byte for byte.
 """
+
+import math
 
 import numpy as np
 
@@ -65,21 +68,31 @@ def select_t_opt(ts, variances, mean_sigmas, covered):
     return (float(ts[sub[first_tie(variances[sub])]]) if sub.size else t_max), None
 
 
-def is_saturated(scan, ts, epsilon):
-    """Per t: at least _SATURATION_FLOOR of all pixels are positive and <= t,
-    and the positive pixels in (t, t + epsilon] fit the stray budget; both
-    counts are looked up in the scan."""
-    retained = scan.curve_and_count(ts)[2]
-    gained = scan.curve_and_count(ts + epsilon)[2] - retained
+def lattice_sums(volume, t):
+    """Per slice, the count, sum and sum of squares of the pixels <= t, as
+    float64: each sum is ``math.fsum`` of the pixels' float64 values or of
+    their float64 squares, the correctly rounded sum."""
+    rows = np.asarray(volume.data, dtype=np.float64).reshape(volume.n_slices, -1)
+    kept = [row[row <= t] for row in rows]
+    return np.array([[float(k.size) for k in kept], [math.fsum(k) for k in kept], [math.fsum(k * k) for k in kept]])
+
+
+def is_saturated(scan, ns, epsilon):
+    """Per lattice index n: at least _SATURATION_FLOOR of all pixels are
+    positive and <= its threshold, and the positive pixels an ``epsilon``
+    step up, at most to t_max, fit the stray budget; both counts are looked
+    up in the scan."""
+    retained = scan.curve_and_count(ns)[2]
+    gained = scan.curve_and_count(np.minimum(ns + epsilon, scan.lattice.stop))[2] - retained
     return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
 
 
-def background_covered(scan, ts, lower):
-    """Per t: at least _SATURATION_FLOOR of all pixels are positive and <= t,
-    and the positive pixels in (lower, t] fit the stray budget, ``lower``
-    being the threshold an epsilon step below each t; both counts are looked
-    up in the scan."""
-    retained = scan.curve_and_count(ts)[2]
+def background_covered(scan, ns, lower):
+    """Per lattice index n: at least _SATURATION_FLOOR of all pixels are
+    positive and <= its threshold, and the positive pixels above index
+    ``lower`` fit the stray budget, ``lower`` being the index an epsilon
+    step below each n; both counts are looked up in the scan."""
+    retained = scan.curve_and_count(ns)[2]
     gained = retained - scan.curve_and_count(lower)[2]
     return (retained >= _SATURATION_FLOOR * scan.total_pixels) & (gained <= _stray_budget(scan))
 

@@ -25,8 +25,8 @@ from qbench import (
     write_container,
 )
 from qbench.cli import EXIT_OK, main
-from qbench.noise import _lattice, _VolumeScan
-from conftest import const_phantom
+from qbench.noise import _lattice_index
+from conftest import build_scan, const_phantom
 from oracle import background_covered, homogeneity_variance, select_t_opt
 
 
@@ -105,10 +105,10 @@ def _selection_differs(vol, tr) -> bool:
     """Whether find_t_opt's (t_opt, t_rejected) differs from the three-branch
     selection of the oracle on the same grid, with the search's epsilon: a
     whole number of grid steps."""
-    scan = _VolumeScan(vol)
+    scan = build_scan(vol)
     ts, variances, mean_sigmas = tr.curve.T
-    lattice = _lattice(SearchConfig(), scan.t_max)
-    covered = background_covered(scan, ts, np.maximum(ts - lattice.epsilon * lattice.step, 0.0))
+    ns = _lattice_index(ts, scan.lattice.step)
+    covered = background_covered(scan, ns, np.maximum(ns - scan.lattice.epsilon, 0))
     return (tr.t_opt, tr.t_rejected) != select_t_opt(ts, variances, mean_sigmas, covered)
 
 
@@ -237,10 +237,10 @@ def test_criterion_7_property_suites(tmp_path):
     # threshold monotonicity and idempotence, as the noise scan applies the threshold
     rng = np.random.default_rng(6006)
     arr = rng.random((1, 16, 16)) * 300
-    scan = _VolumeScan(Volume.from_array(arr))
-    counts = scan.curve_and_count(np.array([0.0, 50.0, 120.0, 300.0]))[2].tolist()
-    once = _VolumeScan(Volume.from_array(np.where(arr <= 90.0, arr, 0.0)))
-    at_90 = np.array([90.0])
+    scan = build_scan(Volume.from_array(arr))
+    counts = scan.curve_and_count(np.array([0, 50, 120, scan.lattice.stop]))[2].tolist()
+    once = build_scan(Volume.from_array(np.where(arr <= 90.0, arr, 0.0)))
+    at_90 = np.array([90])
     # one slice: the mean of the slice stds is that slice's std
     checks["threshold monotone+idempotent"] = counts == sorted(counts) and np.array_equal(
         once.curve_and_count(at_90)[1], scan.curve_and_count(at_90)[1]

@@ -165,6 +165,22 @@ class TestUnwritableOutput:
             before = sorted(tmp_path.rglob("*"))
             self.assert_io_error([command[0], str(disk_container), *command[1:], "--output", str(out)], tmp_path, capsys, before)
 
+    @pytest.mark.parametrize("command", [["estimate"], ["curve", "--factors", "1,2"]])
+    def test_found_before_the_input_is_read(self, disk_container, tmp_path, monkeypatch, capsys, command):
+        """The target, and for ``curve`` the CSV sidecar beside it, is checked
+        before the input is read: nothing is estimated, and the message names
+        the path that cannot be written, not a temp file."""
+        monkeypatch.setattr(cli, "estimate", lambda *a, **k: pytest.fail("estimated"))
+        monkeypatch.setattr(cli, "read_input", lambda *a: pytest.fail("read the input"))
+        targets = {out: out for out in unwritable_outputs(tmp_path)}
+        if command[0] == "curve":
+            (tmp_path / "sidecar.csv").mkdir()
+            targets[tmp_path / "sidecar.json"] = tmp_path / "sidecar.csv"
+        for out, named in targets.items():
+            argv = [command[0], str(disk_container), *command[1:], "--output", str(out)]
+            assert main(argv) == EXIT_LOAD
+            assert capsys.readouterr().err.startswith(f"qbench: I/O error: {named}: ")
+
     def test_synth(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         write_spec(spec_path)
@@ -471,7 +487,7 @@ class TestFloat32Containers:
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(qvol, "Volume", _WideningLoader)
                 assert self.outputs(directory, f32) == texts
-            # the quantized phantom as f32: the sorted layout against the u16 histogram
+            # the quantized phantom as f32: per-pixel bins against the u16 level fold
             quantized = directory / "quantized.qvol"
             write_container(quantized, load_volume(u16), dtype="f32")
             as_u16 = self.without_digest(self.outputs(directory, u16))

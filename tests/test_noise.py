@@ -13,14 +13,19 @@ from qbench import (
     estimate,
     find_t_opt,
 )
-from qbench.noise import _MAX_STEP_SLICES, _lattice, _VolumeScan
-from conftest import const_phantom, disk_phantom, pure_noise, volume_from
+from qbench.noise import _MAX_STEP_SLICES, _lattice
+from conftest import build_scan, const_phantom, disk_phantom, pure_noise, volume_from
 from oracle import positive_noise
 
 
 def scan_of(*slices):
-    """The scan of a volume with one single-row slice per argument."""
-    return _VolumeScan(volume_from([[row] for row in slices]))
+    """The scan of a volume with one single-row slice per argument; its lattice step is 1."""
+    return build_scan(volume_from([[row] for row in slices]))
+
+
+def at(*ns):
+    """Lattice indices; at step 1 index n is threshold n."""
+    return np.array(ns)
 
 
 class TestApplyThreshold:
@@ -30,21 +35,22 @@ class TestApplyThreshold:
         rng = np.random.default_rng(0)
         vol = volume_from(rng.random((1, 5, 5)) * 80)
         # one slice: the mean of the slice stds is that slice's std
-        _, [std], [count] = _VolumeScan(vol).curve_and_count(np.array([vol.intensity_max]))
+        scan = build_scan(vol)
+        _, [std], [count] = scan.curve_and_count(at(scan.lattice.stop))
         assert std == pytest.approx(vol.data.std(), rel=1e-12)
         assert count == np.count_nonzero(vol.data)
 
     def test_zero_threshold_clears_positives(self):
         scan = scan_of([0.0, 3.0, 7.5])
-        _, [std], [count] = scan.curve_and_count(np.zeros(1))
+        _, [std], [count] = scan.curve_and_count(at(0))
         assert count == 0
         assert std == 0.0
-        assert scan.positive_sigmas(0.0, CORRECTION_FACTOR) == [None]
+        assert scan.positive_sigmas(0, CORRECTION_FACTOR) == [None]
 
     def test_hand_example(self):
         # 400 lies above t = 100: the slice reads [50, 0, 90]
         scan = scan_of([50.0, 400.0, 90.0])
-        _, [std], [count] = scan.curve_and_count(np.array([100.0]))
+        _, [std], [count] = scan.curve_and_count(at(100))
         assert count == 2
         assert std == pytest.approx(np.std([50.0, 0.0, 90.0]))
 
@@ -52,9 +58,9 @@ class TestApplyThreshold:
         rng = np.random.default_rng(1)
         vol = volume_from(rng.random((1, 4, 4)) * 200)
         kept = vol.data[vol.data <= 60.0]
-        scan = _VolumeScan(vol)
-        assert scan.curve_and_count(np.array([60.0]))[2][0] == kept.size
-        assert scan.positive_sigmas(60.0, 1.0) == [pytest.approx(kept.std())]
+        scan = build_scan(vol)
+        assert scan.curve_and_count(at(60))[2][0] == kept.size
+        assert scan.positive_sigmas(60, 1.0) == [pytest.approx(kept.std())]
 
     def test_idempotent(self):
         # the scan of the volume thresholded at t reads the same variance,
@@ -62,14 +68,13 @@ class TestApplyThreshold:
         rng = np.random.default_rng(2)
         vol = volume_from(rng.random((3, 6, 6)) * 10)
         once = volume_from(np.where(vol.data <= 4.0, vol.data, 0.0))
-        ts = np.array([4.0])
-        for a, b in zip(_VolumeScan(once).curve_and_count(ts), _VolumeScan(vol).curve_and_count(ts)):
+        for a, b in zip(build_scan(once).curve_and_count(at(4)), build_scan(vol).curve_and_count(at(4))):
             assert np.array_equal(a, b)
 
     def test_positive_count_monotone_in_t(self):
         rng = np.random.default_rng(3)
-        scan = _VolumeScan(volume_from(rng.random((1, 8, 8)) * 100))
-        counts = scan.curve_and_count(np.array([0.0, 10.0, 25.0, 50.0, 100.0]))[2].tolist()
+        scan = build_scan(volume_from(rng.random((1, 8, 8)) * 100))
+        counts = scan.curve_and_count(at(0, 10, 25, 50, scan.lattice.stop))[2].tolist()
         assert counts == sorted(counts)
 
 
@@ -78,18 +83,19 @@ class TestPositiveNoise:
 
     def test_hand_example(self):
         # thresholded positives {1, 3}: population std 1, times 1.53
-        assert scan_of([0.0, 1.0, 3.0, 9.0]).positive_sigmas(5.0, 1.53) == [pytest.approx(1.53)]
+        assert scan_of([0.0, 1.0, 3.0, 9.0]).positive_sigmas(5, 1.53) == [pytest.approx(1.53)]
 
     def test_constant_positives_give_zero(self):
-        assert scan_of([4.0, 4.0, 4.0]).positive_sigmas(10.0, CORRECTION_FACTOR) == [0.0]
+        assert scan_of([4.0, 4.0, 4.0]).positive_sigmas(4, CORRECTION_FACTOR) == [0.0]
 
     def test_absent_when_nothing_survives(self):
-        assert scan_of([5.0, 6.0]).positive_sigmas(1.0, CORRECTION_FACTOR) == [None]
+        assert scan_of([5.0, 6.0]).positive_sigmas(1, CORRECTION_FACTOR) == [None]
 
     def test_rayleigh_calibration(self):
         # one large pure-noise slice: corrected std ~= 1.0024 * sigma
         vol = pure_noise(sigma=100.0, seed=12, width=512, height=512, n_slices=1)
-        [got] = _VolumeScan(vol).positive_sigmas(vol.intensity_max, CORRECTION_FACTOR)
+        scan = build_scan(vol)
+        [got] = scan.positive_sigmas(scan.lattice.stop, CORRECTION_FACTOR)
         direct = CORRECTION_FACTOR * vol.data.std()  # all pixels positive here
         assert got == pytest.approx(direct, rel=1e-12)
         assert got == pytest.approx(100.24, rel=0.01)
@@ -100,23 +106,24 @@ class TestMeanPositiveNoise:
 
     def test_identical_slices(self):
         sl = [0.0, 1.0, 3.0, 2.0]
-        [single] = scan_of(sl).positive_sigmas(10.0, CORRECTION_FACTOR)
-        assert scan_of(sl, sl, sl, sl).positive_sigmas(10.0, CORRECTION_FACTOR) == [single] * 4
+        [single] = scan_of(sl).positive_sigmas(3, CORRECTION_FACTOR)
+        assert scan_of(sl, sl, sl, sl).positive_sigmas(3, CORRECTION_FACTOR) == [single] * 4
 
     def test_arithmetic_mean(self):
         # per-slice corrected stds 2 and 4 with f_e = 1
-        sigmas = scan_of([0.0, 1.0, 5.0], [0.0, 1.0, 9.0]).positive_sigmas(100.0, 1.0)
+        sigmas = scan_of([0.0, 1.0, 5.0], [0.0, 1.0, 9.0]).positive_sigmas(9, 1.0)
         assert sigmas == [pytest.approx(2.0), pytest.approx(4.0)]
         assert np.mean(sigmas) == pytest.approx(3.0)
 
     def test_rayleigh_volume(self):
         vol = pure_noise(sigma=100.0, seed=13)
-        got = np.mean(_VolumeScan(vol).positive_sigmas(vol.intensity_max, CORRECTION_FACTOR))
+        scan = build_scan(vol)
+        got = np.mean(scan.positive_sigmas(scan.lattice.stop, CORRECTION_FACTOR))
         assert got == pytest.approx(100.0, rel=0.02)
 
     def test_error_when_everything_empty(self):
         vol = volume_from(np.full((2, 3, 3), 7.0))
-        assert _VolumeScan(vol).positive_sigmas(1.0, CORRECTION_FACTOR) == [None, None]
+        assert build_scan(vol).positive_sigmas(1, CORRECTION_FACTOR) == [None, None]
         with pytest.raises(EstimationError, match="no background"):
             estimate(volume_from(np.zeros((2, 3, 3))))
 
@@ -128,38 +135,40 @@ class TestHomogeneityVariance:
         rng = np.random.default_rng(4)
         sl = rng.random((5, 5)) * 30
         vol = volume_from(np.repeat(sl[None], 6, axis=0))
-        [var], _ = _VolumeScan(vol).curve_and_count(np.array([15.0]))[:2]
+        [var], _ = build_scan(vol).curve_and_count(at(15))[:2]
         assert var == pytest.approx(0.0, abs=1e-20)
 
     def test_degenerate_threshold(self):
         vol = disk_phantom(radius=10, value=500.0, sigma=50.0, seed=5)
-        [var], [mean_sigma] = _VolumeScan(vol).curve_and_count(np.zeros(1))[:2]
+        [var], [mean_sigma] = build_scan(vol).curve_and_count(at(0))[:2]
         assert (var, mean_sigma) == (0.0, 0.0)
 
     def test_hand_example(self):
         # slice stds (zeros included) of 1 and 3 -> variance 1, mean 2
-        [var], [mean_sigma] = scan_of([0.0, 2.0], [0.0, 6.0]).curve_and_count(np.array([6.0]))[:2]
+        [var], [mean_sigma] = scan_of([0.0, 2.0], [0.0, 6.0]).curve_and_count(at(6))[:2]
         assert var == pytest.approx(1.0)
         assert mean_sigma == pytest.approx(2.0)
 
 
 class TestScanMemory:
-    def test_sorted_layout_peaks_at_the_sorted_copy_and_the_table(self):
+    def test_build_peaks_at_the_tables_and_one_row(self):
         """Building the scan of a float32 60x128x128 volume peaks within 5 % of
-        what the scan keeps, the float32 sorted copy and the complex sums
-        table (tracemalloc): no full-size temporary, such as a 2-D sort's or a
-        squares array, comes on top."""
+        the tables it keeps plus one row's temporaries (tracemalloc): four
+        row-sized float64 arrays (the widened row, its lattice index and the
+        two arrays of the index's correction) and the row's three bin sums.
+        No volume-sized temporary, such as a widened copy, comes on top."""
         rng = np.random.default_rng(4)
         volume = Volume.from_array(rng.random((60, 128, 128), dtype=np.float32) * 1000)
         tracemalloc.start()
         try:
-            scan = _VolumeScan(volume)
+            scan = build_scan(volume)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = scan._sorted.nbytes + np.dtype(np.complex128).itemsize * 60 * (128 * 128 + 1)
-        assert scan._sorted.dtype == np.float32
-        assert kept <= peak <= 1.05 * kept
+        width = scan.lattice.stop + 1
+        assert scan._tables.shape == (3, 60, width)
+        row = 4 * 8 * 128 * 128 + 3 * 8 * width
+        assert scan._tables.nbytes <= peak <= 1.05 * (scan._tables.nbytes + row)
 
 
 class TestBackgroundRoiNoise:
@@ -319,18 +328,18 @@ class TestSearchConfig:
         assert _lattice(SearchConfig(), t_max, 1024).stop * 1024 <= _MAX_STEP_SLICES
 
     def test_search_at_the_cap_stays_under_its_peak(self):
-        """2**16 lattice steps of 64 float32 slices, the sorted layout, is the
-        cap: the grid lookup gathers 2**22 (t, slice) entries, and the search
-        peaks under 160 MB (tracemalloc). One slice more is over the cap."""
+        """2**16 lattice steps of 64 float32 slices is the cap: the tables
+        hold 2**22 (step, slice) entries of each sum, and the search, the
+        scan's build included, peaks under 160 MB (tracemalloc). One slice
+        more is over the cap."""
         rng = np.random.default_rng(3)
         data = np.hypot(*rng.normal(0.0, 100.0, (2, 64, 16, 16))).astype(np.float32)
         data[:, 0, 0] = 4095.0
         volume = Volume.from_array(data)
-        scan = _VolumeScan(volume)
         cfg = SearchConfig(grid_step=4095 / 2**16)
         tracemalloc.start()
         try:
-            result = find_t_opt(volume, cfg, scan=scan)
+            result = find_t_opt(volume, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -338,3 +347,25 @@ class TestSearchConfig:
         assert peak < 160e6
         with pytest.raises(EstimationError, match="each of 65 slices, over the cap"):
             find_t_opt(Volume.from_array(np.concatenate([data, data[:1]])), cfg)
+
+    @pytest.mark.parametrize("n_slices", [1, 4, 64])
+    def test_search_bytes_per_step_and_slice(self, n_slices):
+        """A search of 2**18 lattice steps times slices, a sixteenth of the
+        cap, peaks at the three tables' 24 bytes per step and slice, plus
+        at most 90 bytes per step for the grid's per-step arrays and 2 MiB
+        for one block of the curve (tracemalloc). The figures scale: at the
+        cap, 460 MB on one slice, 190 MB on four, 106 MB on 64."""
+        steps = 2**18 // n_slices
+        rng = np.random.default_rng(3)
+        data = np.hypot(*rng.normal(0.0, 100.0, (2, n_slices, 16, 16))).astype(np.float32)
+        data[:, 0, 0] = 4095.0
+        volume = Volume.from_array(data)
+        cfg = SearchConfig(grid_step=4095 / steps)
+        tracemalloc.start()
+        try:
+            result = find_t_opt(volume, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.curve.shape[0] > steps // 2
+        assert 24 * steps * n_slices <= peak <= steps * (24 * n_slices + 90) + 2 * 2**20

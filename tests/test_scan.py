@@ -1,14 +1,15 @@
 """Differential tests of the noise scan against the per-slice oracle in ``oracle.py``.
 
-``_VolumeScan`` answers every per-slice question at a threshold from
-cumulative tables, in a histogram layout for u8/u16 data and a sorted
-layout otherwise. ``oracle.homogeneity_variance`` and ``oracle.positive_noise``
-compute the same statistics slice by slice from the thresholded pixels; they
-sum in another order, so they are compared within a tolerance set from
-float64 precision. The two layouts must agree bit for bit, whatever the
-slice count, and a t must give the same values alone as inside a grid.
-The hand-computed checks of the scan are in ``test_noise.py`` and
-``test_volume.py``.
+``_VolumeScan`` answers every per-slice question at a lattice index from
+cumulative tables of the pixels binned on the search lattice. Its tables
+are checked against ``oracle.lattice_sums`` at every index, and
+``oracle.homogeneity_variance`` and ``oracle.positive_noise`` compute the
+statistics slice by slice from the thresholded pixels; they sum in another
+order, so they are compared within a tolerance set from float64 precision.
+Integer rows fold their level counts into the bins, and must give the
+tables of the per-pixel binning bit for bit, whatever the slice count; an
+index must give the same values alone as inside a grid. The hand-computed
+checks of the scan are in ``test_noise.py`` and ``test_volume.py``.
 """
 
 import numpy as np
@@ -18,8 +19,16 @@ from hypothesis import strategies as st
 
 from qbench import CORRECTION_FACTOR, EstimationError, SearchConfig, Volume, estimate, generate
 from qbench import noise
-from qbench.noise import _gap_free, _lattice, _probe_walk, _VolumeScan, find_t_opt
-from oracle import background_covered, homogeneity_variance, is_saturated, positive_noise, zero_fraction
+from qbench.noise import _gap_free, _lattice, _lattice_index, _probe_walk, _VolumeScan, find_t_opt
+from conftest import build_scan
+from oracle import (
+    background_covered,
+    homogeneity_variance,
+    is_saturated,
+    lattice_sums,
+    positive_noise,
+    zero_fraction,
+)
 from test_acceptance import _criterion_3_corpus
 
 # s2/n - (s1/n)**2 cancels: after k sequential additions a std near zero
@@ -29,13 +38,6 @@ from test_acceptance import _criterion_3_corpus
 REL_TOL = 1e-6
 # the same examples on every run, so the suite cannot flake
 EXAMPLES = dict(deadline=None, derandomize=True)
-
-
-class _SortedScan(_VolumeScan):
-    """The sorted layout, whatever the data."""
-
-    def _histogram(self, flat):
-        return None
 
 
 def make_volume(seed, n, h, w, top, integral, zero_fraction, zero_slice):
@@ -62,28 +64,33 @@ volumes = st.builds(
 )
 
 
-def thresholds(volume):
-    """Every level, the midpoints between them, and the ends."""
-    levels = np.unique(volume.data)
-    t_max = volume.intensity_max
-    return np.unique(np.concatenate(([0.0, t_max, t_max + 1.5], levels, levels + 0.5)))
+def boundaries(scan, volume):
+    """Index 0, the last index and, for every level, its index and the one
+    below it: the indices at which the pixels up to the threshold change."""
+    levels = _lattice_index(np.unique(volume.data).astype(np.float64), scan.lattice.step)
+    return np.unique(np.concatenate(([0, scan.lattice.stop], levels, np.maximum(levels - 1, 0))))
+
+
+def thresholds(scan, ns):
+    """The threshold of each lattice index: n * step, and t_max at the last one."""
+    return np.where(ns == scan.lattice.stop, scan.t_max, ns * scan.lattice.step)
 
 
 @settings(max_examples=80, **EXAMPLES)
 @given(volumes)
 def test_scan_matches_per_slice_reference(volume):
-    scan = _VolumeScan(volume)
-    ts = thresholds(volume)
+    scan = build_scan(volume)
+    ns = boundaries(scan, volume)
     scale = max(volume.intensity_max, 1.0)
 
-    counts = [int(((volume.data > 0) & (volume.data <= t)).sum()) for t in ts]
-    variances, means, positives = scan.curve_and_count(ts)
+    counts = [int(((volume.data > 0) & (volume.data <= t)).sum()) for t in thresholds(scan, ns)]
+    variances, means, positives = scan.curve_and_count(ns)
     assert positives.tolist() == counts
-    for t, var, mean in zip(ts, variances, means):
+    for n, t, var, mean in zip(ns, thresholds(scan, ns), variances, means):
         ref_var, ref_mean = homogeneity_variance(volume, t)
         assert mean == pytest.approx(ref_mean, rel=REL_TOL, abs=REL_TOL * scale)
         assert var == pytest.approx(ref_var, rel=REL_TOL, abs=REL_TOL * scale**2)
-        got = scan.positive_sigmas(t, CORRECTION_FACTOR)
+        got = scan.positive_sigmas(n, CORRECTION_FACTOR)
         ref = [positive_noise(img, t, CORRECTION_FACTOR) for img in volume.data]
         assert [g is None for g in got] == [r is None for r in ref]
         for g, r in zip(got, ref):
@@ -98,14 +105,14 @@ many_slices = volumes.map(lambda v: Volume.from_array(np.concatenate([v.data] * 
 @settings(max_examples=60, **EXAMPLES)
 @given(many_slices)
 def test_points_equal_one_t_at_a_time_bit_for_bit(volume):
-    """Each point of one ``curve_and_count`` call equals that t evaluated
-    alone, on both layouts: a threshold's variance, mean and count do not
-    depend on what else the grid holds, so the no-object guard compares the
-    grid's minimum with the very value a lone t_max gives."""
-    ts = thresholds(volume)
-    for scan in (_VolumeScan(volume), _SortedScan(volume)):
-        for t, *point in zip(ts, *scan.curve_and_count(ts)):
-            assert point == [lone[0] for lone in scan.curve_and_count(np.array([t]))]
+    """Each point of one ``curve_and_count`` call equals that index evaluated
+    alone, binned by level and pixel by pixel: a threshold's variance, mean
+    and count do not depend on what else the grid holds, so the no-object
+    guard compares the grid's minimum with the very value a lone t_max gives."""
+    for scan in (build_scan(volume), build_scan(volume, per_pixel=True)):
+        ns = boundaries(scan, volume)
+        for n, *point in zip(ns, *scan.curve_and_count(ns)):
+            assert point == [lone[0] for lone in scan.curve_and_count(np.array([n]))]
 
 
 def assert_same_threshold(a, b):
@@ -120,75 +127,102 @@ def as_u16(volume):
     return Volume.from_array(volume.data.astype(np.uint16))
 
 
+def bits(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+def assert_fold_equals_per_pixel(volume, cfg):
+    """The scan that folds level counts and the one that bins each pixel
+    hold the same tables, and so answer every query alike, bit for bit."""
+    fold, pixel = build_scan(volume, cfg), build_scan(volume, cfg, per_pixel=True)
+    assert bits(fold._tables) == bits(pixel._tables)
+    ns = np.arange(fold.lattice.stop + 1)
+    assert bits(*fold.curve_and_count(ns)) == bits(*pixel.curve_and_count(ns))
+    n = ns[ns.size // 2]
+    assert fold.positive_sigmas(n, CORRECTION_FACTOR) == pixel.positive_sigmas(n, CORRECTION_FACTOR)
+    assert_same_threshold(find_t_opt(volume, cfg, scan=fold), find_t_opt(volume, cfg, scan=pixel))
+
+
 @settings(max_examples=60, **EXAMPLES)
-@given(many_slices.filter(lambda v: np.array_equal(v.data, np.rint(v.data))).map(as_u16))
-def test_histogram_layout_equals_sorted_layout(volume):
-    hist, srt = _VolumeScan(volume), _SortedScan(volume)
-    n, h, w = volume.shape
-    if volume.intensity_max + 1 <= h * w:
-        assert hist._sorted is None
-    ts = thresholds(volume)
-    tables = [scan._lookup(ts, scan._count, scan._sum1, scan._sum2) for scan in (hist, srt)]
-    for a, b in zip(*tables):
-        assert np.array_equal(a, b)
-    for a, b in zip(hist.curve_and_count(ts), srt.curve_and_count(ts)):
-        assert np.array_equal(a, b)
-    t = float(ts[len(ts) // 2])
-    assert hist.positive_sigmas(t, CORRECTION_FACTOR) == srt.positive_sigmas(t, CORRECTION_FACTOR)
-    for cfg in CONFIGS:
-        assert_same_threshold(find_t_opt(volume, cfg, scan=hist), find_t_opt(volume, cfg, scan=srt))
+@given(many_slices.filter(lambda v: np.array_equal(v.data, np.rint(v.data))).map(as_u16), st.sampled_from(CONFIGS))
+def test_level_fold_equals_per_pixel_bins(volume, cfg):
+    assert_fold_equals_per_pixel(volume, cfg)
 
 
-def make_float_volume(seed, n, h, w, magnitude, levels, zero_fraction):
-    """Values up to ``magnitude``, on ``levels`` evenly spaced values (ties) when given."""
-    rng = np.random.default_rng(seed)
-    data = rng.random((n, h, w))
-    if levels:
-        data = np.floor(data * levels) / levels
-    data *= magnitude
-    data[rng.random((n, h, w)) < zero_fraction] = 0.0
-    return Volume.from_array(data)
-
-
-float_volumes = st.builds(
-    make_float_volume,
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 6),
-    h=st.integers(1, 12),
-    w=st.integers(1, 12),
-    magnitude=st.floats(1e-3, 1e6),
-    levels=st.sampled_from([None, 2, 7]),
-    zero_fraction=st.sampled_from([0.0, 0.4]),
-)
+@st.composite
+def edge_volumes(draw):
+    """A volume of ``dtype`` with its maximum at ``top`` and the rest of its
+    pixels on the lattice edges of its search: lattice points n * step, their
+    neighbours one unit of the dtype (an ulp, or 1 for integers) either
+    side, the smallest subnormal and -0.0 for floats, and zeros."""
+    dtype = np.dtype(draw(st.sampled_from([np.uint8, np.uint16, np.float32, np.float64])))
+    cfg = draw(st.sampled_from([SearchConfig(), SearchConfig(grid_step=0.5)]))
+    # beyond 4095 the step is grid_step x top / 4095, a step over 1
+    tops = [3.0, 200.0, 255.0] if dtype == np.uint8 else [3.0, 200.0, 4095.0, 4096.0, 5001.0, 60000.0]
+    top = float(dtype.type(draw(st.sampled_from(tops))))
+    n, h, w = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = _lattice(cfg, top, n)
+    size = n * h * w
+    points = rng.integers(0, lattice.stop + 1, size) * lattice.step
+    side = rng.integers(-1, 2, size)
+    if dtype.kind == "f":
+        points = points.astype(dtype)
+        points = np.where(side < 0, np.nextafter(points, -np.inf), np.where(side > 0, np.nextafter(points, np.inf), points))
+        specials = [np.finfo(dtype).smallest_subnormal, -0.0]
+    else:
+        points = np.rint(points) + side
+        specials = [0]
+    data = np.clip(points, 0, top).astype(dtype)
+    pick = rng.random(size) < 0.2
+    data[pick] = rng.choice(np.array(specials, dtype), int(pick.sum()))
+    data[0] = top
+    return Volume.from_array(data.reshape(n, h, w)), cfg
 
 
 @settings(max_examples=80, **EXAMPLES)
-@given(float_volumes)
-def test_sorted_prefix_sums_are_the_cumsums_of_values_and_squares(volume):
-    """Both sums of the sorted layout come from one complex ``cumsum``; each
-    part equals the real ``cumsum`` of the sorted values or of their squares
-    bit for bit, after a leading zero column."""
-    scan = _VolumeScan(volume)
-    values = np.sort(volume.data.reshape(volume.n_slices, -1), axis=1)
-    assert np.array_equal(scan._sorted, values)
-    zeros = np.zeros((volume.n_slices, 1))
-    assert np.array_equal(scan._sum1, np.hstack((zeros, np.cumsum(values, axis=1))))
-    assert np.array_equal(scan._sum2, np.hstack((zeros, np.cumsum(values * values, axis=1))))
+@given(edge_volumes())
+def test_tables_equal_the_oracle_sums_at_every_lattice_index(volume_and_cfg):
+    """At every lattice index n the tables hold ``oracle.lattice_sums`` of
+    the pixels <= n * step (every pixel at the last index): counts exactly,
+    integer sums exactly, float sums within float64 rounding. The pixels up
+    to a threshold change only where a pixel's own index lies, found here by
+    a binary search of the grid's products, so between two such indices
+    the tables repeat bit for bit. On integer data the level fold gives the
+    per-pixel tables bit for bit."""
+    volume, cfg = volume_and_cfg
+    scan = build_scan(volume, cfg)
+    q, stop = scan.lattice.step, scan.lattice.stop
+    grid = np.arange(stop + 1) * q
+    assert grid[-1] >= volume.intensity_max and (stop == 0 or grid[-2] < volume.intensity_max)
+    entries = np.unique(np.searchsorted(grid, volume.data.ravel().astype(np.float64), side="left"))
+    expected = np.empty_like(scan._tables)
+    for n in range(stop + 1):
+        if n == 0 or n in entries:
+            ref = lattice_sums(volume, grid[n])
+        expected[:, :, n] = ref
+    tables = scan._tables
+    assert np.array_equal(tables[0], expected[0])
+    if volume.data.dtype.kind == "u":
+        assert np.array_equal(tables, expected)
+        assert_fold_equals_per_pixel(volume, cfg)
+    else:
+        np.testing.assert_allclose(tables[1:], expected[1:], rtol=1e-12, atol=0.0)
+        assert np.all(np.diff(tables, axis=2)[:, :, np.setdiff1d(np.arange(1, stop + 1), entries) - 1] == 0)
 
 
 @settings(max_examples=8, **EXAMPLES)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_scaled_config_beyond_twelve_bits(seed):
-    """t_max > 4095 scales the lattice step; 80x80 slices keep the histogram layout."""
+    """t_max > 4095 scales the lattice step over 1, so integer rows fold
+    their levels into coarser bins; the fold equals the per-pixel bins."""
     rng = np.random.default_rng(seed)
     data = np.hypot(rng.normal(0.0, 300.0, (3, 80, 80)), rng.normal(0.0, 300.0, (3, 80, 80)))
     data[:, 25:55, 25:55] += 4200.0
     volume = Volume.from_array(np.rint(data).astype(np.uint16))
     assert volume.intensity_max > 4095
-    hist, srt = _VolumeScan(volume), _SortedScan(volume)
-    assert hist._sorted is None
-    result = find_t_opt(volume, scan=hist)
-    assert_same_threshold(result, find_t_opt(volume, scan=srt))
+    assert_fold_equals_per_pixel(volume, SearchConfig())
+    result = find_t_opt(volume)
     scale = volume.intensity_max
     for t, var, mean in result.curve[:: max(1, len(result.curve) // 20)]:
         ref_var, ref_mean = homogeneity_variance(volume, t)
@@ -258,7 +292,7 @@ unsigned_volumes = st.builds(
     has_object=st.booleans(),
     zero_fraction=st.sampled_from([0.0, 0.3]),
 ).flatmap(
-    # u16 also beyond the 8-bit range, where slices of up to 576 pixels take the sorted layout
+    # u16 also beyond the 8-bit range, and beyond 4095, where the step is over 1
     lambda v: st.just(v) if v.data.dtype == np.uint8 else st.sampled_from([v, Volume.from_array(v.data * np.uint16(37))])
 )
 
@@ -294,18 +328,18 @@ search_configs = st.builds(
 @settings(max_examples=80, **EXAMPLES)
 @given(lattice_volumes, search_configs)
 def test_every_threshold_is_a_lattice_point(volume, cfg):
-    """On both layouts, the ladder and the grid read lattice points n * step
-    only, none above t_max, and the grid ends at t_max. The grid's one
-    lookup holds the count an epsilon step below every curve point, at the
-    lattice product (n - epsilon) * step, and its coverage flags equal the
-    two-lookup ``oracle.background_covered``. Above 4095 the step is not
-    dyadic, and t - epsilon * step can miss the product by an ulp."""
-    for scan in (_VolumeScan(volume), _SortedScan(volume)):
-        lookups, flags = [], []
+    """Binned by level and pixel by pixel, the ladder and the grid read
+    lattice indices only, the ladder none at t_max, and the grid ends at
+    t_max, index stop. The curve's thresholds are the lattice products
+    n * step and then t_max. The grid's one take holds the count an epsilon
+    step below every curve point, at index n - epsilon, and its coverage
+    flags equal the two-take ``oracle.background_covered``."""
+    for scan in (build_scan(volume, cfg), build_scan(volume, cfg, per_pixel=True)):
+        takes, flags = [], []
 
-        def curve_and_count(ts, scan=scan):
-            lookups.append((ts, *_VolumeScan.curve_and_count(scan, ts)))
-            return lookups[-1][1:]
+        def curve_and_count(ns, scan=scan):
+            takes.append((ns, *_VolumeScan.curve_and_count(scan, ns)))
+            return takes[-1][1:]
 
         def gap_free(*args):
             flags.append(_gap_free(*args))
@@ -315,33 +349,34 @@ def test_every_threshold_is_a_lattice_point(volume, cfg):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(noise, "_gap_free", gap_free)
             result = find_t_opt(volume, cfg, scan=scan)
-        q, start, eps, stop = _lattice(cfg, scan.t_max)
-        if len(lookups) == 2:
-            ladder = lookups[0][0]
-            assert np.array_equal(ladder, np.arange(start, stop, eps) * q) and np.all(ladder < scan.t_max)
-        grid, *_, counts = lookups[-1]
-        first = round(grid[0] / q)
-        assert np.array_equal(grid[:-1], np.arange(first, stop) * q) and grid[-1] == scan.t_max
-        assert np.all(grid[:-1] < scan.t_max)
+        q, start, eps, stop = scan.lattice
+        if len(takes) == 2:
+            assert np.array_equal(takes[0][0], np.arange(start, stop, eps))
+        grid, *_, counts = takes[-1]
+        first = grid[0]
+        assert np.array_equal(grid, np.arange(first, stop + 1))
         ts = result.curve[:, 0]
-        assert np.array_equal(ts, grid[-ts.size :])
-        on = ts[:-1] if stop * q > scan.t_max else ts  # t_max off the lattice has no flag
-        down = np.maximum(np.rint(on / q).astype(int) - eps, 0)
-        assert np.array_equal(counts[down - first], _VolumeScan.curve_and_count(scan, down * q)[2])
-        assert np.array_equal(flags[-1][: on.size], background_covered(scan, on, down * q))
+        on = grid[-ts.size :]
+        assert np.array_equal(ts[:-1], on[:-1] * q) and ts[-1] == scan.t_max
+        assert np.all(ts[:-1] < scan.t_max)
+        if stop * q > scan.t_max:
+            on = on[:-1]  # t_max off the lattice has no flag
+        down = np.maximum(on - eps, 0)
+        assert np.array_equal(counts[down - first], _VolumeScan.curve_and_count(scan, down)[2])
+        assert np.array_equal(flags[-1][: on.size], background_covered(scan, on, down))
 
 
 def test_find_t_opt_looks_the_scan_up_twice(monkeypatch, disk_volume):
     """The probe ladder once, then the grid with its coverage counts once."""
-    scan = _VolumeScan(disk_volume)
+    scan = build_scan(disk_volume)
     calls = []
-    lookup = _VolumeScan._lookup
+    curve_and_count = _VolumeScan.curve_and_count
 
-    def counting(self, ts, *tables):
-        calls.append(ts.size)
-        return lookup(self, ts, *tables)
+    def counting(self, ns):
+        calls.append(ns.size)
+        return curve_and_count(self, ns)
 
-    monkeypatch.setattr(_VolumeScan, "_lookup", counting)
+    monkeypatch.setattr(_VolumeScan, "curve_and_count", counting)
     result = find_t_opt(disk_volume, scan=scan)
     assert len(calls) == 2 and calls[0] > 0
     assert calls[1] >= len(result.curve)
@@ -356,28 +391,30 @@ def test_search_flags_snap_to_whole_steps_ties_to_even(disk_volume, given, snapp
 
 
 def test_search_over_the_cap_fails_before_any_lookup(monkeypatch, disk_volume):
-    scan = _VolumeScan(disk_volume)
-    monkeypatch.setattr(_VolumeScan, "_lookup", lambda *_: pytest.fail("looked up"))
+    scan = build_scan(disk_volume)
+    monkeypatch.setattr(_VolumeScan, "__init__", lambda *_: pytest.fail("built a scan"))
+    monkeypatch.setattr(_VolumeScan, "curve_and_count", lambda *_: pytest.fail("looked up"))
     with pytest.raises(EstimationError, match="over the cap"):
         find_t_opt(disk_volume, SearchConfig(grid_step=1e-6), scan=scan)
 
 
 def test_probe_walk_equals_the_two_lookup_saturation_test(monkeypatch):
-    """On the criterion-3 corpus, as f32 data and quantised to u16, on both
-    layouts: the saturation flags of the ladder's one lookup equal those of
-    ``oracle.is_saturated``, with its own count lookup an epsilon step up."""
+    """On the criterion-3 corpus, as f32 data and quantised to u16, binned
+    by level and pixel by pixel: the saturation flags of the ladder's one
+    take equal those of ``oracle.is_saturated``, with its own count take an
+    epsilon step up."""
     saturated = 0
     for spec in _criterion_3_corpus():
         phantom = generate(spec)
         for volume in (phantom, as_u16(Volume.from_array(np.rint(phantom.data)))):
-            for scan in (_VolumeScan(volume), _SortedScan(volume)):
-                lattice = _lattice(SearchConfig(), scan.t_max)
-                ladder = np.arange(lattice.start, lattice.stop, lattice.epsilon) * lattice.step
-                reference = is_saturated(scan, ladder, lattice.epsilon * lattice.step)
+            for scan in (build_scan(volume), build_scan(volume, per_pixel=True)):
+                lattice = scan.lattice
+                ladder = np.arange(lattice.start, lattice.stop, lattice.epsilon)
+                reference = is_saturated(scan, ladder, lattice.epsilon)
                 flags = []
                 with monkeypatch.context() as m:
                     m.setattr(noise, "_gap_free", lambda *a: flags.append(_gap_free(*a)) or flags[-1])
-                    _probe_walk(scan, lattice)
+                    _probe_walk(scan)
                 assert np.array_equal(flags[0], reference)
                 saturated += bool(reference.any())
     assert saturated > 0
@@ -393,13 +430,10 @@ def estimate_or_error(volume, cfg):
 @settings(max_examples=80, **EXAMPLES)
 @given(unsigned_volumes, st.sampled_from(CONFIGS))
 def test_unsigned_volume_estimates_like_its_float64_copy(volume, cfg):
-    """u8/u16 data takes the histogram layout whenever its bounds hold, and
-    its float64 copy the sorted one; both give the same estimate bit for bit."""
+    """u8/u16 data folds its level counts into the bins, and its float64
+    copy bins each pixel; both give the same estimate bit for bit."""
     copy = Volume.from_array(volume.data.astype(np.float64), volume.voxel_size)
     assert volume.data.dtype in (np.uint8, np.uint16) and copy.data.dtype == np.float64
-    n, h, w = volume.shape
-    assert (_VolumeScan(volume)._sorted is None) == (volume.intensity_max + 1 <= h * w)
-    assert _VolumeScan(copy)._sorted is not None
     a, b = estimate_or_error(volume, cfg), estimate_or_error(copy, cfg)
     if isinstance(a, str) or isinstance(b, str):
         assert a == b
@@ -439,26 +473,19 @@ f32_volumes = st.builds(
 )
 
 
-def bits(*arrays):
-    return [a.tobytes() for a in arrays]
-
-
 @settings(max_examples=60, **EXAMPLES)
 @given(f32_volumes, st.sampled_from(CONFIGS))
 def test_float32_volume_scans_and_estimates_like_its_float64_copy(volume, cfg):
-    """A float32 volume is sorted in float32 and searched with every t
-    rounded down to float32. Its tables, its lookups at, one float64 ulp
-    above and one below every value present, its signal mean there and its
-    estimate equal those of its float64 copy bit for bit."""
+    """A float32 volume's pixels widen exactly to float64 and are binned and
+    summed as its float64 copy's are. Its tables, its signal mean at the
+    index of every value present and the one below, and its estimate equal
+    those of its float64 copy bit for bit."""
     copy = Volume.from_array(volume.data.astype(np.float64), volume.voxel_size)
     assert volume.data.dtype == np.float32 and copy.data.dtype == np.float64
-    a, b = _VolumeScan(volume), _VolumeScan(copy)
-    assert a._sorted.dtype == np.float32 and b._sorted.dtype == np.float64
-    assert bits(a._sum1, a._sum2) == bits(b._sum1, b._sum2)
-    levels = np.unique(copy.data)
-    ts = np.unique(np.concatenate(([0.0], levels, np.nextafter(levels, np.inf), np.nextafter(levels, -np.inf))))
-    assert bits(*a._lookup(ts, a._count, a._sum1, a._sum2)) == bits(*b._lookup(ts, b._count, b._sum1, b._sum2))
-    assert [a.mean_above(t) for t in ts] == [b.mean_above(t) for t in ts]
+    a, b = build_scan(volume, cfg), build_scan(copy, cfg)
+    assert bits(a._tables) == bits(b._tables)
+    ns = boundaries(a, copy)
+    assert [a.mean_above(n) for n in ns] == [b.mean_above(n) for n in ns]
     x, y = estimate_or_error(volume, cfg), estimate_or_error(copy, cfg)
     if isinstance(x, str) or isinstance(y, str):
         assert x == y
@@ -476,7 +503,6 @@ def test_float32_volume_scans_and_estimates_like_its_float64_copy(volume, cfg):
 def test_quantized_disk_phantom_estimates_like_its_float64_copy(disk_volume):
     data = np.rint(disk_volume.data)
     u16, copy = Volume.from_array(data.astype(np.uint16)), Volume.from_array(data)
-    assert _VolumeScan(u16)._sorted is None and _VolumeScan(copy)._sorted is not None
     a, b = estimate(u16), estimate(copy)
     assert not a.threshold.no_object and a.signal_mean > 900
     assert (a.sigma, a.signal_mean, a.snr, a.per_slice_sigma, a.zero_fraction) == (
@@ -492,12 +518,14 @@ def test_quantized_disk_phantom_estimates_like_its_float64_copy(disk_volume):
 @settings(max_examples=60, **EXAMPLES)
 @given(unsigned_volumes)
 def test_mean_above_equals_the_mean_of_the_pixels(volume):
-    """On both layouts, the signal mean equals numpy's mean of the pixels above t, bit for bit."""
+    """Binned by level and pixel by pixel, the signal mean equals numpy's
+    mean of the pixels above an index's threshold, bit for bit."""
     copy = Volume.from_array(volume.data.astype(np.float64))
-    for scan in (_VolumeScan(volume), _SortedScan(volume)):
-        for t in thresholds(volume):
+    for scan in (build_scan(volume), build_scan(volume, per_pixel=True)):
+        ns = boundaries(scan, volume)
+        for n, t in zip(ns, thresholds(scan, ns)):
             above = copy.data[copy.data > t]
-            assert scan.mean_above(t) == (float(above.mean()) if above.size else 0.0)
+            assert scan.mean_above(n) == (float(above.mean()) if above.size else 0.0)
 
 
 @pytest.mark.parametrize("integral", [True, False])
@@ -506,7 +534,6 @@ def test_all_zero_slice_has_no_sigma(integral):
     data = np.hypot(rng.normal(0.0, 20.0, (4, 24, 24)), rng.normal(0.0, 20.0, (4, 24, 24)))
     data[2] = 0.0
     volume = Volume.from_array(np.rint(data).astype(np.uint16) if integral else data)
-    assert (_VolumeScan(volume)._sorted is None) == integral
     est = estimate(volume)
     assert est.per_slice_sigma[2] is None
     assert all(v is not None for i, v in enumerate(est.per_slice_sigma) if i != 2)
@@ -516,9 +543,9 @@ def test_estimate_builds_one_scan_and_calls_find_t_opt(monkeypatch, disk_volume)
     built, searched = [], []
 
     class CountingScan(_VolumeScan):
-        def __init__(self, volume):
+        def __init__(self, volume, lattice):
             built.append(volume)
-            super().__init__(volume)
+            super().__init__(volume, lattice)
 
     original = noise.find_t_opt
     monkeypatch.setattr(noise, "_VolumeScan", CountingScan)

@@ -12,16 +12,9 @@ from qbench import (
     generate,
     quantize,
 )
-from qbench.noise import _tied_argmin, _VolumeScan
-from conftest import const_phantom, pure_noise, volume_from
+from qbench.noise import _tied_argmin
+from conftest import build_scan, const_phantom, pure_noise, volume_from
 from oracle import homogeneity_variance
-
-
-class SortedScan(_VolumeScan):
-    """The sorted layout, whatever the data."""
-
-    def _histogram(self, flat):
-        return None
 
 
 def descending_at_start_volume():
@@ -68,13 +61,13 @@ def brain_like_volume(seed=9):
 class TestFindTLower:
     def test_descending_curve_fires_at_t_start(self):
         vol = descending_at_start_volume()
-        variances, _ = _VolumeScan(vol).curve_and_count(np.array([40.0, 50.0]))[:2]
+        variances, _ = build_scan(vol).curve_and_count(np.array([40, 50]))[:2]
         assert variances[1] < 0.25 * variances[0]  # shape precondition
         assert find_t_lower(vol) == 40.0
 
     def test_monotone_curve_falls_back_to_t_max(self):
         vol = staircase_volume()
-        seq, _ = _VolumeScan(vol).curve_and_count(np.arange(40.0, vol.intensity_max, 10.0))[:2]
+        seq, _ = build_scan(vol).curve_and_count(np.arange(40, int(vol.intensity_max), 10))[:2]
         assert np.all(np.diff(seq) >= 0)  # shape precondition: no descent
         assert find_t_lower(vol) == vol.intensity_max
 
@@ -115,12 +108,12 @@ class TestFindTOpt:
         assert 380.0 <= tr.t_rejected <= 440.0
 
     def test_modes_agree_on_disk_phantom(self, disk_volume):
-        # the scan's two layouts: u16 data takes the histogram, and the
-        # sorted one must give the same search, bit for bit, on all 20 slices
+        # the scan's two builds: u16 data folds its level counts into the
+        # lattice bins, and binning each pixel must give the same search,
+        # bit for bit, on all 20 slices
         vol = Volume.from_array(quantize(disk_volume).data.astype(np.uint16))
-        hist, srt = _VolumeScan(vol), SortedScan(vol)
-        assert hist._sorted is None and srt._sorted is not None
-        a, b = find_t_opt(vol, scan=hist), find_t_opt(vol, scan=srt)
+        fold, pixel = build_scan(vol), build_scan(vol, per_pixel=True)
+        a, b = find_t_opt(vol, scan=fold), find_t_opt(vol, scan=pixel)
         assert (a.t_opt, a.t_lower, a.no_object, a.t_rejected) == (b.t_opt, b.t_lower, b.no_object, b.t_rejected)
         assert np.array_equal(a.curve, b.curve)
 

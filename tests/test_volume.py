@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qbench import Volume
-from qbench.noise import _VolumeScan
+from qbench.noise import _lattice_index
+from conftest import build_scan
 
 
 def scan_of(values, shape=None):
@@ -14,19 +15,25 @@ def scan_of(values, shape=None):
         arr = arr.reshape(shape)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    return _VolumeScan(Volume.from_array(arr[None]))
+    return build_scan(Volume.from_array(arr[None]))
 
 
-def stats_all(scan, t=np.inf):
+def index(scan, t):
+    """The lattice index of threshold t, a lattice point of the scan; t_max's when t is None."""
+    return scan.lattice.stop if t is None else int(_lattice_index(t, scan.lattice.step))
+
+
+def stats_all(scan, t=None):
     """Population std of the one slice at t over all its pixels, zeros
     included: with one slice, the mean of the slice stds."""
-    return float(scan.curve_and_count(np.array([t]))[1][0])
+    return float(scan.curve_and_count(np.array([index(scan, t)]))[1][0])
 
 
-def stats_positive(scan, t=np.inf):
+def stats_positive(scan, t=None):
     """Count and population std of the one slice's positive pixels <= t (std None when there is none)."""
-    [std] = scan.positive_sigmas(t, 1.0)
-    return int(scan.curve_and_count(np.array([t]))[2][0]), std
+    n = index(scan, t)
+    [std] = scan.positive_sigmas(n, 1.0)
+    return int(scan.curve_and_count(np.array([n]))[2][0]), std
 
 
 class TestSliceAndVolume:
@@ -182,10 +189,11 @@ class TestStatsProperties:
         base = scan_of(arr)
         for c in (2.0, 0.5, 7.25):
             scaled = scan_of(arr * c)
-            for t in (40.0, np.inf):
-                assert stats_all(scaled, c * t) == pytest.approx(c * stats_all(base, t), rel=1e-12)
+            for t in (40.0, None):
+                st = None if t is None else c * t
+                assert stats_all(scaled, st) == pytest.approx(c * stats_all(base, t), rel=1e-12)
                 base_count, base_std = stats_positive(base, t)
-                count, std = stats_positive(scaled, c * t)
+                count, std = stats_positive(scaled, st)
                 assert count == base_count
                 assert std == pytest.approx(c * base_std, rel=1e-12)
 
@@ -196,6 +204,13 @@ class TestStatsProperties:
         shuffled = arr.copy()
         rng.shuffle(shuffled)
         a, b = scan_of(arr, (6, 6)), scan_of(shuffled, (6, 6))
-        for t in (5.0, np.inf):
+        for t in (5.0, None):
             assert stats_all(a, t) == pytest.approx(stats_all(b, t), rel=1e-12)
+            # float sums accumulate in pixel order within a lattice bin
+            (count_a, std_a), (count_b, std_b) = stats_positive(a, t), stats_positive(b, t)
+            assert count_a == count_b and std_a == pytest.approx(std_b, rel=1e-12)
+        # integer sums are exact, so the order of the pixels cannot show
+        a, b = scan_of(np.rint(arr * 100), (6, 6)), scan_of(np.rint(shuffled * 100), (6, 6))
+        for t in (500.0, None):
+            assert stats_all(a, t) == stats_all(b, t)
             assert stats_positive(a, t) == stats_positive(b, t)
