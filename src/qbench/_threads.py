@@ -1,8 +1,11 @@
 """Threads that end before their caller goes on: one call in the background
-with a result slot, and a row split over the cores this process may use.
+with a result slot, a two-stage pipeline, and a row split over the cores
+this process may use.
 
-numpy's ufuncs, its random fills and ``hashlib`` release the GIL on large
-buffers, so work handed to these threads runs alongside the caller.
+numpy's ufuncs, its random fills, BLAS ``matmul`` and ``hashlib`` release
+the GIL on large buffers, so work handed to these threads runs alongside
+the caller. ``np.bincount`` holds it: two threads that both build noise
+scans take turns, not cores.
 """
 
 from __future__ import annotations
@@ -45,6 +48,26 @@ class Background:
 
     def __exit__(self, *exc_info) -> None:
         self._thread.join()
+
+
+def pipeline(produce, consume, items) -> list:
+    """``[consume(produce(x)) for x in items]`` in two stages: each
+    ``consume`` call runs on a thread of its own while the calling thread
+    produces the next item, and the next call starts only once the last has
+    ended, so one such thread runs at a time. Every thread is joined before
+    return, and an exception is raised as that loop would raise it: an
+    earlier item's before a later one's."""
+    results, job = [], None
+    for x in items:
+        try:
+            y = produce(x)
+        finally:
+            if job is not None:
+                results.append(job.result())
+        job = Background(consume, y)
+    if job is not None:
+        results.append(job.result())
+    return results
 
 
 def split_rows(fn, n_rows: int) -> None:

@@ -11,8 +11,13 @@ A no-object result is a successful run that prints a prominent warning.
 The input is read once: the loader parses the bytes it read and the report
 hashes the same bytes, on one worker thread that starts before the parse
 and runs while the main thread parses and analyses. ``curve`` estimates the
-input volume once and reuses that estimate for both the report and the
-curve's factor-1 point.
+input volume once, inside the curve, and reuses that estimate for both the
+report and the curve's factor-1 point. The curve is a two-stage pipeline:
+one worker thread runs the estimates, the input volume's first, while the
+main thread downsamples by the next factor. BLAS ``matmul`` releases the GIL
+and the scan's ``bincount`` holds it, so the two stages share two cores only
+this way round; and the worker's allocations, in a malloc arena of their
+own, stay small. Every exit joins every worker.
 """
 
 from __future__ import annotations
@@ -132,8 +137,11 @@ def _cmd_analyze(args) -> int:
     with input_digest(args.input, files) as digest:
         volume, fmt, load_warnings = _load(args.input, files)
         del files
-        est = estimate(volume, cfg)
-        curve = None if factors is None else noise_resolution_curve(volume, factors, cfg, full=est)
+        if factors is None:
+            est, curve = estimate(volume, cfg), None
+        else:
+            curve = noise_resolution_curve(volume, factors, cfg)
+            est = curve.full
         score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
         report = build_report(
             digest=digest.result(),

@@ -342,7 +342,10 @@ def _lattice_index(x, step: float):
     """The lattice index of every value of ``x``: the smallest whole n with
     x <= n * step, for the float64 products n * step the grid computes. A
     lattice point n * step has index n, and t_max index ``stop``. x / step is
-    rounded, so its ceiling may be one step off either way."""
+    rounded, so its ceiling may be one step off either way; at step 1 the
+    quotient and both products are exact, so neither correction can fire."""
+    if step == 1.0:
+        return np.ceil(x).astype(np.intp)
     n = np.ceil(x / step)
     n -= (n - 1.0) * step >= x
     n += n * step < x

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._threads import pipeline
 from .noise import EstimationError, NoiseEstimate, SearchConfig, estimate
 from .volume import Volume
 
@@ -144,8 +145,11 @@ def downsample(volume: Volume, factor: float) -> Volume:
     over the band's window of source samples only: the filter's support, not
     the zeros around it. Axes of equal length share one set of bands, and
     so do later calls on the same axis lengths and factor. Each axis's
-    products write into one array of their own; the last is clamped in
-    place, so ``Volume`` makes the one copy after the last product.
+    products write into one array of their own, allocated once the axis
+    before is done and freed once the axis after is: the peak is the
+    float64 widening of the input and the axis-0 products. The last array
+    is clamped in place, so ``Volume`` makes the one copy after the last
+    product.
     """
     factor = float(factor)
     if not 1.0 <= factor < math.inf:
@@ -156,18 +160,21 @@ def downsample(volume: Volume, factor: float) -> Volume:
         if out_dim < 1:
             raise ValueError(f"factor {factor} collapses axis {axis} (size {dim}) to zero")
     b0, b1, b2 = (_axis_bands(dim, out_dim, factor) for dim, out_dim in zip(volume.shape, out))
-    a0 = np.empty((m0, n1 * n2))
-    a1 = np.empty((m0, m1, n2))
-    data = np.empty((m0 * m1, m2))
     x = volume.data.reshape(n0, n1 * n2).astype(np.float64, copy=False)
+    a0 = np.empty((m0, n1 * n2))
     for rows, cols, w in b0:
         np.matmul(w, x[cols], out=a0[rows])
+    del x
     a0 = a0.reshape(m0, n1, n2)
+    a1 = np.empty((m0, m1, n2))
     for rows, cols, w in b1:
         np.matmul(w, a0[:, cols], out=a1[:, rows])
+    del a0
     a1 = a1.reshape(m0 * m1, n2)
+    data = np.empty((m0 * m1, m2))
     for rows, cols, w in b2:
         np.matmul(a1[:, cols], w.T, out=data[:, rows])
+    del a1
     # Lanczos lobes can undershoot; magnitudes stay non-negative by clamping.
     np.maximum(data, 0.0, out=data)
     voxel = tuple(v * factor for v in volume.voxel_size)
@@ -187,7 +194,9 @@ class ResolutionCurve:
 
     ``gradient_m`` and ``y0`` describe noise ~= y0 * r^(-m); ``residual`` is
     the RMS misfit in log space. Failed resolutions are kept in ``failures``
-    as (factor, reason) pairs.
+    as (factor, reason) pairs. ``full`` is the estimate of the volume at its
+    own resolution, which the curve always makes; it takes no part in
+    comparisons.
     """
 
     points: tuple[CurvePoint, ...]
@@ -195,6 +204,7 @@ class ResolutionCurve:
     y0: float
     residual: float
     failures: tuple[tuple[float, str], ...] = ()
+    full: NoiseEstimate | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         rs = [p.resolution_mm for p in self.points]
@@ -259,41 +269,61 @@ def check_factors(factors, name: str = "factors") -> list[float]:
     return factors
 
 
-def noise_resolution_curve(
-    volume: Volume,
-    factors,
-    cfg: SearchConfig = SearchConfig(),
-    full: NoiseEstimate | None = None,
-) -> ResolutionCurve:
-    """Downsample by each factor, estimate noise, fit the power law.
+def _point(vol: Volume, est: NoiseEstimate) -> CurvePoint | str:
+    """The curve point of ``vol``'s estimate, or why it has none."""
+    if est.sigma <= 0:
+        return "estimated noise is not positive"
+    return CurvePoint(effective_resolution(vol.voxel_size), est.sigma, est.snr)
 
-    Factors of 1 keep the original volume; ``full``, an estimate of
-    ``volume`` with ``cfg`` already at hand, then stands in for estimating it
-    again. ``factors`` must pass :func:`check_factors`, before any
-    downsampling. Per-factor estimation failures are recorded and their
-    points omitted; at least two points must survive.
+
+def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchConfig()) -> ResolutionCurve:
+    """Estimate ``volume`` and its downsampled copies, fit the power law.
+
+    ``factors`` must pass :func:`check_factors`, before any downsampling.
+    ``volume`` is estimated once, whether or not 1 is a factor; that
+    estimate is the curve's ``full`` and its factor-1 point, and its failure
+    ends the curve. A factor's failure to downsample or to estimate is
+    recorded and its point omitted; at least two points must survive.
+
+    The estimates run on one worker thread, the volume's first, each while
+    the calling thread downsamples by the next factor (:func:`_threads.pipeline`).
+    This split suits the GIL: BLAS ``matmul`` releases it and the scan's
+    ``bincount`` holds it, so only the downsampling runs beside an estimate.
+    It also suits the allocator: the worker's allocations land in a malloc
+    arena of their own, and the resampling's large temporaries stay in the
+    calling thread's.
     """
     factors = check_factors(factors)
+    scaled = [f for f in factors if f != 1.0]
 
-    def run_one(f: float) -> CurvePoint | str:
+    def resampled(f: float) -> Volume | str:  # on the calling thread
+        if f == 1.0:
+            return volume
         try:
-            vol = volume if f == 1.0 else downsample(volume, f)
-            est = full if f == 1.0 and full is not None else estimate(vol, cfg)
-            if est.sigma <= 0:
-                raise EstimationError("estimated noise is not positive")
-            return CurvePoint(effective_resolution(vol.voxel_size), est.sigma, est.snr)
+            return downsample(volume, f)
+        except ValueError as exc:
+            return str(exc)
+
+    def estimated(vol: Volume | str) -> NoiseEstimate | CurvePoint | str:  # on the worker
+        if vol is volume:
+            return estimate(volume, cfg)
+        if isinstance(vol, str):
+            return vol
+        try:
+            return _point(vol, estimate(vol, cfg))
         except (EstimationError, ValueError) as exc:
             return str(exc)
 
-    outcomes = [run_one(f) for f in factors]
-
+    full, *outcomes = pipeline(resampled, estimated, [1.0, *scaled])
+    by_factor = {1.0: _point(volume, full), **dict(zip(scaled, outcomes))}
+    outcomes = [by_factor[f] for f in factors]
     points = [o for o in outcomes if isinstance(o, CurvePoint)]
     failures = [(f, o) for f, o in zip(factors, outcomes) if isinstance(o, str)]
     if len(points) < 2:
         raise EstimationError(f"resolution curve collapsed: only {len(points)} usable points ({failures})")
     points.sort(key=lambda p: p.resolution_mm)
     m, y0, residual = fit_power_law([p.resolution_mm for p in points], [p.noise for p in points])
-    return ResolutionCurve(tuple(points), m, y0, residual, tuple(failures))
+    return ResolutionCurve(tuple(points), m, y0, residual, tuple(failures), full)
 
 
 def check_quality_params(m: float, ref_mm: float, names: tuple[str, str] = ("m", "ref_mm")) -> None:

@@ -9,14 +9,27 @@ form of the search's one rule. ``is_saturated`` and ``background_covered``
 are the gap-free test of the probe walk and of the grid, each with count
 lookups of its own, an epsilon step up or down. ``phantom`` builds a phantom
 out of place, step by step, for ``phantom.generate`` to match byte for byte.
+``sequential_curve`` computes the resolution curve one step after another on
+the calling thread, for the pipelined ``noise_resolution_curve`` to match.
 """
 
 import math
 
 import numpy as np
 
-from qbench import render_template
+from qbench import (
+    CurvePoint,
+    EstimationError,
+    ResolutionCurve,
+    SearchConfig,
+    downsample,
+    effective_resolution,
+    estimate,
+    fit_power_law,
+    render_template,
+)
 from qbench.noise import _NEAR_FULL_FRACTION, _SATURATION_FLOOR, _TIE_REL_TOL, _stray_budget
+from qbench.resolution import check_factors
 
 
 def homogeneity_variance(volume, t):
@@ -109,3 +122,27 @@ def phantom(spec):
         imag = spec.sigma * rng.standard_normal(data.shape)
         data = np.hypot(real, imag)
     return np.rint(data) if spec.quantize else data
+
+
+def sequential_curve(volume, factors, cfg=SearchConfig()):
+    """The resolution curve of ``volume``, every step on the calling thread:
+    the volume's estimate, then per factor in the order given its downsample
+    and estimate, the factor-1 point taken from the volume's estimate."""
+    factors = check_factors(factors)
+    full = estimate(volume, cfg)
+    outcomes = []
+    for f in factors:
+        try:
+            vol = volume if f == 1.0 else downsample(volume, f)
+            est = full if f == 1.0 else estimate(vol, cfg)
+            if est.sigma <= 0:
+                raise EstimationError("estimated noise is not positive")
+            outcomes.append(CurvePoint(effective_resolution(vol.voxel_size), est.sigma, est.snr))
+        except (EstimationError, ValueError) as exc:
+            outcomes.append(str(exc))
+    points = sorted((o for o in outcomes if isinstance(o, CurvePoint)), key=lambda p: p.resolution_mm)
+    failures = tuple((f, o) for f, o in zip(factors, outcomes) if isinstance(o, str))
+    if len(points) < 2:
+        raise EstimationError(f"resolution curve collapsed: only {len(points)} usable points ({list(failures)})")
+    m, y0, residual = fit_power_law([p.resolution_mm for p in points], [p.noise for p in points])
+    return ResolutionCurve(tuple(points), m, y0, residual, failures, full)

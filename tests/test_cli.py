@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbench import PhantomSpec, Volume, generate, load_volume, write_container
-from qbench import cli, qvol, report
+from qbench import cli, qvol, report, resolution
 from qbench.cli import EXIT_ESTIMATION, EXIT_INTERNAL, EXIT_LOAD, EXIT_OK, EXIT_USAGE, main
 from qbench.report import REPORT_SCHEMA
 
@@ -328,7 +328,8 @@ class TestInternalError:
         def fail(*args, **kwargs):
             raise RuntimeError("scan\nfailed")
 
-        monkeypatch.setattr(cli, "estimate", fail)
+        # ``curve`` estimates inside the curve, on its worker thread
+        monkeypatch.setattr(resolution if command[0] == "curve" else cli, "estimate", fail)
         output = tmp_path / "r.json"
         argv = [command[0], str(disk_container), *command[1:], "--output", str(output)]
         assert main(argv) == EXIT_INTERNAL
@@ -414,6 +415,31 @@ class TestCurve:
         out = tmp_path / "c.json"
         assert main(["curve", str(const_container), "--factors", factors, "--output", str(out)]) == EXIT_OK
         assert len(made) == calls
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [("success", EXIT_OK), ("full-fails", EXIT_ESTIMATION), ("factor-fails", EXIT_OK), ("raises", EXIT_INTERNAL)],
+    )
+    def test_no_thread_outlives_main(self, const_container, tmp_path, monkeypatch, capsys, case, code):
+        """The curve's estimates run on a worker thread, which every exit joins."""
+        factors, extra = "1,1.5,2", []
+        if case == "full-fails":
+            extra = ["--grid-step", "1e-6"]
+        elif case == "factor-fails":
+            factors = "1,1.5,100"  # 100 collapses every axis
+        elif case == "raises":
+            monkeypatch.setattr(resolution, "estimate", TestHashingThread.raise_runtime_error)
+        out = tmp_path / "c.json"
+        before = set(threading.enumerate())
+        assert main(["curve", str(const_container), "--factors", factors, *extra, "--output", str(out)]) == code
+        assert set(threading.enumerate()) == before
+        err = capsys.readouterr().err
+        if case == "factor-fails":
+            assert [f["factor"] for f in json.loads(out.read_text())["resolution_curve"]["failures"]] == [100.0]
+        elif case == "raises":
+            assert err == "qbench: internal error: RuntimeError: scan failed\n"
+        elif case == "full-fails":
+            assert err.startswith("qbench: estimation failed: ")
 
     def test_single_factor_is_usage_error(self, const_container, tmp_path, capsys):
         code = main(["curve", str(const_container), "--factors", "2", "--output", str(tmp_path / "c.json")])

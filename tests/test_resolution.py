@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbench import (
+    EstimationError,
     QualityScore,
     ResolutionCurve,
     SearchConfig,
@@ -21,6 +23,8 @@ from qbench import (
 )
 from qbench.resolution import _bands, _resample_weights
 from conftest import const_phantom, disk_phantom, volume_from
+from oracle import sequential_curve
+from test_scan import assert_same_threshold
 
 
 class TestLanczosKernel:
@@ -49,22 +53,22 @@ class TestLanczosKernel:
 
 
 class TestDownsample:
-    def test_peak_is_the_widening_the_three_products_and_the_copy(self):
+    @pytest.mark.parametrize("factor", [1.5, 2.0, 3.0])
+    def test_peak_is_the_widening_and_the_axis_0_product(self, factor):
         """One downsample of a float32 60x128x128 volume peaks within 5 % of
-        its float64 widening, the three axis products and the ``Volume`` copy
-        of the last (tracemalloc): no full-size temporary comes on top."""
+        its float64 widening and the axis-0 products (tracemalloc): each
+        stage's array is freed before the one after next is allocated, and
+        no full-size temporary comes on top."""
         rng = np.random.default_rng(5)
         volume = Volume.from_array(rng.random((60, 128, 128), dtype=np.float32) * 1000)
-        downsample(volume, 1.5)  # the bands are cached from here on
+        downsample(volume, factor)  # the bands are cached from here on
         tracemalloc.start()
         try:
-            out = downsample(volume, 1.5)
+            out = downsample(volume, factor)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        m0, m1, m2 = out.shape
-        products = m0 * 128 * 128 + m0 * m1 * 128 + m0 * m1 * m2
-        expected = 8 * (volume.data.size + products) + out.data.nbytes
+        expected = 8 * (volume.data.size + out.shape[0] * 128 * 128)
         assert out.data.dtype == np.float64
         assert expected <= peak <= 1.05 * expected
 
@@ -360,12 +364,13 @@ class TestNoiseResolutionCurve:
 
         vol = const_phantom(value=0.0, sigma=60.0, seed=46, width=32, height=32, n_slices=10)
         fresh = noise_resolution_curve(vol, [1.0, 1.5, 2.0])
-        full = estimate(vol)
         calls = []
         monkeypatch.setattr(resolution, "estimate", lambda v, cfg: calls.append(v) or estimate(v, cfg))
-        reused = noise_resolution_curve(vol, [1.0, 1.5, 2.0], full=full)
+        reused = noise_resolution_curve(vol, [1.0, 1.5, 2.0])
         assert reused == fresh
-        assert len(calls) == 2 and all(v is not vol for v in calls)
+        assert (reused.points[0].noise, reused.points[0].snr) == (reused.full.sigma, reused.full.snr)
+        # the volume itself is estimated once, as ``full``
+        assert len(calls) == 3 and calls[0] is vol and all(v is not vol for v in calls[1:])
 
     def test_requires_two_factors(self, disk_volume):
         with pytest.raises(ValueError):
@@ -389,6 +394,110 @@ class TestNoiseResolutionCurve:
         with pytest.raises(ValueError, match=message):
             noise_resolution_curve(vol, factors)
         assert resampled == []
+
+
+def assert_same_estimate(a, b):
+    assert (a.sigma, a.signal_mean, a.snr, a.per_slice_sigma, a.zero_fraction) == (
+        b.sigma,
+        b.signal_mean,
+        b.snr,
+        b.per_slice_sigma,
+        b.zero_fraction,
+    )
+    assert_same_threshold(a.threshold, b.threshold)
+
+
+class TestCurvePipeline:
+    """The curve estimates on one worker thread while the calling thread
+    downsamples; it gives what the sequential loop gives, and every exit
+    joins the worker."""
+
+    @staticmethod
+    def volume():
+        return disk_phantom(radius=8, value=1000.0, sigma=100.0, seed=47, width=32, height=32, n_slices=10)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [[1.0, 1.5, 2.0, 3.0], [2.0, 1.5, 3.0], [3.0, 1.0, 2.0, 1.5], [1.0, 12.0, 2.0], [12.0, 2.0, 1.5]],
+        ids=["with-1", "without-1-shuffled", "with-1-shuffled", "with-1-collapse", "without-1-collapse"],
+    )
+    def test_equals_the_sequential_loop_bit_for_bit(self, factors):
+        vol = self.volume()
+        curve, expected = noise_resolution_curve(vol, factors), sequential_curve(vol, factors)
+        assert curve == expected
+        assert_same_estimate(curve.full, expected.full)
+        if 12.0 in factors:
+            assert [f for f, _ in curve.failures] == [12.0]
+
+    def test_estimates_run_on_one_worker_at_a_time(self, monkeypatch):
+        from qbench import resolution
+
+        running, seen = [], []
+
+        def tracked(v, cfg):
+            running.append(v)
+            seen.append((threading.current_thread(), len(running)))
+            try:
+                return estimate(v, cfg)
+            finally:
+                running.remove(v)
+
+        monkeypatch.setattr(resolution, "estimate", tracked)
+        noise_resolution_curve(self.volume(), [1.0, 1.5, 2.0, 3.0])
+        assert len(seen) == 4
+        assert all(thread is not threading.main_thread() and n == 1 for thread, n in seen)
+
+    @staticmethod
+    def fail_at(shape, exc):
+        """``estimate`` that raises ``exc`` on a volume of ``shape``."""
+
+        def fail(v, cfg):
+            if v.shape == shape:
+                raise exc
+            return estimate(v, cfg)
+
+        return fail
+
+    @pytest.mark.parametrize("case", ["success", "full-fails", "factor-fails", "collapse", "raises"])
+    def test_no_thread_outlives_the_curve(self, monkeypatch, case):
+        from qbench import resolution
+
+        vol, cfg, factors = self.volume(), SearchConfig(), [1.0, 1.5, 2.0]
+        expected = None
+        if case == "full-fails":
+            cfg, expected = SearchConfig(grid_step=1e-6), EstimationError
+        elif case == "factor-fails":
+            monkeypatch.setattr(resolution, "estimate", self.fail_at((5, 16, 16), EstimationError("no noise here")))
+        elif case == "collapse":
+            factors = [1.0, 2.0, 12.0]
+        elif case == "raises":
+            monkeypatch.setattr(resolution, "estimate", self.fail_at((6, 21, 21), RuntimeError("scan failed")))
+            expected = RuntimeError
+        before = set(threading.enumerate())
+        if expected is None:
+            curve = noise_resolution_curve(vol, factors, cfg)
+            if case == "factor-fails":
+                assert curve.failures == ((2.0, "no noise here"),)
+        else:
+            with pytest.raises(expected):
+                noise_resolution_curve(vol, factors, cfg)
+        assert set(threading.enumerate()) == before
+
+    def test_an_earlier_estimate_fails_before_a_later_downsample(self, monkeypatch):
+        # as in the sequential loop: the volume's own failed estimate is
+        # raised, not the error of the downsample that ran beside it
+        from qbench import resolution
+
+        def broken(v, f):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(resolution, "downsample", broken)
+        before = set(threading.enumerate())
+        with pytest.raises(EstimationError, match="over the cap"):
+            noise_resolution_curve(self.volume(), [1.0, 2.0], SearchConfig(grid_step=1e-6))
+        with pytest.raises(MemoryError):
+            noise_resolution_curve(self.volume(), [1.0, 2.0])
+        assert set(threading.enumerate()) == before
 
 
 class TestNormalizeQuality:

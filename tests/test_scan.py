@@ -115,6 +115,35 @@ def test_points_equal_one_t_at_a_time_bit_for_bit(volume):
             assert point == [lone[0] for lone in scan.curve_and_count(np.array([n]))]
 
 
+def general_lattice_index(x, step):
+    """``_lattice_index`` without its shortcut at step 1: the ceiling of the
+    quotient, corrected one step down or up by the grid's own products."""
+    n = np.ceil(x / step)
+    n -= (n - 1.0) * step >= x
+    n += n * step < x
+    return n.astype(np.intp)
+
+
+@st.composite
+def step_one_values(draw):
+    """Pixel values of one float dtype up to 4095: zeros, integers, halves,
+    the neighbours of integers one ulp away, and any value in between."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    ks = np.array(draw(st.lists(st.integers(0, 4095), min_size=1, max_size=64)), dtype=dtype)
+    anywhere = draw(st.lists(st.floats(0, 4095, width=np.finfo(dtype).bits), max_size=16))
+    near = [ks, ks + dtype(0.5), np.nextafter(ks, dtype(np.inf)), np.nextafter(ks, dtype(-np.inf))]
+    return np.maximum(np.concatenate([np.zeros(1, dtype), *near, np.array(anywhere, dtype)]), dtype(0))
+
+
+@settings(max_examples=100, **EXAMPLES)
+@given(step_one_values())
+def test_lattice_index_at_step_one_is_the_general_formula(x):
+    """At step 1 the quotient and both products are exact, so the index is
+    the ceiling: the shortcut gives the general formula's indices exactly."""
+    assert np.array_equal(_lattice_index(x, 1.0), general_lattice_index(x, 1.0))
+    assert np.array_equal(_lattice_index(x.astype(np.float64), 1.0), general_lattice_index(x, 1.0))
+
+
 def assert_same_threshold(a, b):
     assert (a.t_opt, a.t_lower, a.t_max, a.no_object, a.t_rejected) == (b.t_opt, b.t_lower, b.t_max, b.no_object, b.t_rejected)
     assert np.array_equal(a.curve, b.curve)
