@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cur.add_argument("--factors", required=True, help="comma-separated downsampling factors, e.g. 1,1.5,2,3")
     _add_search_flags(p_cur)
     _add_quality_flags(p_cur)
-    p_cur.add_argument("--output", required=True, help="JSON report path; the CSV sidecar lands next to it")
+    p_cur.add_argument("--output", required=True, help="JSON report path, not ending in .csv; the CSV sidecar is this path with the suffix .csv")
     return parser
 
 
@@ -102,6 +102,16 @@ def _parse_factors(text: str) -> list[float]:
     except ValueError:
         raise ValueError(f"unparsable --factors value {text!r}") from None
     return check_factors(factors, "--factors")
+
+
+def _csv_sidecar(output: str) -> Path:
+    """The CSV sidecar of a curve report written to ``output``: ``output``
+    with the suffix ``.csv``. An ``output`` that already ends in ``.csv``, in
+    any case, would be its own sidecar, so it is a ValueError."""
+    path = Path(output)
+    if path.suffix.lower() == ".csv":
+        raise ValueError(f"--output {output} ends in .csv, which the CSV sidecar of the curve report would overwrite")
+    return path.with_suffix(".csv")
 
 
 def _load(path: str, files: list[tuple[Path, bytes]]) -> tuple[Volume, str, list[str]]:
@@ -123,12 +133,13 @@ def _cmd_analyze(args) -> int:
         cfg = _config_from(args)
         check_quality_params(args.exponent_m, args.ref_resolution, ("--exponent-m", "--ref-resolution"))
         factors = _parse_factors(args.factors) if args.command == "curve" else None
+        sidecar = _csv_sidecar(args.output) if factors is not None else None
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     if args.output:
         check_writable(args.output)
-    if factors is not None:
-        check_writable(Path(args.output).with_suffix(".csv"))
+    if sidecar is not None:
+        check_writable(sidecar)
     files = read_input(args.input)
     # the hash starts before the parse and runs while the bytes are parsed and
     # analysed; leaving the block joins the hashing thread, on every exit path.
@@ -158,8 +169,8 @@ def _cmd_analyze(args) -> int:
         write_text_atomic(args.output, text)
     else:
         sys.stdout.write(text)
-    if curve is not None:
-        write_text_atomic(Path(args.output).with_suffix(".csv"), curve_csv(curve))
+    if sidecar is not None:
+        write_text_atomic(sidecar, curve_csv(curve))
     if est.threshold.no_object:
         print("WARNING: no object separated from the background; SNR is zero", file=sys.stderr)
     return EXIT_OK

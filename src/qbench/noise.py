@@ -200,7 +200,10 @@ class _VolumeScan:
     for a set of indices, and :meth:`positive_sigmas` and :meth:`mean_above`
     at the chosen one. Each takes table columns as rows, t-major with each
     t's slices contiguous, so an index gives the same values alone as inside
-    a grid.
+    a grid. Every answer, the signal mean of every dtype included, comes
+    from the tables: the scan keeps no reference to the pixels, and its
+    build is an estimate's only pass over them. The signal mean adds the
+    slices' sums exactly, so it does not depend on slice order.
 
     This is the histogram view of the background noise of Sijbers et al.,
     "Automatic estimation of the noise variance from the histogram of a
@@ -213,14 +216,13 @@ class _VolumeScan:
         self.total_pixels = self.n_slices * self.pixels_per_slice
         self.t_max = volume.intensity_max
         self.lattice = lattice
-        self._flat = volume.data.reshape(self.n_slices, self.pixels_per_slice)
-        self._integral = self._flat.dtype.kind == "u"
-        if self._integral:
+        flat = volume.data.reshape(self.n_slices, self.pixels_per_slice)
+        if flat.dtype.kind == "u":
             self._levels = np.arange(int(self.t_max) + 1, dtype=np.float64)
             # at q = 1 level L is bin L, and the fold is the identity
             self._level_bins = None if lattice.step == 1.0 else _lattice_index(self._levels, lattice.step)
         self._tables = np.empty((3, self.n_slices, lattice.stop + 1))
-        for j, row in enumerate(self._flat):
+        for j, row in enumerate(flat):
             for table, sums in zip(self._tables, self._bin_sums(row)):
                 table[j] = sums
         np.cumsum(self._tables, axis=2, out=self._tables)
@@ -286,22 +288,17 @@ class _VolumeScan:
     def mean_above(self, n: int) -> float:
         """Mean of the pixels above lattice index n, 0.0 when none is.
 
-        On u8 and u16 data each slice's sum, at most 65535 times its pixel
-        count, is an exact integer in the tables, so the count and sum above
-        are exact differences and need no pass over the volume; the sum is
-        taken in Python integers and divided once, the correctly rounded
-        mean. Float sums are rounded bin by bin, so for them the mean is
-        taken over the pixels themselves.
+        The count above is every pixel less the count column n, and each
+        slice's sum above is its last sum column less column n. The slices'
+        sums are added exactly (``math.fsum``) and divided once, so the mean
+        does not depend on slice order. On u8 and u16 data each slice's sum
+        is an exact integer, and the mean is the correctly rounded one.
         """
-        if not self._integral:
-            # a float64 threshold: a Python float would compare in float32 (NEP 50)
-            above = self._flat[self._flat > np.float64(n * self.lattice.step)]
-            return float(above.astype(np.float64, copy=False).mean()) if above.size else 0.0
         count, s1, _ = self._tables
         n_above = self.total_pixels - int(count[:, n].sum())
         if n_above == 0:
             return 0.0
-        return sum(map(int, s1[:, -1] - s1[:, n])) / n_above
+        return math.fsum(s1[:, -1] - s1[:, n]) / n_above
 
     def positive_sigmas(self, n: int, f_e: float) -> list[float | None]:
         """Corrected positive-pixel std per slice at lattice index n (None when empty)."""

@@ -187,8 +187,10 @@ def _read_pgm(path: Path, raw: bytes) -> np.ndarray:
 
     if token() != b"P5":
         raise VolumeFormatError(f"{path}: not a binary (P5) PGM file")
+    # read before the parse: a missing token is a truncated header, not an unparsable one
+    fields = token(), token(), token()
     try:
-        width, height, maxval = int(token()), int(token()), int(token())
+        width, height, maxval = map(int, fields)
     except ValueError as exc:
         raise VolumeFormatError(f"{path}: unparsable PGM header") from exc
     if width < 1 or height < 1 or not 0 < maxval < 65536:

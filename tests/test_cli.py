@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbench import PhantomSpec, Volume, generate, load_volume, write_container
+from qbench import PhantomObject, PhantomSpec, Volume, generate, load_volume, write_container
 from qbench import cli, qvol, report, resolution
 from qbench.cli import EXIT_ESTIMATION, EXIT_INTERNAL, EXIT_LOAD, EXIT_OK, EXIT_USAGE, main
 from qbench.report import REPORT_SCHEMA
@@ -137,6 +137,15 @@ class TestSynth:
         out = tmp_path / "x.qvol"
         assert main(["synth", str(spec_path), "--output", str(out)]) == EXIT_USAGE
         assert "must be a JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spec_that_is_not_json_is_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("{width: 48")
+        out = tmp_path / "x.qvol"
+        assert main(["synth", str(spec_path), "--output", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"qbench: {spec_path}: invalid JSON: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_spec_file_is_load_error(self, tmp_path):
@@ -310,6 +319,22 @@ class TestEstimate:
         assert reports[0]["config"]["epsilon"] == 1e-6
         assert reports[0]["threshold"] == reports[1]["threshold"]
 
+    def test_all_zero_slice_is_skipped_with_a_warning(self, tmp_path, capsys):
+        spec = PhantomSpec(
+            width=64, height=64, n_slices=8, sigma=100.0, seed=3, quantize=True,
+            objects=(PhantomObject("disk", (32, 32), 20, 1000.0),),
+        )
+        data = generate(spec).data.copy()
+        data[3] = 0
+        path, out = tmp_path / "vol.qvol", tmp_path / "r.json"
+        write_container(path, Volume.from_array(data), dtype="u16")
+        assert main(["estimate", str(path), "--output", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        sigmas = report["noise"]["per_slice_sigma"]
+        assert sigmas[3] is None and all(v is not None for i, v in enumerate(sigmas) if i != 3)
+        assert report["noise"]["skipped_slices"] == 1 and not report["threshold"]["no_object"]
+        assert "1 slice(s) kept no positive pixel at t_opt and were skipped in the noise mean" in report["warnings"]
+
     def test_all_zero_volume_is_estimation_error(self, tmp_path, capsys):
         from qbench import Volume
 
@@ -404,6 +429,25 @@ class TestCurve:
         assert lines[0] == "resolution_mm,noise,snr"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("name", ["out.csv", "out.CSV", "out.json.Csv"])
+    def test_csv_output_is_usage_error_before_loading(self, const_container, tmp_path, monkeypatch, capsys, name):
+        """An output ending in .csv would be its own CSV sidecar, which would
+        overwrite the report: it is rejected before the input is read, and
+        nothing is written."""
+        monkeypatch.setattr(cli, "read_input", lambda *a: pytest.fail("read the input"))
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["curve", str(const_container), "--factors", "1,1.5,2", "--output", str(tmp_path / name)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"qbench: --output {tmp_path / name} ends in .csv") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_output_without_suffix_writes_report_and_csv(self, const_container, tmp_path):
+        out = tmp_path / "r"
+        assert main(["curve", str(const_container), "--factors", "1,1.5,2", "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["resolution_curve"]["gradient_m"] > 0
+        assert (tmp_path / "r.csv").read_text().startswith("resolution_mm,noise,snr\n")
+
     @pytest.mark.parametrize("factors, calls", [("1,1.5,2,3", 4), ("1.5,2", 3)])
     def test_input_volume_is_estimated_once(self, const_container, tmp_path, monkeypatch, factors, calls):
         from qbench import cli, noise, resolution
@@ -440,6 +484,23 @@ class TestCurve:
             assert err == "qbench: internal error: RuntimeError: scan failed\n"
         elif case == "full-fails":
             assert err.startswith("qbench: estimation failed: ")
+
+    def test_collapsed_curve_is_estimation_error_naming_the_factor(self, const_container, tmp_path, capsys):
+        # 100 collapses the 12 slices of the volume, so one point survives
+        out = tmp_path / "c.json"
+        assert main(["curve", str(const_container), "--factors", "1,100", "--output", str(out)]) == EXIT_ESTIMATION
+        err = capsys.readouterr().err
+        assert err.startswith("qbench: estimation failed: resolution curve collapsed: only 1 usable points")
+        assert "factor 100.0 collapses axis 0 (size 12) to zero" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_constant_volume_has_no_positive_noise(self, tmp_path, capsys):
+        path = tmp_path / "const.qvol"
+        write_container(path, Volume.from_array(np.full((12, 16, 16), 500.0)), dtype="u16")
+        assert main(["curve", str(path), "--factors", "1,2", "--output", str(tmp_path / "c.json")]) == EXIT_ESTIMATION
+        err = capsys.readouterr().err
+        assert err.startswith("qbench: estimation failed: resolution curve collapsed: only 0 usable points")
+        assert err.count("estimated noise is not positive") == 2
 
     def test_single_factor_is_usage_error(self, const_container, tmp_path, capsys):
         code = main(["curve", str(const_container), "--factors", "2", "--output", str(tmp_path / "c.json")])

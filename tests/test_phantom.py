@@ -58,6 +58,12 @@ class TestRenderTemplate:
         with pytest.raises(ValueError):
             PhantomObject("rect", (1, 1), 3.0, 1.0)
 
+    @pytest.mark.parametrize("dims", [(0, 8, 2), (8, -1, 2), (8, 8, 0)])
+    def test_non_positive_dims_rejected(self, dims):
+        width, height, n_slices = dims
+        with pytest.raises(ValueError, match="width, height and n_slices must be positive"):
+            PhantomSpec(width=width, height=height, n_slices=n_slices)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_parameters_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbench import Volume, VolumeFormatError, load_volume, read_input, write_container
+from qbench import Volume, VolumeFormatError, load_volume, qvol, read_input, write_container
+from qbench.cli import EXIT_LOAD, main
+from qbench.qvol import write_bytes_atomic
 from conftest import resolved_digest, volume_from
 
 # the same examples on every run, so the suite cannot flake
@@ -76,11 +78,13 @@ class TestContainerRoundTrip:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["max.qvol"]
 
 
+_GOOD_HEADER = b"QVOL1 dims=2,2,1 voxel_size_mm=1.0,1.0,1.0 dtype=u16 byteorder=le\n"
+_GOOD_PAYLOAD = struct.pack("<4H", 0, 1, 3, 0)
+
+
 class TestContainerErrors:
     def good_bytes(self):
-        header = b"QVOL1 dims=2,2,1 voxel_size_mm=1.0,1.0,1.0 dtype=u16 byteorder=le\n"
-        payload = struct.pack("<4H", 0, 1, 3, 0)
-        return header + payload
+        return _GOOD_HEADER + _GOOD_PAYLOAD
 
     def test_example_decode(self, tmp_path):
         path = tmp_path / "ok.qvol"
@@ -257,3 +261,129 @@ class TestOneRead:
             for name in sorted(names):
                 expected.update(name.encode() + b"\x00" + (directory / name).read_bytes())
             assert resolved_digest(directory, files) == expected.hexdigest()
+
+
+# one malformed container per message of the QVOL1 parser: (bytes, message)
+MALFORMED_CONTAINERS = {
+    "not-ascii": (_GOOD_HEADER.replace(b"dtype", b"dt\xffpe") + _GOOD_PAYLOAD, "header is not ASCII"),
+    "token-without-equals": (_GOOD_HEADER.replace(b" dtype", b" junk dtype") + _GOOD_PAYLOAD, "malformed header token 'junk'"),
+    "duplicate-token": (_GOOD_HEADER.replace(b" dtype=u16", b" dtype=u16 dtype=u16") + _GOOD_PAYLOAD, "malformed header token 'dtype=u16'"),
+    "unparsable-dims": (_GOOD_HEADER.replace(b"dims=2,2,1", b"dims=2,x,1") + _GOOD_PAYLOAD, "unparsable dims/voxel_size_mm"),
+    "unparsable-voxel": (_GOOD_HEADER.replace(b"voxel_size_mm=1.0,", b"voxel_size_mm=mm,") + _GOOD_PAYLOAD, "unparsable dims/voxel_size_mm"),
+    "two-dims": (_GOOD_HEADER.replace(b"dims=2,2,1", b"dims=4,1") + _GOOD_PAYLOAD, "dims must be three positive integers, got '4,1'"),
+    "zero-dim": (_GOOD_HEADER.replace(b"dims=2,2,1", b"dims=2,2,0") + _GOOD_PAYLOAD, "dims must be three positive integers, got '2,2,0'"),
+    "big-endian": (_GOOD_HEADER.replace(b"byteorder=le", b"byteorder=be") + _GOOD_PAYLOAD, "byteorder must be 'le'"),
+    "no-newline": (b"QVOL1 " + b"x" * 5000 + b"\n" + _GOOD_PAYLOAD, "missing header line"),
+}
+
+# one malformed PGM slice per message of the PGM parser: (bytes, message)
+MALFORMED_PGMS = {
+    "empty": (b"", "truncated PGM header"),
+    "truncated-header": (b"P5\n2 2\n", "truncated PGM header"),
+    "not-p5": (b"P2\n2 2\n255\n0 1 2 3\n", "not a binary (P5) PGM file"),
+    "unparsable-header": (b"P5\n2 two\n255\n\x00\x01\x02\x03", "unparsable PGM header"),
+    "zero-width": (b"P5\n0 2\n255\n", "invalid PGM dimensions or maxval"),
+    "maxval-beyond-16-bit": (b"P5\n2 2\n65536\n" + bytes(8), "invalid PGM dimensions or maxval"),
+    "short-payload": (b"P5\n2 2\n255\n\x00\x01\x02", "PGM payload is 3 bytes, expected 4"),
+}
+
+
+def malformed_input(directory, kind, raw):
+    """The path of a malformed input of ``kind`` in the empty ``directory``:
+    a container holding ``raw``, or the directory as a stack of one slice."""
+    path = directory / "bad.qvol" if kind == "qvol" else directory / "s0.pgm"
+    path.write_bytes(raw)
+    return path if kind == "qvol" else directory
+
+
+MALFORMED = [("qvol", *case) for case in MALFORMED_CONTAINERS.values()] + [("pgm", *case) for case in MALFORMED_PGMS.values()]
+MALFORMED_IDS = [f"qvol-{k}" for k in MALFORMED_CONTAINERS] + [f"pgm-{k}" for k in MALFORMED_PGMS]
+
+
+class TestMalformedInput:
+    """Each message of the QVOL1 and PGM parsers, through the loader and through ``qbench estimate``."""
+
+    @pytest.mark.parametrize("kind, raw, message", MALFORMED, ids=MALFORMED_IDS)
+    def test_loader_raises_the_message(self, tmp_path, kind, raw, message):
+        path = malformed_input(tmp_path, kind, raw)
+        with pytest.raises(VolumeFormatError) as caught:
+            load_volume(path)
+        assert str(caught.value).endswith(message)
+
+    @pytest.mark.parametrize("kind, raw, message", MALFORMED, ids=MALFORMED_IDS)
+    def test_estimate_exits_3_with_one_load_error_line(self, tmp_path, capsys, kind, raw, message):
+        path = malformed_input(tmp_path, kind, raw)
+        assert main(["estimate", str(path)]) == EXIT_LOAD
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("qbench: cannot load input: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+
+
+class TestWriteErrors:
+    def test_unknown_container_dtype(self, tmp_path):
+        with pytest.raises(ValueError, match=r"dtype must be one of \['f32', 'u16'\]"):
+            write_container(tmp_path / "v.qvol", volume_from(np.zeros((1, 2, 2))), dtype="u8")
+        assert not list(tmp_path.iterdir())
+
+    def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError(f"cannot rename {src}")
+
+        monkeypatch.setattr(qvol.os, "replace", fail)
+        with pytest.raises(OSError, match="cannot rename"):
+            write_bytes_atomic(tmp_path / "v.qvol", b"payload")
+        assert not list(tmp_path.iterdir())
+
+
+def _valid_container(dtype):
+    data = np.arange(12.0).reshape(3, 2, 2)
+    header = f"QVOL1 dims=2,2,3 voxel_size_mm=1.0,0.5,2.0 dtype={dtype} byteorder=le\n".encode()
+    return header + data.astype("<u2" if dtype == "u16" else "<f4").tobytes()
+
+
+def _valid_pgm(maxval):
+    image = np.arange(6).reshape(2, 3) * (maxval // 6)
+    return f"P5\n3 2\n{maxval}\n".encode() + image.astype(">u2" if maxval > 255 else "u1").tobytes()
+
+
+@st.composite
+def mutated(draw, valid):
+    """``valid`` after one to four byte insertions, deletions and replacements."""
+    raw = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = draw(st.integers(0, len(raw) if op == "insert" else max(len(raw) - 1, 0)))
+        if op == "insert":
+            raw[at:at] = bytes([draw(st.integers(0, 255))])
+        elif raw and op == "delete":
+            del raw[at]
+        elif raw:
+            raw[at] = draw(st.integers(0, 255))
+    return bytes(raw)
+
+
+class TestMutatedInput:
+    """Byte mutations of a valid input load as a Volume or raise VolumeFormatError, nothing else."""
+
+    @settings(max_examples=150, **EXAMPLES)
+    @given(st.sampled_from(["u16", "f32"]).flatmap(lambda dtype: mutated(_valid_container(dtype))))
+    def test_container(self, raw):
+        path = Path("mutated.qvol")  # never read: the bytes are handed to the loader
+        try:
+            volume = load_volume(path, [(path, raw)])
+        except VolumeFormatError:
+            return
+        assert isinstance(volume, Volume)
+
+    @settings(max_examples=150, **EXAMPLES)
+    @given(st.sampled_from([255, 65535]).flatmap(lambda maxval: mutated(_valid_pgm(maxval))))
+    def test_pgm_slice(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    volume = load_volume(path, [(path / "s0.pgm", raw)])
+            except VolumeFormatError:
+                return
+        assert isinstance(volume, Volume)

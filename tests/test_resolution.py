@@ -556,6 +556,12 @@ class TestResolutionCurveType:
         with pytest.raises(ValueError):
             ResolutionCurve(pts, 1.5, 30.0, 0.0)
 
+    def test_requires_two_points(self):
+        from qbench import CurvePoint
+
+        with pytest.raises(ValueError, match="a resolution curve needs at least 2 points"):
+            ResolutionCurve((CurvePoint(1.0, 30.0, 1.0),), 1.5, 30.0, 0.0)
+
     def test_score_echoes_inputs(self):
         score = normalize_quality(12.0, 2.0, 1.4, 1.0)
         assert score == QualityScore(12.0, 2.0, 1.0, 1.4, 12.0 * (0.5) ** 1.4)

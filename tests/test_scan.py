@@ -12,15 +12,17 @@ index must give the same values alone as inside a grid. The hand-computed
 checks of the scan are in ``test_noise.py`` and ``test_volume.py``.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbench import CORRECTION_FACTOR, EstimationError, SearchConfig, Volume, estimate, generate
+from qbench import CORRECTION_FACTOR, EstimationError, SearchConfig, Volume, downsample, estimate, generate
 from qbench import noise
 from qbench.noise import _gap_free, _lattice, _lattice_index, _probe_walk, _VolumeScan, find_t_opt
-from conftest import build_scan
+from conftest import build_scan, disk_phantom
 from oracle import (
     background_covered,
     homogeneity_variance,
@@ -557,6 +559,42 @@ def test_mean_above_equals_the_mean_of_the_pixels(volume):
             assert scan.mean_above(n) == (float(above.mean()) if above.size else 0.0)
 
 
+def make_float64_phantom(seed, n, size, sigma, factor):
+    """A float64 disk phantom, or its copy downsampled by ``factor``."""
+    volume = disk_phantom(size / 3, 1000.0, sigma, seed, width=size, height=size, n_slices=n)
+    return volume if factor == 1.0 else downsample(volume, factor)
+
+
+float64_phantoms = st.builds(
+    make_float64_phantom,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    size=st.sampled_from([24, 40]),
+    sigma=st.sampled_from([40.0, 100.0, 150.0]),
+    factor=st.sampled_from([1.0, 1.5, 2.0]),
+)
+
+
+@settings(max_examples=40, **EXAMPLES)
+@given(float64_phantoms, st.randoms(use_true_random=False))
+def test_float64_signal_mean_is_slice_order_free_and_near_the_exact_mean(volume, rng):
+    """The signal mean of a float64 volume, at the estimate's t_opt and at
+    300 and 700, is the same bit for bit under a slice permutation, and
+    within 1e-13 relative of the exact mean of the pixels above."""
+    assert volume.data.dtype == np.float64
+    order = list(range(volume.n_slices))
+    rng.shuffle(order)
+    permuted = Volume.from_array(volume.data[order], volume.voxel_size)
+    a, b = build_scan(volume), build_scan(permuted)
+    t_opt = estimate(volume).threshold.t_opt
+    ns = {int(_lattice_index(t, a.lattice.step)) for t in (t_opt, 300.0, 700.0) if t <= a.t_max}
+    for n in ns:
+        assert a.mean_above(n) == b.mean_above(n)
+        above = volume.data[volume.data > n * a.lattice.step]
+        exact = math.fsum(above) / above.size if above.size else 0.0
+        assert a.mean_above(n) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("integral", [True, False])
 def test_all_zero_slice_has_no_sigma(integral):
     rng = np.random.default_rng(5)
@@ -582,3 +620,13 @@ def test_estimate_builds_one_scan_and_calls_find_t_opt(monkeypatch, disk_volume)
     estimate(disk_volume)
     assert built == [disk_volume]
     assert searched == [1]
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.float32, np.float64])
+def test_scan_keeps_no_reference_to_the_pixels(disk_volume, dtype):
+    """After its build the scan answers from its tables alone: none of its
+    attributes is, or views, the volume's array."""
+    volume = Volume.from_array(np.rint(disk_volume.data).astype(dtype))
+    scan = build_scan(volume)
+    arrays = [v for v in vars(scan).values() if isinstance(v, np.ndarray)]
+    assert arrays and not any(np.shares_memory(a, volume.data) for a in arrays)

@@ -54,6 +54,10 @@ class TestSliceAndVolume:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 Volume.from_array(data, voxel_size=(bad, 1.0, 1.0))
+        # not iterable, and not numbers
+        for bad in (1.0, None, ("a", 1.0, 1.0)):
+            with pytest.raises(ValueError, match="voxel_size_mm must be three finite positive reals"):
+                Volume.from_array(data, voxel_size=bad)
 
     def test_volume_rejects_negative_and_nonfinite(self):
         for bad in (-1.0, np.nan, np.inf, -np.inf):
