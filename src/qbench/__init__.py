@@ -22,7 +22,7 @@ from .noise import (
     find_t_lower,
     find_t_opt,
 )
-from .phantom import PhantomObject, PhantomSpec, add_complex_gaussian, generate, quantize, render_template
+from .phantom import PhantomObject, PhantomSpec, generate
 from .resolution import (
     DEFAULT_EXPONENT,
     CurvePoint,
@@ -52,9 +52,6 @@ __all__ = [
     "background_roi_noise",
     "PhantomObject",
     "PhantomSpec",
-    "render_template",
-    "add_complex_gaussian",
-    "quantize",
     "generate",
     "DEFAULT_EXPONENT",
     "lanczos3_kernel",

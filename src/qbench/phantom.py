@@ -11,13 +11,14 @@ seeded with the spec seed, drawing the full real-channel block first and the
 imaginary block second, each in C order over (slice, row, column). Identical
 (spec, seed) therefore reproduce volumes bit-exactly on the same numpy build.
 
-A phantom is built in one float64 buffer. The real block is drawn into it,
-and a worker thread scales and offsets it in place while the imaginary block
-is drawn. The rest (scaling the imaginary block, ``np.hypot`` into the buffer
-and the optional rounding) is elementwise and split by rows over the cores
-the process may use, so the bytes do not depend on the core count. Every
-thread is joined before the call returns. ``generate`` holds two volume-sized
-float64 blocks at its peak: 63 MB for 256x256x60.
+``generate`` is the one builder. It paints the template, adds the noise and
+optionally rounds, all in one float64 buffer: the real block is drawn into
+it, and a worker thread scales and offsets it in place while the imaginary
+block is drawn. The rest (scaling the imaginary block, ``np.hypot`` into the
+buffer and the optional rounding) is elementwise and split by rows over the
+cores the process may use, so the bytes do not depend on the core count.
+Every thread is joined before the call returns. ``generate`` holds two
+volume-sized float64 blocks at its peak: 63 MB for 256x256x60.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ import numpy as np
 from ._threads import Background, split_rows
 from .volume import Volume, voxel_size_mm
 
-__all__ = [
-    "PhantomObject",
-    "PhantomSpec",
-    "render_template",
-    "add_complex_gaussian",
-    "quantize",
-    "generate",
-]
+__all__ = ["PhantomObject", "PhantomSpec", "generate"]
 
 # The Python types ``json.loads`` decodes each JSON type of a spec field to;
 # a bool is not an integer or a number here.
@@ -171,21 +165,23 @@ def _offset(real: np.ndarray, sigma: float, template: np.ndarray) -> None:
     np.add(real, template, out=real)
 
 
-def _magnitude(template: np.ndarray, shape: tuple[int, int, int], sigma: float, seed: int, rint: bool) -> np.ndarray:
-    """sqrt((A + g_r)^2 + g_i^2) over ``shape`` as a new float64 array,
-    rounded to the nearest integer when ``rint``.
+def generate(spec: PhantomSpec) -> Volume:
+    """The phantom of ``spec``: its template, plus the seeded complex noise
+    when sigma > 0, rounded to integers when the spec quantizes.
 
-    A is ``template``, which broadcasts to ``shape``; g_r and g_i are sigma
-    times the seeded stream's real and imaginary blocks (module docstring).
-    At sigma 0 nothing is drawn and the magnitude is A.
+    Each pixel is sqrt((A + g_r)^2 + g_i^2), A the template and g_r, g_i
+    sigma times the stream's real and imaginary blocks (module docstring),
+    built in one float64 buffer, which the volume copies once. At sigma 0
+    nothing is drawn and the pixels are the template's.
     """
-    out = np.empty(shape)
-    rows = out.reshape(-1, shape[-1])
-    imag_rows = None
+    template = _template_image(spec)
+    out = np.empty((spec.n_slices, spec.height, spec.width))
+    rows = out.reshape(-1, spec.width)
+    sigma, imag_rows = spec.sigma, None
     if sigma == 0:
         out[...] = template
     else:
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = np.random.Generator(np.random.PCG64(spec.seed))
         rng.standard_normal(out=out)
         with Background(_offset, out, sigma, template) as real:
             imag_rows = rng.standard_normal(rows.shape)
@@ -197,41 +193,9 @@ def _magnitude(template: np.ndarray, shape: tuple[int, int, int], sigma: float, 
             i = imag_rows[lo:hi]
             np.multiply(i, sigma, out=i)
             np.hypot(r, i, out=r)
-        if rint:
+        if spec.quantize:
             np.rint(r, out=r)
 
-    if imag_rows is not None or rint:
+    if imag_rows is not None or spec.quantize:
         split_rows(finish, rows.shape[0])
-    return out
-
-
-def render_template(spec: PhantomSpec) -> Volume:
-    """Noiseless volume: background value with objects painted over it."""
-    data = np.broadcast_to(_template_image(spec), (spec.n_slices, spec.height, spec.width))
-    return Volume.from_array(data, spec.voxel_size)
-
-
-def add_complex_gaussian(volume: Volume, sigma: float, seed: int) -> Volume:
-    """Magnitude of the input (as real channel) plus two-channel Gaussian noise.
-
-    Output pixel = sqrt((A + g_r)^2 + g_i^2) with A the input pixel and
-    g_r, g_i independent N(0, sigma) draws from the seeded stream described
-    in the module docstring. sigma == 0 returns the input unchanged.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0:
-        return volume
-    return Volume.from_array(_magnitude(volume.data, volume.shape, sigma, seed, rint=False), volume.voxel_size)
-
-
-def quantize(volume: Volume) -> Volume:
-    """Round every pixel to the nearest integer, mimicking scanner output; the result is float64."""
-    return Volume.from_array(_magnitude(volume.data, volume.shape, 0.0, 0, rint=True), volume.voxel_size)
-
-
-def generate(spec: PhantomSpec) -> Volume:
-    """Render the template, add noise, optionally quantize: one pass over one buffer, then one volume copy."""
-    shape = (spec.n_slices, spec.height, spec.width)
-    data = _magnitude(_template_image(spec), shape, spec.sigma, spec.seed, spec.quantize)
-    return Volume.from_array(data, spec.voxel_size)
+    return Volume.from_array(out, spec.voxel_size)

@@ -165,7 +165,8 @@ def write_container(path, volume: Volume, dtype: str = "f32") -> None:
 
 
 def _read_pgm(path: Path, raw: bytes) -> np.ndarray:
-    """Binary (P5) PGM, a read-only view of its samples: big-endian 16-bit when maxval > 255, else 8-bit."""
+    """Binary (P5) PGM, a read-only view of its samples: big-endian 16-bit
+    when maxval > 255, else 8-bit; no sample may exceed maxval."""
     pos = 0
 
     def token() -> bytes:
@@ -201,7 +202,11 @@ def _read_pgm(path: Path, raw: bytes) -> np.ndarray:
     payload = raw[pos : pos + expected]
     if len(payload) != expected:
         raise VolumeFormatError(f"{path}: PGM payload is {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=sample).reshape(height, width)
+    samples = np.frombuffer(payload, dtype=sample).reshape(height, width)
+    # only a maxval below the sample type's maximum can be exceeded, so 255 and 65535 skip the pass
+    if maxval < np.iinfo(sample).max and (top := int(samples.max())) > maxval:
+        raise VolumeFormatError(f"{path}: sample {top} exceeds maxval {maxval}")
+    return samples
 
 
 def _pgm_slice_paths(directory) -> list[Path]:

@@ -22,6 +22,9 @@ __all__ = ["Volume", "voxel_size_mm"]
 
 # Source dtypes a Volume keeps; every value of theirs converts to float64 exactly.
 _KEPT_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.float32))
+# dtype kinds a source may have: bool, unsigned, signed and float. A complex,
+# string, object or date source is refused before any conversion.
+_REAL_KINDS = "buif"
 
 
 def _over_bytes(src: np.ndarray) -> bool:
@@ -48,11 +51,11 @@ def voxel_size_mm(values) -> tuple[float, float, float]:
 class Volume:
     """A read-only (n_slices, height, width) array with voxel size in mm per axis.
 
-    Construction validates the data (3-d, non-empty, finite, non-negative)
-    and the voxel size (see :func:`voxel_size_mm`); any violation is a
-    ValueError. A native u8, u16 or float32 source keeps its dtype, which
-    holds scanner data in half the float64 size or less; any other source
-    is converted to float64. A C-contiguous source in a kept dtype that is
+    Construction validates the data (a bool, unsigned, signed or float
+    dtype, 3-d, non-empty, finite, non-negative) and the voxel size (see
+    :func:`voxel_size_mm`); any violation is a ValueError. A native u8, u16
+    or float32 source keeps its dtype, which holds scanner data in half the
+    float64 size or less; any other source is converted to float64. A C-contiguous source in a kept dtype that is
     a read-only view of a ``bytes`` object becomes the volume's array as it
     is; every other source, writable ones included, is copied once.
     ``intensity_max`` is cached at construction; the array is read-only, so
@@ -65,6 +68,8 @@ class Volume:
 
     def __post_init__(self):
         src = np.asarray(self.data)
+        if src.dtype.kind not in _REAL_KINDS:
+            raise ValueError(f"pixel data must be bool, unsigned, signed or float, got {src.dtype}")
         kept = src.dtype in _KEPT_DTYPES
         if kept and src.flags.c_contiguous and _over_bytes(src):
             data = src.view()

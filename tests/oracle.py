@@ -7,9 +7,9 @@ cumulative tables on its lattice and is checked against them, and
 threshold search's selection as three branches taken in turn, an independent
 form of the search's one rule. ``is_saturated`` and ``background_covered``
 are the gap-free test of the probe walk and of the grid, each with count
-lookups of its own, an epsilon step up or down. ``phantom`` builds a phantom
-out of place, step by step, for ``phantom.generate`` to match byte for byte.
-``sequential_curve`` computes the resolution curve one step after another on
+lookups of its own, an epsilon step up or down. ``phantom`` paints and
+builds a phantom out of place, step by step, for ``phantom.generate`` to
+match byte for byte. ``sequential_curve`` computes the resolution curve one step after another on
 the calling thread, for the pipelined ``noise_resolution_curve`` to match.
 """
 
@@ -26,7 +26,6 @@ from qbench import (
     effective_resolution,
     estimate,
     fit_power_law,
-    render_template,
 )
 from qbench.noise import _NEAR_FULL_FRACTION, _SATURATION_FLOOR, _TIE_REL_TOL, _stray_budget
 from qbench.resolution import check_factors
@@ -114,8 +113,20 @@ def phantom(spec):
     """The pixels of ``spec``'s phantom, each step a new array: the template,
     plus sigma times the stream's first block as the real channel, sigma
     times its second block as the imaginary one, their ``np.hypot``, then
-    ``np.rint`` when the spec quantizes. At sigma 0 nothing is drawn."""
-    data = render_template(spec).data
+    ``np.rint`` when the spec quantizes. At sigma 0 nothing is drawn.
+
+    The template is painted here over the whole volume, with masks of its
+    own: the background value, then each object in spec order over the
+    pixels whose (column, row) lies in the disk or the rect."""
+    _, yy, xx = np.mgrid[0 : spec.n_slices, 0 : spec.height, 0 : spec.width]
+    data = np.full(xx.shape, float(spec.background_value))
+    for obj in spec.objects:
+        cx, cy = obj.center
+        if obj.shape == "disk":
+            inside = (xx - cx) ** 2 + (yy - cy) ** 2 <= obj.size**2
+        else:
+            inside = (np.abs(xx - cx) <= obj.size[0] / 2) & (np.abs(yy - cy) <= obj.size[1] / 2)
+        data[inside] = obj.value
     if spec.sigma > 0:
         rng = np.random.Generator(np.random.PCG64(spec.seed))
         real = data + spec.sigma * rng.standard_normal(data.shape)

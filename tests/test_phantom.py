@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbench import PhantomObject, PhantomSpec, Volume, _threads, add_complex_gaussian, generate, quantize, render_template
+from qbench import PhantomObject, PhantomSpec, _threads, generate
 from qbench import phantom as phantom_module
 from qbench.cli import EXIT_OK, main
 
@@ -18,20 +18,22 @@ RAYLEIGH_MEAN = math.sqrt(math.pi / 2.0)
 
 
 class TestRenderTemplate:
+    """At sigma 0 ``generate`` returns the template itself."""
+
     def test_uniform_background(self):
-        vol = render_template(PhantomSpec(width=8, height=6, n_slices=3, background_value=400.0))
+        vol = generate(PhantomSpec(width=8, height=6, n_slices=3, background_value=400.0))
         assert vol.shape == (3, 6, 8)
         assert np.all(vol.data == 400.0)
 
     def test_full_frame_rect_covers_everything(self):
         rect = PhantomObject("rect", (15.5, 7.5), (31.0, 15.0), 77.0)
         spec = PhantomSpec(width=32, height=16, n_slices=2, background_value=3.0, objects=(rect,))
-        vol = render_template(spec)
+        vol = generate(spec)
         assert np.all(vol.data == 77.0)
 
     def test_disk_painting(self):
         disk = PhantomObject("disk", (16, 16), 8, 1000.0)
-        vol = render_template(PhantomSpec(width=32, height=32, n_slices=1, objects=(disk,)))
+        vol = generate(PhantomSpec(width=32, height=32, n_slices=1, objects=(disk,)))
         img = vol.data[0]
         assert img[16, 16] == 1000.0
         assert img[0, 0] == 0.0
@@ -40,7 +42,7 @@ class TestRenderTemplate:
 
     def test_slices_are_identical(self):
         disk = PhantomObject("disk", (10, 10), 4, 10.0)
-        vol = render_template(PhantomSpec(width=20, height=20, n_slices=5, objects=(disk,)))
+        vol = generate(PhantomSpec(width=20, height=20, n_slices=5, objects=(disk,)))
         for img in vol.data[1:]:
             assert np.array_equal(img, vol.data[0])
 
@@ -83,40 +85,34 @@ class TestRenderTemplate:
 
 class TestComplexGaussianNoise:
     def test_zero_sigma_is_identity(self):
-        vol = render_template(PhantomSpec(width=16, height=16, n_slices=2, background_value=123.4))
-        noisy = add_complex_gaussian(vol, 0.0, seed=5)
-        assert np.array_equal(noisy.data, vol.data)
+        noisy = generate(PhantomSpec(width=16, height=16, n_slices=2, background_value=123.4, sigma=0.0, seed=5))
+        assert np.array_equal(noisy.data, np.full((2, 16, 16), 123.4))
 
     def test_second_moment_pure_noise(self):
         # E[M^2] = 2 sigma^2 when the template is zero
-        vol = render_template(PhantomSpec(width=128, height=128, n_slices=10))
-        noisy = add_complex_gaussian(vol, 100.0, seed=6)
+        noisy = generate(PhantomSpec(width=128, height=128, n_slices=10, sigma=100.0, seed=6))
         assert float(np.mean(noisy.data**2)) == pytest.approx(2.0 * 100.0**2, rel=0.02)
 
     def test_second_moment_with_offset(self):
         # E[M^2] = 2 sigma^2 + A^2
-        vol = render_template(PhantomSpec(width=128, height=128, n_slices=10, background_value=400.0))
-        noisy = add_complex_gaussian(vol, 100.0, seed=7)
+        noisy = generate(PhantomSpec(width=128, height=128, n_slices=10, background_value=400.0, sigma=100.0, seed=7))
         assert float(np.mean(noisy.data**2)) == pytest.approx(2.0 * 100.0**2 + 400.0**2, rel=0.02)
 
     def test_rayleigh_moments_at_one_percent(self):
         # >= 1e6 samples: std -> sigma*sqrt(2 - pi/2), mean -> sigma*sqrt(pi/2)
-        vol = render_template(PhantomSpec(width=1024, height=1024, n_slices=1))
-        noisy = add_complex_gaussian(vol, 1.0, seed=8)
+        noisy = generate(PhantomSpec(width=1024, height=1024, n_slices=1, sigma=1.0, seed=8))
         samples = noisy.data
         assert float(samples.std()) == pytest.approx(RAYLEIGH_STD, rel=0.01)
         assert float(samples.mean()) == pytest.approx(RAYLEIGH_MEAN, rel=0.01)
 
     def test_high_snr_gaussian_limit(self):
         # A >= 10 sigma: the magnitude std approaches the channel sigma
-        vol = render_template(PhantomSpec(width=256, height=256, n_slices=4, background_value=1000.0))
-        noisy = add_complex_gaussian(vol, 100.0, seed=9)
+        noisy = generate(PhantomSpec(width=256, height=256, n_slices=4, background_value=1000.0, sigma=100.0, seed=9))
         assert float(noisy.data.std()) == pytest.approx(100.0, rel=0.02)
 
     def test_negative_sigma_rejected(self):
-        vol = render_template(PhantomSpec(width=4, height=4, n_slices=1))
-        with pytest.raises(ValueError):
-            add_complex_gaussian(vol, -1.0, seed=0)
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            PhantomSpec(width=4, height=4, n_slices=1, sigma=-1.0, seed=0)
 
 
 class TestDeterminism:
@@ -217,9 +213,13 @@ class TestOneBuffer:
 
 class TestQuantize:
     def test_rounds_to_nearest_integer(self):
-        vol = Volume.from_array(np.array([[[0.4, 1.5, 2.51]]]))
-        q = quantize(vol)
-        assert np.array_equal(q.data, np.array([[[0.0, 2.0, 3.0]]]))
+        # one-pixel rects at (1, 1), (2, 1) and (3, 1) of a 5x3 image, at sigma 0
+        values = (0.4, 1.5, 2.51)
+        objects = tuple(PhantomObject("rect", (x, 1.0), (0.5, 0.5), v) for x, v in enumerate(values, start=1))
+        q = generate(PhantomSpec(width=5, height=3, n_slices=1, objects=objects, quantize=True))
+        expected = np.zeros((1, 3, 5))
+        expected[0, 1, 1:4] = (0.0, 2.0, 3.0)
+        assert np.array_equal(q.data, expected)
 
     def test_spec_flag_quantizes_generate(self):
         spec = PhantomSpec(width=16, height=16, n_slices=2, sigma=30.0, seed=3, quantize=True)

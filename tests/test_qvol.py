@@ -175,6 +175,16 @@ class TestPgmStack:
             vol = load_volume(tmp_path)
         assert vol.intensity_max == 3.0
 
+    @pytest.mark.parametrize("maxval, top", [(200, 201), (1000, 65535)], ids=["8-bit", "16-bit"])
+    def test_a_sample_may_reach_maxval_but_not_exceed_it(self, tmp_path, maxval, top):
+        write_pgm(tmp_path / "s0.pgm", np.full((2, 3), maxval), maxval=maxval)
+        with pytest.warns(UserWarning):
+            assert load_volume(tmp_path).intensity_max == maxval
+        write_pgm(tmp_path / "s1.pgm", np.array([[0, top, 1], [maxval, 2, 3]]), maxval=maxval)
+        with pytest.raises(VolumeFormatError) as caught:
+            load_volume(tmp_path)
+        assert str(caught.value) == f"{tmp_path / 's1.pgm'}: sample {top} exceeds maxval {maxval}"
+
     def test_dimension_mismatch(self, tmp_path):
         write_pgm(tmp_path / "a.pgm", np.zeros((2, 2)))
         write_pgm(tmp_path / "b.pgm", np.zeros((3, 3)))
@@ -285,6 +295,11 @@ MALFORMED_PGMS = {
     "zero-width": (b"P5\n0 2\n255\n", "invalid PGM dimensions or maxval"),
     "maxval-beyond-16-bit": (b"P5\n2 2\n65536\n" + bytes(8), "invalid PGM dimensions or maxval"),
     "short-payload": (b"P5\n2 2\n255\n\x00\x01\x02", "PGM payload is 3 bytes, expected 4"),
+    "sample-above-8-bit-maxval": (b"P5\n2 2\n200\n\x00\xc9\xc8\x03", "sample 201 exceeds maxval 200"),
+    "sample-above-16-bit-maxval": (
+        b"P5\n2 2\n1000\n" + np.array([0, 65535, 1000, 3], ">u2").tobytes(),
+        "sample 65535 exceeds maxval 1000",
+    ),
 }
 
 

@@ -10,7 +10,6 @@ from qbench import (
     find_t_lower,
     find_t_opt,
     generate,
-    quantize,
 )
 from qbench.noise import _tied_argmin
 from conftest import build_scan, const_phantom, pure_noise, volume_from
@@ -111,7 +110,7 @@ class TestFindTOpt:
         # the scan's two builds: u16 data folds its level counts into the
         # lattice bins, and binning each pixel must give the same search,
         # bit for bit, on all 20 slices
-        vol = Volume.from_array(quantize(disk_volume).data.astype(np.uint16))
+        vol = Volume.from_array(np.rint(disk_volume.data).astype(np.uint16))
         fold, pixel = build_scan(vol), build_scan(vol, per_pixel=True)
         a, b = find_t_opt(vol, scan=fold), find_t_opt(vol, scan=pixel)
         assert (a.t_opt, a.t_lower, a.no_object, a.t_rejected) == (b.t_opt, b.t_lower, b.no_object, b.t_rejected)

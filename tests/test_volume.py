@@ -1,5 +1,8 @@
 """The Volume data model, and the per-slice statistics the noise scan takes over a volume's pixels."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,40 @@ class TestSliceAndVolume:
             wide[0, 0, 0] = np.longdouble(np.finfo(np.float64).max) * 4
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
                 Volume.from_array(wide)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            np.ones((2, 3, 3), dtype=bool),
+            np.full((2, 3, 3), 7, dtype=np.uint32),
+            np.full((2, 3, 3), 7, dtype=np.int8),
+            np.full((2, 3, 3), 7, dtype=np.float16),
+        ],
+        ids=["bool", "unsigned", "signed", "float"],
+    )
+    def test_real_dtype_kinds_are_accepted(self, src):
+        vol = Volume.from_array(src)
+        assert vol.data.dtype == np.float64 and np.array_equal(vol.data, src.astype(np.float64))
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            np.ones((2, 3, 3)) * (1 + 2j),
+            np.full((2, 3, 3), "1"),
+            np.full((2, 3, 3), b"1"),
+            np.full((2, 3, 3), 1.0, dtype=object),
+            np.zeros((2, 3, 3), dtype="datetime64[s]"),
+            np.zeros((2, 3, 3), dtype="timedelta64[s]"),
+            np.zeros((2, 3, 3), dtype="V8"),
+        ],
+        ids=["complex", "str", "bytes", "object", "datetime", "timedelta", "void"],
+    )
+    def test_other_dtype_kinds_are_a_value_error(self, src):
+        # refused before any conversion: no ComplexWarning, no numpy casting error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"must be bool, unsigned, signed or float, got {src.dtype}")):
+                Volume.from_array(src)
 
     def test_volume_is_one_readonly_copy(self):
         src = np.arange(8.0).reshape(2, 2, 2)
