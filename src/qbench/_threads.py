@@ -1,11 +1,11 @@
 """Threads that end before their caller goes on: one call in the background
-with a result slot, a two-stage pipeline, and a row split over the cores
-this process may use.
+with a result slot, a two-stage pipeline fed through a queue, and a row
+split over the cores this process may use.
 
-numpy's ufuncs, its random fills, BLAS ``matmul`` and ``hashlib`` release
-the GIL on large buffers, so work handed to these threads runs alongside
-the caller. ``np.bincount`` holds it: two threads that both build noise
-scans take turns, not cores.
+numpy's ufuncs, its random fills, ``np.bincount``, BLAS ``matmul`` and
+``hashlib`` release the GIL for most of their run on large buffers, so work
+handed to these threads runs alongside the caller: beside back-to-back noise
+scan builds a pure-Python loop slows by about a tenth at most (README).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import ExitStack
+from queue import SimpleQueue
 
 # the cores this process may run on; ``split_rows`` cuts its rows into this many parts
 WIDTH = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -51,22 +52,31 @@ class Background:
 
 
 def pipeline(produce, consume, items) -> list:
-    """``[consume(produce(x)) for x in items]`` in two stages: each
-    ``consume`` call runs on a thread of its own while the calling thread
-    produces the next item, and the next call starts only once the last has
-    ended, so one such thread runs at a time. Every thread is joined before
-    return, and an exception is raised as that loop would raise it: an
-    earlier item's before a later one's."""
-    results, job = [], None
-    for x in items:
+    """``[consume(produce(x)) for x in items]`` in two stages: the calling
+    thread produces every item without waiting on a consume, while one worker
+    thread consumes them in order from a queue; once a consume has raised, no
+    produce starts. The worker is joined before return, and an exception is
+    raised as that loop would raise it: an earlier item's before a later one's."""
+    queue, results, end, failed = SimpleQueue(), [], object(), threading.Event()
+
+    def consume_all() -> None:
         try:
-            y = produce(x)
-        finally:
-            if job is not None:
-                results.append(job.result())
-        job = Background(consume, y)
-    if job is not None:
-        results.append(job.result())
+            for y in iter(queue.get, end):
+                results.append(consume(y))
+                del y  # a consumed item is not kept alive while the next one waits
+        except BaseException:
+            failed.set()
+            raise
+
+    worker = Background(consume_all)
+    try:
+        for x in items:
+            if failed.is_set():
+                break
+            queue.put(produce(x))
+    finally:
+        queue.put(end)
+        worker.result()  # the worker's error is an earlier item's: it supersedes the caller's
     return results
 
 

@@ -13,11 +13,11 @@ hashes the same bytes, on one worker thread that starts before the parse
 and runs while the main thread parses and analyses. ``curve`` estimates the
 input volume once, inside the curve, and reuses that estimate for both the
 report and the curve's factor-1 point. The curve is a two-stage pipeline:
-one worker thread runs the estimates, the input volume's first, while the
-main thread downsamples by the next factor. BLAS ``matmul`` releases the GIL
-and the scan's ``bincount`` holds it, so the two stages share two cores only
-this way round; and the worker's allocations, in a malloc arena of their
-own, stay small. Every exit joins every worker.
+one worker thread runs the estimates in order, the input volume's first,
+while the main thread downsamples by every factor without waiting. Both
+stages release the GIL for most of their run, so they fill two cores; and
+the worker's allocations, in a malloc arena of their own, stay small. Every
+exit joins every worker.
 """
 
 from __future__ import annotations

@@ -240,7 +240,7 @@ class _VolumeScan:
             first = count * values
         else:
             # each pixel is its own bin entry, of weight one
-            count, values = None, row.astype(np.float64)
+            count, values = None, row.astype(np.float64, copy=False)
             bins = _lattice_index(values, self.lattice.step)
             first = values
         sums = [count, first, values * first]

@@ -285,13 +285,13 @@ def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchCo
     ends the curve. A factor's failure to downsample or to estimate is
     recorded and its point omitted; at least two points must survive.
 
-    The estimates run on one worker thread, the volume's first, each while
-    the calling thread downsamples by the next factor (:func:`_threads.pipeline`).
-    This split suits the GIL: BLAS ``matmul`` releases it and the scan's
-    ``bincount`` holds it, so only the downsampling runs beside an estimate.
-    It also suits the allocator: the worker's allocations land in a malloc
-    arena of their own, and the resampling's large temporaries stay in the
-    calling thread's.
+    The estimates run in order on one worker thread, the volume's first,
+    while the calling thread downsamples by every factor without waiting
+    (:func:`_threads.pipeline`), so each downsampled volume waits for its
+    estimate and at most all of them are alive at once. One worker and the
+    caller fill two cores, and the split suits the allocator: the worker's
+    allocations land in a malloc arena of their own, and the resampling's
+    large temporaries stay in the calling thread's.
     """
     factors = check_factors(factors)
     scaled = [f for f in factors if f != 1.0]

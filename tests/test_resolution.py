@@ -21,6 +21,7 @@ from qbench import (
     noise_resolution_curve,
     normalize_quality,
 )
+from qbench._threads import pipeline
 from qbench.resolution import _bands, _resample_weights
 from conftest import const_phantom, disk_phantom, volume_from
 from oracle import sequential_curve
@@ -446,6 +447,48 @@ class TestCurvePipeline:
         noise_resolution_curve(self.volume(), [1.0, 1.5, 2.0, 3.0])
         assert len(seen) == 4
         assert all(thread is not threading.main_thread() and n == 1 for thread, n in seen)
+        # one worker per curve, not one thread per estimate
+        assert len({thread for thread, _ in seen}) == 1
+
+    def test_the_caller_never_waits_on_a_consume(self):
+        # the first consume finishes only once the last item is produced, so
+        # a caller that waits on a consume before producing on times it out
+        last_produced = threading.Event()
+
+        def produce(x):
+            if x == 3:
+                last_produced.set()
+            return x
+
+        def consume(y):
+            if y == 0:
+                assert last_produced.wait(timeout=10), "the caller waited on the first consume"
+            return 10 * y
+
+        assert pipeline(produce, consume, range(4)) == [0, 10, 20, 30]
+
+    def test_a_failed_consume_stops_production(self):
+        consumed, produced, workers = threading.Event(), [], []
+
+        def produce(x):
+            produced.append(x)
+            if x == 1:
+                # hold the caller until the worker has failed and ended
+                assert consumed.wait(timeout=10)
+                workers[0].join(timeout=10)
+                assert not workers[0].is_alive()
+            return x
+
+        def consume(y):
+            workers.append(threading.current_thread())
+            consumed.set()
+            raise RuntimeError(f"consume {y} failed")
+
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="consume 0 failed"):
+            pipeline(produce, consume, range(4))
+        assert produced == [0, 1]
+        assert set(threading.enumerate()) == before
 
     @staticmethod
     def fail_at(shape, exc):
