@@ -5,66 +5,18 @@ a variance-based automatic threshold (no user-drawn ROI), and normalizes SNR
 across image resolutions so volumes acquired at different voxel sizes can be
 compared on one scale. Ships a deterministic phantom generator and a minimal
 bit-exact volume container for reproducible experiments.
+
+Each module's ``__all__`` is the one list of its public names; the package
+exports those of the modules below, in this order.
 """
 
 __version__ = "0.3.0"
 
-from .volume import Volume
-from .noise import (
-    CORRECTION_FACTOR,
-    CORRECTION_FACTOR_ANALYTIC,
-    EstimationError,
-    NoiseEstimate,
-    SearchConfig,
-    ThresholdResult,
-    background_roi_noise,
-    estimate,
-    find_t_lower,
-    find_t_opt,
-)
-from .phantom import PhantomObject, PhantomSpec, generate
-from .resolution import (
-    DEFAULT_EXPONENT,
-    CurvePoint,
-    QualityScore,
-    ResolutionCurve,
-    downsample,
-    effective_resolution,
-    fit_power_law,
-    lanczos3_kernel,
-    noise_resolution_curve,
-    normalize_quality,
-)
-from .qvol import VolumeFormatError, load_volume, read_input, write_container
+from . import noise, phantom, qvol, resolution, volume
+from .volume import *
+from .noise import *
+from .phantom import *
+from .resolution import *
+from .qvol import *
 
-__all__ = [
-    "__version__",
-    "Volume",
-    "CORRECTION_FACTOR",
-    "CORRECTION_FACTOR_ANALYTIC",
-    "SearchConfig",
-    "ThresholdResult",
-    "NoiseEstimate",
-    "EstimationError",
-    "find_t_lower",
-    "find_t_opt",
-    "estimate",
-    "background_roi_noise",
-    "PhantomObject",
-    "PhantomSpec",
-    "generate",
-    "DEFAULT_EXPONENT",
-    "lanczos3_kernel",
-    "downsample",
-    "CurvePoint",
-    "ResolutionCurve",
-    "QualityScore",
-    "fit_power_law",
-    "effective_resolution",
-    "noise_resolution_curve",
-    "normalize_quality",
-    "VolumeFormatError",
-    "write_container",
-    "read_input",
-    "load_volume",
-]
+__all__ = ["__version__", *(name for m in (volume, noise, phantom, resolution, qvol) for name in m.__all__)]

@@ -153,7 +153,10 @@ def _cmd_analyze(args) -> int:
         else:
             curve = noise_resolution_curve(volume, factors, cfg)
             est = curve.full
-        score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
+        try:
+            score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
+        except ValueError as exc:  # an SNR the flags project beyond the float range
+            raise _UsageError(str(exc)) from exc
         report = build_report(
             digest=digest.result(),
             input_format=fmt,

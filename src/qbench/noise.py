@@ -497,7 +497,8 @@ def estimate(volume: Volume, cfg: SearchConfig = SearchConfig()) -> NoiseEstimat
 
     Signal is the mean of the original pixels above the threshold; with
     no_object there are no such pixels and signal/SNR are zero. Every figure,
-    the zero fraction included, comes from the one scan of the volume.
+    the zero fraction included, comes from the one scan of the volume. A
+    sigma or SNR beyond the float range is an EstimationError.
     """
     lattice = _lattice(cfg, volume.intensity_max, volume.n_slices)
     scan = _VolumeScan(volume, lattice)
@@ -515,6 +516,8 @@ def estimate(volume: Volume, cfg: SearchConfig = SearchConfig()) -> NoiseEstimat
     else:
         signal_mean = scan.mean_above(n)
         snr = signal_mean / sigma if sigma > 0 else 0.0
+    if not math.isfinite(sigma) or not math.isfinite(snr):
+        raise EstimationError(f"sigma {sigma!r} and SNR {snr!r} must be finite; correction_factor is {cfg.correction_factor!r}")
     return NoiseEstimate(sigma, signal_mean, snr, per_slice, threshold, scan.zero_fraction)
 
 

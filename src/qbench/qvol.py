@@ -31,14 +31,7 @@ import numpy as np
 
 from .volume import Volume, voxel_size_mm
 
-__all__ = [
-    "VolumeFormatError",
-    "write_container",
-    "write_bytes_atomic",
-    "check_writable",
-    "read_input",
-    "load_volume",
-]
+__all__ = ["VolumeFormatError", "write_container", "read_input", "load_volume"]
 
 _MAGIC = "QVOL1"
 _DTYPES = {"u16": np.dtype("<u2"), "f32": np.dtype("<f4")}

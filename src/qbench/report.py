@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -69,9 +70,10 @@ UNITS = {
 def input_digest(path, files: list[tuple[Path, bytes]]) -> Background:
     """SHA-256 of the input bytes, hashed on a thread of its own, started here.
 
-    A container file hashes its bytes. A PGM stack directory hashes the name,
-    a NUL byte and the bytes of each slice file the loader reads, in load
-    order; other files in the directory do not count. ``files`` is what
+    A container file hashes its bytes. A PGM stack directory hashes the
+    name's bytes as the file system stores them, a NUL byte and the bytes of
+    each slice file the loader reads, in load order; other files in the
+    directory do not count. ``files`` is what
     ``qvol.read_input`` returned for ``path``, so the loader's one read is
     hashed. The bytes are immutable and ``hashlib`` releases the GIL while
     it hashes them, so the caller can parse and analyse them meanwhile;
@@ -87,7 +89,7 @@ def _input_sha256(path, files: list[tuple[Path, bytes]]) -> str:
         return hashlib.sha256(raw).hexdigest()
     digest = hashlib.sha256()
     for p, raw in files:
-        digest.update(p.name.encode())
+        digest.update(os.fsencode(p.name))
         digest.update(b"\x00")
         digest.update(raw)
     return digest.hexdigest()

@@ -22,7 +22,6 @@ from .volume import Volume
 
 __all__ = [
     "DEFAULT_EXPONENT",
-    "DEFAULT_REF_MM",
     "lanczos3_kernel",
     "downsample",
     "CurvePoint",
@@ -30,9 +29,7 @@ __all__ = [
     "QualityScore",
     "fit_power_law",
     "effective_resolution",
-    "check_factors",
     "noise_resolution_curve",
-    "check_quality_params",
     "normalize_quality",
 ]
 
@@ -344,16 +341,23 @@ def normalize_quality(
 ) -> QualityScore:
     """Project an SNR measured at one resolution onto a reference resolution.
 
-    ``m`` and ``ref_mm`` must pass :func:`check_quality_params`, and
-    ``resolution_mm`` must be finite and > 0.
+    ``m`` and ``ref_mm`` must pass :func:`check_quality_params`,
+    ``resolution_mm`` must be finite and > 0, and so must the projected SNR
+    be finite; each violation is a ValueError.
     """
     check_quality_params(m, ref_mm)
     if not 0 < resolution_mm < math.inf:
         raise ValueError("resolution_mm must be a finite value > 0")
+    try:
+        snr_normalized = float(snr * (ref_mm / resolution_mm) ** m)
+    except OverflowError:
+        snr_normalized = math.inf
+    if not math.isfinite(snr_normalized):
+        raise ValueError(f"SNR {snr!r} at {resolution_mm!r} mm projects beyond the float range at {ref_mm!r} mm with exponent {m!r}")
     return QualityScore(
         snr_measured=float(snr),
         resolution_mm=float(resolution_mm),
         reference_resolution_mm=float(ref_mm),
         exponent_m=float(m),
-        snr_normalized=float(snr * (ref_mm / resolution_mm) ** m),
+        snr_normalized=snr_normalized,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Volume", "voxel_size_mm"]
+__all__ = ["Volume"]
 
 
 # Source dtypes a Volume keeps; every value of theirs converts to float64 exactly.
@@ -37,13 +37,16 @@ def _over_bytes(src: np.ndarray) -> bool:
 
 
 def voxel_size_mm(values) -> tuple[float, float, float]:
-    """``values`` as three floats, in mm; ValueError unless they are three finite reals > 0."""
+    """``values`` as three floats, in mm; ValueError unless they are three
+    finite reals > 0 whose product, the voxel volume, is finite and > 0."""
     try:
         voxel = tuple(float(v) for v in values)
     except (TypeError, ValueError):
         voxel = ()
     if len(voxel) != 3 or not all(0 < v < math.inf for v in voxel):
         raise ValueError("voxel_size_mm must be three finite positive reals")
+    if not 0 < (volume := math.prod(voxel)) < math.inf:
+        raise ValueError(f"voxel_size_mm {voxel} has a voxel volume of {volume!r} mm^3, not finite and > 0")
     return voxel
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import math
+import os
+import sys
 import tempfile
 import threading
 import warnings
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbench import PhantomObject, PhantomSpec, Volume, generate, load_volume, write_container
+from qbench import PhantomObject, PhantomSpec, SearchConfig, Volume, generate, load_volume, write_container
 from qbench import cli, qvol, report, resolution
 from qbench.cli import EXIT_ESTIMATION, EXIT_INTERNAL, EXIT_LOAD, EXIT_OK, EXIT_USAGE, main
 from qbench.report import REPORT_SCHEMA
@@ -415,6 +418,19 @@ class TestHashingThread:
         assert main(["estimate", str(stack)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["input"]["sha256"] == expected.hexdigest()
 
+    def test_pgm_stack_with_a_name_that_is_not_utf8_hashes_the_stored_name(self, tmp_path, capsys):
+        # b"\xff" is no UTF-8 byte; Python holds the name as a surrogate escape
+        stack = tmp_path / "stack"
+        stack.mkdir()
+        expected = hashlib.sha256()
+        for name in (b"s00.pgm", b"s01\xff.pgm"):
+            raw = b"P5\n4 3\n255\n" + bytes(range(12))
+            (stack / os.fsdecode(name)).write_bytes(raw)
+            expected.update(name + b"\x00" + raw)
+        assert sorted(os.listdir(os.fsencode(stack))) == [b"s00.pgm", b"s01\xff.pgm"]
+        assert main(["estimate", str(stack)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["input"]["sha256"] == expected.hexdigest()
+
 
 class TestCurve:
     def test_full_run_writes_report_and_csv(self, const_container, tmp_path):
@@ -524,6 +540,82 @@ class TestCurve:
         code = main(["curve", str(tmp_path / "none.qvol"), "--factors", factors, "--output", str(tmp_path / "c.json")])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "qbench: --factors must all be finite\n"
+
+
+def one_line_error(capsys) -> str:
+    """The stderr of the last run: one ``qbench:`` line that is no internal error."""
+    err = capsys.readouterr().err
+    assert err.startswith("qbench: ") and err.count("\n") == 1 and "internal error" not in err
+    return err
+
+
+def with_voxel_size(container, tmp_path, voxel: str):
+    path = tmp_path / "voxel.qvol"
+    path.write_bytes(container.read_bytes().replace(b"voxel_size_mm=1.0,1.0,1.0", f"voxel_size_mm={voxel}".encode(), 1))
+    return path
+
+
+class TestBeyondTheFloatRange:
+    """Finite inputs and flags whose products overflow or underflow end in a
+    named error, not in an internal one after the whole analysis."""
+
+    @pytest.mark.parametrize("command", [["estimate"], ["curve", "--factors", "1,2"]])
+    @pytest.mark.parametrize("voxel", ["1e300,1e300,1e300", "1e-300,1e-300,1e-300"])
+    def test_container_voxel_volume_is_load_error(self, const_container, tmp_path, capsys, command, voxel):
+        bad = with_voxel_size(const_container, tmp_path, voxel)
+        assert main([command[0], str(bad), *command[1:], "--output", str(tmp_path / "r.json")]) == EXIT_LOAD
+        assert "has a voxel volume of" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("voxel", [[1e300, 1e300, 1e300], [1e-300, 1e-300, 1e-300]])
+    def test_spec_voxel_volume_is_usage_error(self, tmp_path, capsys, voxel):
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path, voxel_size_mm=voxel)
+        out = tmp_path / "x.qvol"
+        assert main(["synth", str(spec_path), "--output", str(out)]) == EXIT_USAGE
+        assert "has a voxel volume of" in one_line_error(capsys)
+        assert not out.exists()
+
+    def test_downsampled_voxel_volume_is_a_curve_failure(self, disk_container, tmp_path):
+        # (4e102 mm)^3 is finite, and so is its edge at factor 1.2; at factor 2 the voxel volume overflows
+        path = with_voxel_size(disk_container, tmp_path, "4e102,4e102,4e102")
+        out = tmp_path / "c.json"
+        assert main(["curve", str(path), "--factors", "1,1.2,2", "--output", str(out)]) == EXIT_OK
+        curve = json.loads(out.read_text())["resolution_curve"]
+        assert len(curve["points"]) == 2
+        [failure] = curve["failures"]
+        assert failure["factor"] == 2.0 and "has a voxel volume of inf" in failure["reason"]
+
+    @pytest.mark.parametrize("command", [["estimate"], ["curve", "--factors", "1,2"]])
+    def test_projected_snr_overflow_is_usage_error(self, disk_container, tmp_path, capsys, command):
+        out = tmp_path / "r.json"
+        argv = [command[0], str(disk_container), *command[1:], "--exponent-m", "400", "--ref-resolution", "1e3", "--output", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "projects beyond the float range" in one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["estimate"], ["curve", "--factors", "1,2"]])
+    @pytest.mark.parametrize("factor, figure", [("1e308", "sigma inf"), ("1e-320", "SNR inf")])
+    def test_non_finite_sigma_or_snr_is_estimation_error(self, disk_container, tmp_path, capsys, command, factor, figure):
+        out = tmp_path / "r.json"
+        argv = [command[0], str(disk_container), *command[1:], "--correction-factor", factor, "--output", str(out)]
+        assert main(argv) == EXIT_ESTIMATION
+        err = one_line_error(capsys)
+        assert err.startswith("qbench: estimation failed: ") and figure in err
+        assert not out.exists()
+
+    def test_a_factor_whose_snr_overflows_is_a_curve_failure(self, disk_container, tmp_path):
+        # a correction factor between the two that take the input's SNR and the
+        # factor-2 SNR (the higher one) beyond the float range
+        curve = resolution.noise_resolution_curve(load_volume(disk_container), [1, 2])
+        full, half = (p.snr for p in curve.points)
+        assert full < half
+        top = sys.float_info.max
+        factor = math.sqrt(full / top) * math.sqrt(half / top) * SearchConfig().correction_factor
+        out = tmp_path / "c.json"
+        argv = ["curve", str(disk_container), "--factors", "1,2,3", "--correction-factor", repr(factor), "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        [failure] = json.loads(out.read_text())["resolution_curve"]["failures"]
+        assert failure["factor"] == 2.0 and "SNR inf" in failure["reason"]
 
 
 class _WideningLoader:

@@ -576,6 +576,19 @@ class TestNormalizeQuality:
         with pytest.raises(ValueError, match=message):
             normalize_quality(*args)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(13.4, 1.0, 400.0, 1e3), (1e300, 1e-10, 1.5, 1.0), (0.0, 1.0, 400.0, 1e3)],
+        ids=["power-overflows", "product-overflows", "zero-snr-power-overflows"],
+    )
+    def test_projected_snr_beyond_the_float_range_rejected(self, args):
+        # Python's float power raises OverflowError, a product turns inf
+        with pytest.raises(ValueError, match="projects beyond the float range"):
+            normalize_quality(*args)
+
+    def test_projected_snr_that_underflows_is_zero(self):
+        assert normalize_quality(13.4, 1e3, 400.0, 1.0).snr_normalized == 0.0
+
 
 class TestCrossResolutionConsistency:
     def test_downsampled_copies_score_alike(self):

@@ -61,6 +61,10 @@ class TestSliceAndVolume:
         for bad in (1.0, None, ("a", 1.0, 1.0)):
             with pytest.raises(ValueError, match="voxel_size_mm must be three finite positive reals"):
                 Volume.from_array(data, voxel_size=bad)
+        # each edge finite and positive, but the voxel volume overflows or underflows
+        for bad, volume in (((1e300, 1e300, 1e300), "inf"), ((1e-300, 1e-300, 1e-300), "0.0")):
+            with pytest.raises(ValueError, match=f"has a voxel volume of {volume} mm"):
+                Volume.from_array(data, voxel_size=bad)
 
     def test_volume_rejects_negative_and_nonfinite(self):
         for bad in (-1.0, np.nan, np.inf, -np.inf):
