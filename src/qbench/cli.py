@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -42,7 +41,6 @@ from .resolution import (
     noise_resolution_curve,
     normalize_quality,
 )
-from .volume import Volume
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,16 +112,6 @@ def _csv_sidecar(output: str) -> Path:
     return path.with_suffix(".csv")
 
 
-def _load(path: str, files: list[tuple[Path, bytes]]) -> tuple[Volume, str, list[str]]:
-    """The volume parsed from ``files``, the bytes ``read_input`` read from
-    ``path``, with the input format and the loader's warnings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        volume = load_volume(path, files)
-    fmt = "pgm-stack" if Path(path).is_dir() else "qvol"
-    return volume, fmt, [str(w.message) for w in caught]
-
-
 def _cmd_analyze(args) -> int:
     """``estimate`` and ``curve``: one analysis, in which the resolution curve
     and its CSV sidecar are the only extras of ``curve``. Every flag is
@@ -141,12 +129,13 @@ def _cmd_analyze(args) -> int:
     if sidecar is not None:
         check_writable(sidecar)
     files = read_input(args.input)
+    fmt = "pgm-stack" if Path(args.input).is_dir() else "qvol"
     # the hash starts before the parse and runs while the bytes are parsed and
     # analysed; leaving the block joins the hashing thread, on every exit path.
     # A container's bytes are the volume's array, so they live as long as the
     # volume; a PGM stack's are released once both the parse and the hash are done.
     with input_digest(args.input, files) as digest:
-        volume, fmt, load_warnings = _load(args.input, files)
+        volume = load_volume(args.input, files)
         del files
         if factors is None:
             est, curve = estimate(volume, cfg), None
@@ -165,7 +154,6 @@ def _cmd_analyze(args) -> int:
             est=est,
             curve=curve,
             score=score,
-            extra_warnings=tuple(load_warnings),
         )
     text = report_json(report)
     if args.output:

@@ -301,18 +301,17 @@ class _VolumeScan:
         return math.fsum(s1[:, -1] - s1[:, n]) / n_above
 
     def positive_sigmas(self, n: int, f_e: float) -> list[float | None]:
-        """Corrected positive-pixel std per slice at lattice index n (None when empty)."""
+        """Corrected positive-pixel std per slice at lattice index n (None when empty).
+
+        (s1/k)**2 is libm's pow() (``float_power``), as the per-slice sigmas
+        have always had it; the product in ``_stds`` can differ from it in
+        the last bit."""
         count, s1, s2 = self._tables[:, :, n]
-        out: list[float | None] = []
-        # scalar arithmetic on purpose: numpy's scalar ** 2 calls pow(), which
-        # can differ in the last bit from the array ** 2 (a product)
-        for kj, a, b in zip(count - self._zeros, s1, s2):
-            if kj == 0:
-                out.append(None)
-            else:
-                var = b / kj - (a / kj) ** 2
-                out.append(f_e * math.sqrt(max(var, 0.0)))
-        return out
+        count = count - self._zeros
+        with np.errstate(divide="ignore", invalid="ignore"):
+            var = s2 / count - np.float_power(s1 / count, 2)
+        stds = np.sqrt(np.maximum(var, 0.0)).tolist()
+        return [None if k == 0 else f_e * v for k, v in zip(count, stds)]
 
 
 def _stray_budget(scan: _VolumeScan) -> float:

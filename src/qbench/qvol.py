@@ -23,8 +23,6 @@ both formats. :func:`read_input` reads the bytes of an input once;
 from __future__ import annotations
 
 import os
-import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,8 +99,10 @@ def _parse_container(path: Path, raw: bytes) -> Volume:
 
 def write_bytes_atomic(path: Path, blob: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a torn
-    file; the temp file is removed when the write fails."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    file; the temp file is removed when the write fails. The file is created
+    with mode 0o666, which the kernel narrows by the process umask."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
@@ -216,7 +216,6 @@ def _parse_pgm_stack(files: list[tuple[Path, bytes]]) -> Volume:
             raise VolumeFormatError(
                 f"{p}: slice is {img.shape[1]}x{img.shape[0]}, expected {shape[1]}x{shape[0]}"
             )
-    warnings.warn("PGM stacks carry no voxel size; defaulting to 1 mm isotropic", stacklevel=3)
     # np.stack copies into native byte order, so 16-bit samples stay u16 in the Volume
     return Volume.from_array(np.stack(images), (1.0, 1.0, 1.0))
 

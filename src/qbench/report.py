@@ -104,12 +104,13 @@ def build_report(
     est: NoiseEstimate,
     curve: ResolutionCurve | None = None,
     score: QualityScore | None = None,
-    extra_warnings: tuple[str, ...] = (),
 ) -> dict:
     """Assemble the full report dict for one analyzed volume."""
     n, h, w = volume.shape
     tr = est.threshold
-    warnings = list(extra_warnings)
+    warnings = []
+    if input_format == "pgm-stack":
+        warnings.append("PGM stacks carry no voxel size; defaulting to 1 mm isotropic")
     zero_frac = est.zero_fraction
     if zero_frac > 0.5:
         warnings.append(

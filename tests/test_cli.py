@@ -432,6 +432,70 @@ class TestHashingThread:
         assert json.loads(capsys.readouterr().out)["input"]["sha256"] == expected.hexdigest()
 
 
+class TestWarningsAreLeftAlone:
+    """A run reads no warning of the process and leaves its warning machinery as it was."""
+
+    def test_another_threads_warning_during_the_load_is_not_in_the_report(self, disk_container, monkeypatch, capsys):
+        loading, warned = threading.Event(), threading.Event()
+        real_load = cli.load_volume
+
+        def load_volume(*args):
+            loading.set()
+            assert warned.wait(30)
+            return real_load(*args)
+
+        def warn():
+            loading.wait()
+            warnings.warn("raised by another thread")
+            warned.set()
+
+        monkeypatch.setattr(cli, "load_volume", load_volume)
+        other = threading.Thread(target=warn)
+        other.start()
+        with pytest.warns(UserWarning, match="another thread"):
+            assert main(["estimate", str(disk_container)]) == EXIT_OK
+        other.join()
+        report = json.loads(capsys.readouterr().out)
+        assert not any("another thread" in w for w in report["warnings"])
+
+    def test_overlapping_runs_leave_the_warning_machinery_as_they_found_it(self, disk_container, tmp_path, monkeypatch):
+        # run a loads, run b loads, a finishes its load, then b does
+        second = tmp_path / "second.qvol"
+        second.write_bytes(disk_container.read_bytes())
+        a_loading, b_loading, a_loaded = threading.Event(), threading.Event(), threading.Event()
+        real_load, real_estimate = cli.load_volume, cli.estimate
+
+        def load_volume(path, files):
+            if Path(path) == second:
+                b_loading.set()
+                assert a_loaded.wait(30)
+            else:
+                a_loading.set()
+                assert b_loading.wait(30)
+            return real_load(path, files)
+
+        def estimate(*args):
+            a_loaded.set()  # run a estimates once its load has returned
+            return real_estimate(*args)
+
+        def run_b():
+            a_loading.wait()
+            codes.append(main(["estimate", str(second), "--output", str(tmp_path / "b.json")]))
+
+        monkeypatch.setattr(cli, "load_volume", load_volume)
+        monkeypatch.setattr(cli, "estimate", estimate)
+        filters, show = list(warnings.filters), warnings._showwarnmsg_impl
+        codes = []
+        b = threading.Thread(target=run_b)
+        b.start()
+        codes.append(main(["estimate", str(disk_container), "--output", str(tmp_path / "a.json")]))
+        b.join()
+        assert codes == [EXIT_OK, EXIT_OK]
+        assert warnings.filters == filters
+        assert warnings._showwarnmsg_impl is show
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 class TestCurve:
     def test_full_run_writes_report_and_csv(self, const_container, tmp_path):
         out = tmp_path / "curve.json"

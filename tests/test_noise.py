@@ -91,6 +91,15 @@ class TestPositiveNoise:
     def test_absent_when_nothing_survives(self):
         assert scan_of([5.0, 6.0]).positive_sigmas(1, CORRECTION_FACTOR) == [None]
 
+    def test_the_mean_is_squared_with_pow_bit_for_bit(self):
+        # this slice's mean m has pow(m, 2) != m * m: the per-slice sigma keeps
+        # libm's pow(), which every report so far has used
+        scan = scan_of([438.9, 787.9, 942.9])
+        count, s1, s2 = scan._tables[:, 0, scan.lattice.stop].tolist()
+        m = s1 / count
+        assert math.pow(m, 2) != m * m
+        assert scan.positive_sigmas(scan.lattice.stop, 1.53) == [1.53 * math.sqrt(s2 / count - math.pow(m, 2))]
+
     def test_rayleigh_calibration(self):
         # one large pure-noise slice: corrected std ~= 1.0024 * sigma
         vol = pure_noise(sigma=100.0, seed=12, width=512, height=512, n_slices=1)

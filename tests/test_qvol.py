@@ -1,4 +1,6 @@
 import hashlib
+import os
+import stat
 import struct
 import tempfile
 import warnings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from qbench import Volume, VolumeFormatError, load_volume, qvol, read_input, write_container
 from qbench.cli import EXIT_LOAD, main
 from qbench.qvol import write_bytes_atomic
+from qbench.report import write_text_atomic
 from conftest import resolved_digest, volume_from
 
 # the same examples on every run, so the suite cannot flake
@@ -156,7 +159,9 @@ class TestPgmStack:
         slices = (rng.random((8, 10)) * 1000).astype(int)
         for i in range(3):
             write_pgm(tmp_path / f"slice_{i:03d}.pgm", slices + i)
-        with pytest.warns(UserWarning, match="voxel size"):
+        # the voxel-size default is report data, not a warning of the library
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             vol = load_volume(tmp_path)
         assert vol.shape == (3, 8, 10)
         assert vol.voxel_size == (1.0, 1.0, 1.0)
@@ -165,21 +170,18 @@ class TestPgmStack:
     def test_lexicographic_order(self, tmp_path):
         write_pgm(tmp_path / "b.pgm", np.full((2, 2), 2))
         write_pgm(tmp_path / "a.pgm", np.full((2, 2), 1))
-        with pytest.warns(UserWarning):
-            vol = load_volume(tmp_path)
+        vol = load_volume(tmp_path)
         assert vol.data[0, 0, 0] == 1.0 and vol.data[1, 0, 0] == 2.0
 
     def test_eight_bit_pgm(self, tmp_path):
         write_pgm(tmp_path / "only.pgm", np.arange(4).reshape(2, 2), maxval=255)
-        with pytest.warns(UserWarning):
-            vol = load_volume(tmp_path)
+        vol = load_volume(tmp_path)
         assert vol.intensity_max == 3.0
 
     @pytest.mark.parametrize("maxval, top", [(200, 201), (1000, 65535)], ids=["8-bit", "16-bit"])
     def test_a_sample_may_reach_maxval_but_not_exceed_it(self, tmp_path, maxval, top):
         write_pgm(tmp_path / "s0.pgm", np.full((2, 3), maxval), maxval=maxval)
-        with pytest.warns(UserWarning):
-            assert load_volume(tmp_path).intensity_max == maxval
+        assert load_volume(tmp_path).intensity_max == maxval
         write_pgm(tmp_path / "s1.pgm", np.array([[0, top, 1], [maxval, 2, 3]]), maxval=maxval)
         with pytest.raises(VolumeFormatError) as caught:
             load_volume(tmp_path)
@@ -197,8 +199,7 @@ class TestPgmStack:
 
     def test_load_volume_dispatches_to_directory(self, tmp_path):
         write_pgm(tmp_path / "s0.pgm", np.ones((4, 4)))
-        with pytest.warns(UserWarning):
-            vol = load_volume(tmp_path)
+        vol = load_volume(tmp_path)
         assert isinstance(vol, Volume)
         assert vol.n_slices == 1
 
@@ -206,8 +207,7 @@ class TestPgmStack:
         img = np.full((2, 2), 7)
         header = b"P5\n# scanner export\n2 2\n65535\n"
         (tmp_path / "c.pgm").write_bytes(header + img.astype(">u2").tobytes())
-        with pytest.warns(UserWarning):
-            vol = load_volume(tmp_path)
+        vol = load_volume(tmp_path)
         assert np.all(vol.data == 7.0)
 
 
@@ -262,9 +262,7 @@ class TestOneRead:
             (directory / "notes.txt").write_text("not a slice")
             files = read_input(directory)
             assert [p.name for p, _ in files] == sorted(names)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                vol = load_volume(directory, files)
+            vol = load_volume(directory, files)
             assert vol.data.dtype == (np.uint8 if eight_bit else np.uint16) and vol.data.dtype.isnative
             assert np.array_equal(vol.data, images)
             expected = hashlib.sha256()
@@ -350,6 +348,24 @@ class TestWriteErrors:
         assert not list(tmp_path.iterdir())
 
 
+class TestFileMode:
+    """Written files take the process umask, as ``open`` would create them."""
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+    def test_written_files_take_the_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "report.json"
+        path.write_text("old")
+        os.chmod(path, 0o640)  # an overwritten file takes the new file's mode
+        previous = os.umask(umask)
+        try:
+            write_text_atomic(path, "{}\n")
+            write_container(tmp_path / "vol.qvol", volume_from(np.zeros((1, 2, 2))))
+        finally:
+            os.umask(previous)
+        assert path.read_text() == "{}\n"
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == {"report.json": mode, "vol.qvol": mode}
+
+
 def _valid_container(dtype):
     data = np.arange(12.0).reshape(3, 2, 2)
     header = f"QVOL1 dims=2,2,3 voxel_size_mm=1.0,0.5,2.0 dtype={dtype} byteorder=le\n".encode()
@@ -396,9 +412,7 @@ class TestMutatedInput:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp)
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    volume = load_volume(path, [(path / "s0.pgm", raw)])
+                volume = load_volume(path, [(path / "s0.pgm", raw)])
             except VolumeFormatError:
                 return
         assert isinstance(volume, Volume)

@@ -65,6 +65,15 @@ class TestBuildReport:
         report = build_report(digest="x", input_format="qvol", volume=vol, cfg=SearchConfig(), est=est)
         assert any("one slice only" in w for w in report["warnings"]) == (n_slices == 1)
 
+    def test_pgm_stack_voxel_size_note_comes_first(self):
+        # a no-object volume: the PGM note precedes the report's own warnings
+        vol = const_phantom(value=400.0, sigma=100.0, seed=62, width=32, height=32, n_slices=8)
+        est = estimate(vol)
+        reports = {fmt: build_report(digest="x", input_format=fmt, volume=vol, cfg=SearchConfig(), est=est) for fmt in ("pgm-stack", "qvol")}
+        note = "PGM stacks carry no voxel size; defaulting to 1 mm isotropic"
+        assert reports["pgm-stack"]["warnings"] == [note, *reports["qvol"]["warnings"]]
+        assert reports["qvol"]["warnings"] and note not in reports["qvol"]["warnings"]
+
 
 class TestCurveCsv:
     def test_header_and_rows(self, disk_report):
