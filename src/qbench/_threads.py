@@ -2,10 +2,11 @@
 with a result slot, a two-stage pipeline fed through a queue, and a row
 split over the cores this process may use.
 
-numpy's ufuncs, its random fills, ``np.bincount``, BLAS ``matmul`` and
-``hashlib`` release the GIL for most of their run on large buffers, so work
-handed to these threads runs alongside the caller: beside back-to-back noise
-scan builds a pure-Python loop slows by about a tenth at most (README).
+numpy's ufuncs, its random fills, BLAS ``matmul`` and ``hashlib`` release the
+GIL for most of their run on large buffers, so work handed to these threads
+runs alongside the caller. ``np.bincount`` holds it for most of its run, on
+every input dtype: two threads of per-row ``bincount`` passes gain little
+over one thread running both passes (README).
 """
 
 from __future__ import annotations
@@ -51,12 +52,15 @@ class Background:
         self._thread.join()
 
 
-def pipeline(produce, consume, items) -> list:
+def pipeline(produce, consume, items, *, meanwhile=None) -> list:
     """``[consume(produce(x)) for x in items]`` in two stages: the calling
     thread produces every item without waiting on a consume, while one worker
     thread consumes them in order from a queue; once a consume has raised, no
-    produce starts. The worker is joined before return, and an exception is
-    raised as that loop would raise it: an earlier item's before a later one's."""
+    produce starts. ``meanwhile()``, if given, runs on the calling thread
+    after the last produce, while the worker finishes its consumes; it is
+    skipped once a consume has raised. The worker is joined before return,
+    and an exception is raised as that loop would raise it: an earlier item's
+    before a later one's, and a consume's before ``meanwhile``'s."""
     queue, results, end, failed = SimpleQueue(), [], object(), threading.Event()
 
     def consume_all() -> None:
@@ -74,6 +78,8 @@ def pipeline(produce, consume, items) -> list:
             if failed.is_set():
                 break
             queue.put(produce(x))
+        if meanwhile is not None and not failed.is_set():
+            meanwhile()
     finally:
         queue.put(end)
         worker.result()  # the worker's error is an earlier item's: it supersedes the caller's

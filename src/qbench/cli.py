@@ -9,20 +9,24 @@ Exit codes: 0 success, 2 usage error, 3 input load error, 4 estimation error,
 ``qbench: internal error: ...`` line with no traceback).
 A no-object result is a successful run that prints a prominent warning.
 The input is read once: the loader parses the bytes it read and the report
-hashes the same bytes, on one worker thread that starts before the parse
-and runs while the main thread parses and analyses. ``curve`` estimates the
-input volume once, inside the curve, and reuses that estimate for both the
-report and the curve's factor-1 point. The curve is a two-stage pipeline:
-one worker thread runs the estimates in order, the input volume's first,
-while the main thread downsamples by every factor without waiting. Both
-stages release the GIL for most of their run, so they fill two cores; and
-the worker's allocations, in a malloc arena of their own, stay small. Every
-exit joins every worker.
+hashes the same bytes. ``curve`` estimates the input volume once, inside the
+curve, and reuses that estimate for both the report and the curve's factor-1
+point. The curve is a two-stage pipeline: one worker thread runs the
+estimates in order, the input volume's first, while the main thread
+downsamples by every factor without waiting. The downsample's BLAS products
+release the GIL, so the two stages fill two cores; and the worker's
+allocations, in a malloc arena of their own, stay small. ``estimate`` and
+``curve`` each start one thread. In ``estimate`` the main thread's parse and
+estimate are the critical path, so the hash runs beside them, on a worker
+thread that starts before the parse. In ``curve`` the estimate worker is the
+critical path, so the main thread hashes once it has queued its last
+downsample, while the worker finishes. Every exit joins every worker.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -31,7 +35,7 @@ from pathlib import Path
 from .noise import EstimationError, SearchConfig, estimate
 from .phantom import PhantomSpec, generate
 from .qvol import VolumeFormatError, check_writable, load_volume, read_input, write_container
-from .report import build_report, curve_csv, input_digest, report_json, write_text_atomic
+from .report import build_report, curve_csv, input_digest, input_sha256, report_json, write_text_atomic
 from .resolution import (
     DEFAULT_EXPONENT,
     DEFAULT_REF_MM,
@@ -66,7 +70,10 @@ def _add_quality_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--exponent-m", type=float, default=DEFAULT_EXPONENT, help="noise-vs-resolution exponent")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main``: parsing
+    leaves the parser as it was, and a build takes about 1 ms, a parse under 0.1 ms."""
     parser = argparse.ArgumentParser(prog="qbench", description="Noise/SNR quality benchmark for magnitude MR volumes")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -130,31 +137,38 @@ def _cmd_analyze(args) -> int:
         check_writable(sidecar)
     files = read_input(args.input)
     fmt = "pgm-stack" if Path(args.input).is_dir() else "qvol"
-    # the hash starts before the parse and runs while the bytes are parsed and
-    # analysed; leaving the block joins the hashing thread, on every exit path.
     # A container's bytes are the volume's array, so they live as long as the
-    # volume; a PGM stack's are released once both the parse and the hash are done.
-    with input_digest(args.input, files) as digest:
-        volume = load_volume(args.input, files)
-        del files
-        if factors is None:
+    # volume; a PGM stack's are released once both the parse and the hash are
+    # done, which in ``curve`` is after the last downsample.
+    if factors is None:
+        # the hash thread starts before the parse; leaving the block joins it,
+        # on every exit path
+        with input_digest(args.input, files) as hashing:
+            volume = load_volume(args.input, files)
+            del files
             est, curve = estimate(volume, cfg), None
-        else:
-            curve = noise_resolution_curve(volume, factors, cfg)
-            est = curve.full
-        try:
-            score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
-        except ValueError as exc:  # an SNR the flags project beyond the float range
-            raise _UsageError(str(exc)) from exc
-        report = build_report(
-            digest=digest.result(),
-            input_format=fmt,
-            volume=volume,
-            cfg=cfg,
-            est=est,
-            curve=curve,
-            score=score,
-        )
+        digest = hashing.result
+    else:
+        # hashed on this thread once the last downsample is queued, not on a
+        # third thread that would delay the curve's worker
+        hashed = []
+        volume = load_volume(args.input, files)
+        curve = noise_resolution_curve(volume, factors, cfg, meanwhile=lambda: hashed.append(input_sha256(args.input, files)))
+        del files
+        est, digest = curve.full, hashed.pop
+    try:
+        score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)
+    except ValueError as exc:  # an SNR the flags project beyond the float range
+        raise _UsageError(str(exc)) from exc
+    report = build_report(
+        digest=digest(),
+        input_format=fmt,
+        volume=volume,
+        cfg=cfg,
+        est=est,
+        curve=curve,
+        score=score,
+    )
     text = report_json(report)
     if args.output:
         write_text_atomic(args.output, text)

@@ -25,6 +25,7 @@ __all__ = [
     "REPORT_SCHEMA",
     "UNITS",
     "input_digest",
+    "input_sha256",
     "build_report",
     "report_json",
     "curve_csv",
@@ -68,22 +69,25 @@ UNITS = {
 
 
 def input_digest(path, files: list[tuple[Path, bytes]]) -> Background:
-    """SHA-256 of the input bytes, hashed on a thread of its own, started here.
+    """:func:`input_sha256` of the input bytes, on a thread of its own, started here.
+
+    The bytes are immutable and ``hashlib`` releases the GIL while it hashes
+    them, so the caller can parse and analyse them meanwhile; ``result()``
+    is the hex digest, and leaving a ``with`` block on the returned object
+    joins the thread.
+    """
+    return Background(input_sha256, path, files)
+
+
+def input_sha256(path, files: list[tuple[Path, bytes]]) -> str:
+    """The hex SHA-256 of the input bytes, hashed on the calling thread.
 
     A container file hashes its bytes. A PGM stack directory hashes the
     name's bytes as the file system stores them, a NUL byte and the bytes of
     each slice file the loader reads, in load order; other files in the
-    directory do not count. ``files`` is what
-    ``qvol.read_input`` returned for ``path``, so the loader's one read is
-    hashed. The bytes are immutable and ``hashlib`` releases the GIL while
-    it hashes them, so the caller can parse and analyse them meanwhile;
-    ``result()`` is the hex digest, and leaving a ``with`` block on the
-    returned object joins the thread.
+    directory do not count. ``files`` is what ``qvol.read_input`` returned
+    for ``path``, so the loader's one read is hashed.
     """
-    return Background(_input_sha256, path, files)
-
-
-def _input_sha256(path, files: list[tuple[Path, bytes]]) -> str:
     if not Path(path).is_dir():
         [(_, raw)] = files
         return hashlib.sha256(raw).hexdigest()

@@ -273,7 +273,7 @@ def _point(vol: Volume, est: NoiseEstimate) -> CurvePoint | str:
     return CurvePoint(effective_resolution(vol.voxel_size), est.sigma, est.snr)
 
 
-def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchConfig()) -> ResolutionCurve:
+def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchConfig(), *, meanwhile=None) -> ResolutionCurve:
     """Estimate ``volume`` and its downsampled copies, fit the power law.
 
     ``factors`` must pass :func:`check_factors`, before any downsampling.
@@ -288,7 +288,12 @@ def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchCo
     estimate and at most all of them are alive at once. One worker and the
     caller fill two cores, and the split suits the allocator: the worker's
     allocations land in a malloc arena of their own, and the resampling's
-    large temporaries stay in the calling thread's.
+    large temporaries stay in the calling thread's. The worker's estimates
+    end after the last downsample, so the calling thread is idle once it has
+    queued the last downsampled volume: ``meanwhile()``, if given, runs on
+    it then, before the worker is joined, unless an estimate has already
+    failed the curve. An exception it raises ends the curve, unless the
+    worker's own error supersedes it.
     """
     factors = check_factors(factors)
     scaled = [f for f in factors if f != 1.0]
@@ -311,7 +316,7 @@ def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchCo
         except (EstimationError, ValueError) as exc:
             return str(exc)
 
-    full, *outcomes = pipeline(resampled, estimated, [1.0, *scaled])
+    full, *outcomes = pipeline(resampled, estimated, [1.0, *scaled], meanwhile=meanwhile)
     by_factor = {1.0: _point(volume, full), **dict(zip(scaled, outcomes))}
     outcomes = [by_factor[f] for f in factors]
     points = [o for o in outcomes if isinstance(o, CurvePoint)]

@@ -254,6 +254,14 @@ class TestEstimate:
         assert score["reference_resolution_mm"] == 2.0
         assert score["exponent_m"] == 1.4
 
+    def test_one_parser_per_process_keeps_no_flag_between_runs(self, disk_container, tmp_path):
+        assert cli._build_parser() is cli._build_parser()
+        out, curve_out = tmp_path / "r.json", tmp_path / "c.json"
+        assert main(["estimate", str(disk_container), "--t-start", "80", "--output", str(out)]) == EXIT_OK
+        assert main(["curve", str(disk_container), "--factors", "1,2", "--output", str(curve_out)]) == EXIT_OK
+        assert json.loads(out.read_text())["config"]["t_start"] == 80.0
+        assert json.loads(curve_out.read_text())["config"]["t_start"] == SearchConfig.t_start == 40.0
+
     def test_report_reproducible_byte_identical(self, disk_container, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         assert main(["estimate", str(disk_container), "--output", str(out1)]) == EXIT_OK
@@ -366,7 +374,8 @@ class TestInternalError:
 
 
 class TestHashingThread:
-    """The input is hashed on one worker thread, which every exit joins."""
+    """``estimate`` hashes the input on one worker thread, which every exit
+    joins; ``curve`` hashes it on the main thread, beside the curve's worker."""
 
     @staticmethod
     def raise_runtime_error(*args, **kwargs):
@@ -392,19 +401,65 @@ class TestHashingThread:
         assert main([command, str(path), *extra, "--output", str(tmp_path / "r.json")]) == code
         assert set(threading.enumerate()) == before
 
-    def test_exception_on_the_hashing_thread_is_one_line_internal_error(self, disk_container, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["estimate", "curve"])
+    def test_exception_on_the_hashing_thread_is_one_line_internal_error(self, disk_container, tmp_path, monkeypatch, capsys, command):
         hashing = []
 
         def fail(*args):
             hashing.append(threading.current_thread())
             self.raise_runtime_error()
 
-        monkeypatch.setattr(report, "_input_sha256", fail)
+        # ``estimate`` hashes through ``report.input_digest``, ``curve`` calls the hash itself
+        monkeypatch.setattr(report, "input_sha256", fail)
+        monkeypatch.setattr(cli, "input_sha256", fail)
         output = tmp_path / "r.json"
-        assert main(["estimate", str(disk_container), "--output", str(output)]) == EXIT_INTERNAL
+        extra = ["--factors", "1,2"] if command == "curve" else []
+        before = set(threading.enumerate())
+        assert main([command, str(disk_container), *extra, "--output", str(output)]) == EXIT_INTERNAL
+        assert set(threading.enumerate()) == before
         assert capsys.readouterr().err == "qbench: internal error: RuntimeError: scan failed\n"
-        assert hashing and hashing[0] is not threading.main_thread()
+        assert len(hashing) == 1 and (hashing[0] is threading.main_thread()) == (command == "curve")
         assert not output.exists()
+
+    def test_a_failed_curve_supersedes_a_failed_hash(self, disk_container, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "input_sha256", self.raise_runtime_error)
+        argv = ["curve", str(disk_container), "--factors", "1,2", "--grid-step", "1e-6", "--output", str(tmp_path / "r.json")]
+        assert main(argv) == EXIT_ESTIMATION
+        assert capsys.readouterr().err.startswith("qbench: estimation failed: ")
+
+    @pytest.mark.parametrize("command", ["estimate", "curve"])
+    def test_an_op_starts_one_thread(self, disk_container, tmp_path, monkeypatch, command):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        extra = ["--factors", "1,1.5,2"] if command == "curve" else []
+        assert main([command, str(disk_container), *extra, "--output", str(tmp_path / "r.json")]) == EXIT_OK
+        assert len(started) == 1
+
+    def test_curve_hashes_on_the_main_thread_after_the_last_downsample(self, disk_container, tmp_path, monkeypatch):
+        events = []
+        downsample, input_sha256 = resolution.downsample, cli.input_sha256
+
+        def traced_downsample(volume, factor):
+            result = downsample(volume, factor)
+            events.append(("downsampled", factor))
+            return result
+
+        def traced_hash(*args):
+            events.append(("hash", threading.current_thread()))
+            return input_sha256(*args)
+
+        monkeypatch.setattr(resolution, "downsample", traced_downsample)
+        monkeypatch.setattr(cli, "input_sha256", traced_hash)
+        output = tmp_path / "r.json"
+        assert main(["curve", str(disk_container), "--factors", "1,1.5,2,3", "--output", str(output)]) == EXIT_OK
+        assert events == [("downsampled", 1.5), ("downsampled", 2.0), ("downsampled", 3.0), ("hash", threading.main_thread())]
+        assert json.loads(output.read_text())["input"]["sha256"] == hashlib.sha256(disk_container.read_bytes()).hexdigest()
 
     def test_pgm_stack_report_hashes_names_and_bytes(self, tmp_path, capsys):
         vol = generate(PhantomSpec(width=16, height=12, n_slices=3, background_value=300.0, sigma=60.0, seed=5, quantize=True))

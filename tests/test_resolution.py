@@ -490,6 +490,62 @@ class TestCurvePipeline:
         assert produced == [0, 1]
         assert set(threading.enumerate()) == before
 
+    def test_meanwhile_runs_on_the_caller_after_the_last_produce(self):
+        # the last consume finishes only once ``meanwhile`` has run, so a
+        # pipeline that runs it after joining the worker times it out
+        events, ran = [], threading.Event()
+
+        def consume(y):
+            if y == 3:
+                assert ran.wait(timeout=10), "meanwhile waited for the worker"
+            return 10 * y
+
+        def produce(x):
+            events.append(("produced", x))
+            return x
+
+        def meanwhile():
+            events.append(("meanwhile", threading.current_thread()))
+            ran.set()
+
+        assert pipeline(produce, consume, range(4), meanwhile=meanwhile) == [0, 10, 20, 30]
+        assert events == [*(("produced", x) for x in range(4)), ("meanwhile", threading.main_thread())]
+
+    def test_meanwhile_is_skipped_once_a_consume_failed(self):
+        consumed, ran, workers = threading.Event(), [], []
+
+        def produce(x):
+            if x == 1:  # the last produce waits until the worker has failed and ended
+                assert consumed.wait(timeout=10)
+                workers[0].join(timeout=10)
+                assert not workers[0].is_alive()
+            return x
+
+        def consume(y):
+            workers.append(threading.current_thread())
+            consumed.set()
+            raise RuntimeError(f"consume {y} failed")
+
+        with pytest.raises(RuntimeError, match="consume 0 failed"):
+            pipeline(produce, consume, range(2), meanwhile=lambda: ran.append(True))
+        assert ran == []
+
+    def test_a_consume_error_supersedes_meanwhile_s(self):
+        started = threading.Event()
+
+        def consume(y):
+            assert started.wait(timeout=10)
+            raise RuntimeError(f"consume {y} failed")
+
+        def meanwhile():
+            started.set()
+            raise ValueError("meanwhile failed")
+
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="consume 0 failed"):
+            pipeline(lambda x: x, consume, range(1), meanwhile=meanwhile)
+        assert set(threading.enumerate()) == before
+
     @staticmethod
     def fail_at(shape, exc):
         """``estimate`` that raises ``exc`` on a volume of ``shape``."""
