@@ -1,6 +1,5 @@
 """Threads that end before their caller goes on: one call in the background
-with a result slot, a two-stage pipeline fed through a queue, and a row
-split over the cores this process may use.
+with a result slot, and a row split over the cores this process may use.
 
 numpy's ufuncs, its random fills, BLAS ``matmul`` and ``hashlib`` release the
 GIL for most of their run on large buffers, so work handed to these threads
@@ -14,7 +13,6 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import ExitStack
-from queue import SimpleQueue
 
 # the cores this process may run on; ``split_rows`` cuts its rows into this many parts
 WIDTH = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -50,40 +48,6 @@ class Background:
 
     def __exit__(self, *exc_info) -> None:
         self._thread.join()
-
-
-def pipeline(produce, consume, items, *, meanwhile=None) -> list:
-    """``[consume(produce(x)) for x in items]`` in two stages: the calling
-    thread produces every item without waiting on a consume, while one worker
-    thread consumes them in order from a queue; once a consume has raised, no
-    produce starts. ``meanwhile()``, if given, runs on the calling thread
-    after the last produce, while the worker finishes its consumes; it is
-    skipped once a consume has raised. The worker is joined before return,
-    and an exception is raised as that loop would raise it: an earlier item's
-    before a later one's, and a consume's before ``meanwhile``'s."""
-    queue, results, end, failed = SimpleQueue(), [], object(), threading.Event()
-
-    def consume_all() -> None:
-        try:
-            for y in iter(queue.get, end):
-                results.append(consume(y))
-                del y  # a consumed item is not kept alive while the next one waits
-        except BaseException:
-            failed.set()
-            raise
-
-    worker = Background(consume_all)
-    try:
-        for x in items:
-            if failed.is_set():
-                break
-            queue.put(produce(x))
-        if meanwhile is not None and not failed.is_set():
-            meanwhile()
-    finally:
-        queue.put(end)
-        worker.result()  # the worker's error is an earlier item's: it supersedes the caller's
-    return results
 
 
 def split_rows(fn, n_rows: int) -> None:

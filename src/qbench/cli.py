@@ -10,17 +10,12 @@ Exit codes: 0 success, 2 usage error, 3 input load error, 4 estimation error,
 A no-object result is a successful run that prints a prominent warning.
 The input is read once: the loader parses the bytes it read and the report
 hashes the same bytes. ``curve`` estimates the input volume once, inside the
-curve, and reuses that estimate for both the report and the curve's factor-1
-point. The curve is a two-stage pipeline: one worker thread runs the
-estimates in order, the input volume's first, while the main thread
-downsamples by every factor without waiting. The downsample's BLAS products
-release the GIL, so the two stages fill two cores; and the worker's
-allocations, in a malloc arena of their own, stay small. ``estimate`` and
-``curve`` each start one thread. In ``estimate`` the main thread's parse and
-estimate are the critical path, so the hash runs beside them, on a worker
-thread that starts before the parse. In ``curve`` the estimate worker is the
-critical path, so the main thread hashes once it has queued its last
-downsample, while the worker finishes. Every exit joins every worker.
+curve, and reuses that estimate for the report and the curve's factor-1 point.
+``estimate`` and ``curve`` each start one thread. In ``estimate`` the main
+thread's parse and estimate are the critical path, so the hash runs beside
+them, on a worker thread that starts before the parse. In ``curve`` the main
+thread's downsamples are the critical path: the curve's worker hashes after
+its estimate and its carries. Every exit joins every worker.
 """
 
 from __future__ import annotations
@@ -139,7 +134,7 @@ def _cmd_analyze(args) -> int:
     fmt = "pgm-stack" if Path(args.input).is_dir() else "qvol"
     # A container's bytes are the volume's array, so they live as long as the
     # volume; a PGM stack's are released once both the parse and the hash are
-    # done, which in ``curve`` is after the last downsample.
+    # done, which in ``curve`` is when the curve returns.
     if factors is None:
         # the hash thread starts before the parse; leaving the block joins it,
         # on every exit path
@@ -149,8 +144,7 @@ def _cmd_analyze(args) -> int:
             est, curve = estimate(volume, cfg), None
         digest = hashing.result
     else:
-        # hashed on this thread once the last downsample is queued, not on a
-        # third thread that would delay the curve's worker
+        # hashed on the curve's worker after its estimate and carries
         hashed = []
         volume = load_volume(args.input, files)
         curve = noise_resolution_curve(volume, factors, cfg, meanwhile=lambda: hashed.append(input_sha256(args.input, files)))

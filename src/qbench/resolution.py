@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._threads import pipeline
+from ._threads import Background
 from .noise import EstimationError, NoiseEstimate, SearchConfig, estimate
 from .volume import Volume
 
@@ -60,20 +60,27 @@ def lanczos3_kernel(x):
     return float(out[0]) if scalar else out
 
 
+def _windows(n_out: int, factor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per output sample i of one axis: its source position src = (i + 0.5) * factor - 0.5 and the
+    first and last source index, lo and hi, of its Lanczos window widened by the factor, unclamped."""
+    src = (np.arange(n_out) + 0.5) * factor - 0.5
+    lo = np.ceil(src - 3.0 * factor).astype(np.intp)
+    hi = np.floor(src + 3.0 * factor).astype(np.intp)
+    return src, lo, hi
+
+
 def _resample_weights(n_in: int, n_out: int, factor: float) -> np.ndarray:
     """Dense (n_out, n_in) row-stochastic resampling matrix for one axis.
 
-    Output sample i reads the source at (i + 0.5) * factor - 0.5 through a
-    Lanczos window widened by the factor (anti-aliasing); out-of-range source
-    indices are clamped to the edge and their weight accumulates there.
+    Output sample i reads its source position through its Lanczos window
+    (:func:`_windows`); out-of-range source indices are clamped to the edge
+    and their weight accumulates there.
 
     All rows are built at once: row i's taps are the integers lo_i..hi_i
     inside its window, padded to a common width with taps of weight 0.0,
     which leave every sum unchanged.
     """
-    src = (np.arange(n_out) + 0.5) * factor - 0.5
-    lo = np.ceil(src - 3.0 * factor).astype(np.intp)
-    hi = np.floor(src + 3.0 * factor).astype(np.intp)
+    src, lo, hi = _windows(n_out, factor)
     taps = lo[:, None] + np.arange((hi - lo).max() + 1)
     w = np.where(taps <= hi[:, None], lanczos3_kernel((taps - src[:, None]) / factor), 0.0)
     weights = np.zeros((n_out, n_in))
@@ -266,64 +273,98 @@ def check_factors(factors, name: str = "factors") -> list[float]:
     return factors
 
 
-def _point(vol: Volume, est: NoiseEstimate) -> CurvePoint | str:
-    """The curve point of ``vol``'s estimate, or why it has none."""
-    if est.sigma <= 0:
+def _carry(bad: np.ndarray, factor: float) -> np.ndarray:
+    """The mask ``bad`` on the grid of :func:`downsample` by ``factor``: axis
+    by axis, 0, 1, 2, an output sample is bad when any source sample of its
+    window (:func:`_windows`), clamped to the axis, is. Level j tells whether
+    any of the 2**j samples from each index on is bad, so a window of L, 2**j
+    <= L < 2**(j+1), is two lookups (van Herk, Pattern Recogn. Lett. 1992)."""
+    for axis in range(3):
+        n_in = bad.shape[axis]
+        _, lo, hi = _windows(math.floor(n_in / factor), factor)
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, n_in - 1)
+        levels = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(L)) per window
+        level = np.moveaxis(bad, axis, 0)
+        out = np.empty((lo.size, *level.shape[1:]), dtype=bool)
+        for j in range(int(levels.max(initial=0)) + 1):
+            if j:
+                level = level[: -(1 << (j - 1))] | level[1 << (j - 1) :]
+            rows = np.flatnonzero(levels == j)
+            out[rows] = level[lo[rows]] | level[hi[rows] - (1 << j) + 1]
+        bad = np.moveaxis(out, 0, axis)
+    return bad
+
+
+def _masked_noise(vol: Volume, bad: np.ndarray | None, correction_factor: float) -> float | None:
+    """``correction_factor`` times the mean over slices of the std of the positive samples outside
+    ``bad``; None when no slice keeps one. A mask that leaves none counts as no mask: the noise-tail
+    voxels of a threshold cut into an object-free background can reach every window."""
+    keep = vol.data > 0
+    if bad is not None and (outside := keep & ~bad).any():
+        keep = outside
+    present = [correction_factor * float((pixels if kept.all() else pixels[kept]).std()) for pixels, kept in zip(vol.data, keep) if kept.any()]
+    return float(np.mean(present)) if present else None
+
+
+def _curve_point(vol: Volume, noise: float | None, signal_mean: float) -> CurvePoint | str:
+    """The point of ``vol`` at ``noise``, its SNR ``signal_mean`` over it, or why it has none."""
+    if noise is None:
+        return "no slice keeps a positive sample"
+    if not noise > 0:
         return "estimated noise is not positive"
-    return CurvePoint(effective_resolution(vol.voxel_size), est.sigma, est.snr)
+    if not (math.isfinite(snr := signal_mean / noise) and math.isfinite(noise)):
+        return f"noise {noise!r} and SNR {snr!r} must be finite"
+    return CurvePoint(effective_resolution(vol.voxel_size), noise, snr)
 
 
 def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchConfig(), *, meanwhile=None) -> ResolutionCurve:
-    """Estimate ``volume`` and its downsampled copies, fit the power law.
+    """Noise across resolutions, all read with one threshold; fit the power law.
 
-    ``factors`` must pass :func:`check_factors`, before any downsampling.
-    ``volume`` is estimated once, whether or not 1 is a factor; that
-    estimate is the curve's ``full`` and its factor-1 point, and its failure
-    ends the curve. A factor's failure to downsample or to estimate is
-    recorded and its point omitted; at least two points must survive.
+    ``factors`` must pass :func:`check_factors` before any downsampling.
+    ``volume`` is estimated once: that estimate is the curve's ``full`` and its
+    factor-1 point, and its failure ends the curve. ``bad``, the voxels above
+    its ``t_opt`` (none at ``no_object``), is carried to each factor's grid
+    (:func:`_carry`) and the factor's noise read over the positive samples
+    outside it (:func:`_masked_noise`): a threshold searched per factor would
+    keep the object edges and ringing that the Lanczos window smears into the
+    background (Dietrich et al., JMRI 26(2), 2007). SNR is the full signal mean
+    over the noise. A factor that fails to downsample or to give a point
+    (:func:`_curve_point`) is a ``failures`` entry; two points must survive.
 
-    The estimates run in order on one worker thread, the volume's first,
-    while the calling thread downsamples by every factor without waiting
-    (:func:`_threads.pipeline`), so each downsampled volume waits for its
-    estimate and at most all of them are alive at once. One worker and the
-    caller fill two cores, and the split suits the allocator: the worker's
-    allocations land in a malloc arena of their own, and the resampling's
-    large temporaries stay in the calling thread's. The worker's estimates
-    end after the last downsample, so the calling thread is idle once it has
-    queued the last downsampled volume: ``meanwhile()``, if given, runs on
-    it then, before the worker is joined, unless an estimate has already
-    failed the curve. An exception it raises ends the curve, unless the
-    worker's own error supersedes it.
+    One worker thread runs the estimate, the carries and ``meanwhile()`` while
+    the caller downsamples; its exception supersedes a downsample's.
     """
     factors = check_factors(factors)
     scaled = [f for f in factors if f != 1.0]
 
-    def resampled(f: float) -> Volume | str:  # on the calling thread
-        if f == 1.0:
-            return volume
-        try:
-            return downsample(volume, f)
-        except ValueError as exc:
-            return str(exc)
+    def background() -> tuple[NoiseEstimate, dict]:
+        full = estimate(volume, cfg)
+        # compared in float64, so a float32 volume's mask is its float64 copy's
+        bad = None if full.threshold.no_object else volume.data > np.float64(full.threshold.t_opt)
+        carried = {f: None if bad is None else _carry(bad, f) for f in scaled}
+        if meanwhile is not None:
+            meanwhile()
+        return full, carried
 
-    def estimated(vol: Volume | str) -> NoiseEstimate | CurvePoint | str:  # on the worker
-        if vol is volume:
-            return estimate(volume, cfg)
-        if isinstance(vol, str):
-            return vol
-        try:
-            return _point(vol, estimate(vol, cfg))
-        except (EstimationError, ValueError) as exc:
-            return str(exc)
-
-    full, *outcomes = pipeline(resampled, estimated, [1.0, *scaled], meanwhile=meanwhile)
-    by_factor = {1.0: _point(volume, full), **dict(zip(scaled, outcomes))}
+    worker = Background(background)
+    try:
+        by_factor = {}
+        for f in scaled:
+            try:
+                by_factor[f] = downsample(volume, f)
+            except ValueError as exc:
+                by_factor[f] = str(exc)
+    finally:
+        full, carried = worker.result()
+    for f, vol in by_factor.items():
+        if isinstance(vol, Volume):
+            by_factor[f] = _curve_point(vol, _masked_noise(vol, carried[f], cfg.correction_factor), full.signal_mean)
+    by_factor[1.0] = _curve_point(volume, full.sigma, full.signal_mean)
     outcomes = [by_factor[f] for f in factors]
-    points = [o for o in outcomes if isinstance(o, CurvePoint)]
+    points = sorted((o for o in outcomes if isinstance(o, CurvePoint)), key=lambda p: p.resolution_mm)
     failures = [(f, o) for f, o in zip(factors, outcomes) if isinstance(o, str)]
     if len(points) < 2:
         raise EstimationError(f"resolution curve collapsed: only {len(points)} usable points ({failures})")
-    points.sort(key=lambda p: p.resolution_mm)
     m, y0, residual = fit_power_law([p.resolution_mm for p in points], [p.noise for p in points])
     return ResolutionCurve(tuple(points), m, y0, residual, tuple(failures), full)
 

@@ -9,8 +9,10 @@ form of the search's one rule. ``is_saturated`` and ``background_covered``
 are the gap-free test of the probe walk and of the grid, each with count
 lookups of its own, an epsilon step up or down. ``phantom`` paints and
 builds a phantom out of place, step by step, for ``phantom.generate`` to
-match byte for byte. ``sequential_curve`` computes the resolution curve one step after another on
-the calling thread, for the pipelined ``noise_resolution_curve`` to match.
+match byte for byte. ``carry_by_windows`` carries a mask through one axis of the
+resampling grid one window at a time, and ``sequential_curve`` computes the
+resolution curve one step after another on the calling thread, each with its
+own window loop, for ``noise_resolution_curve`` to match.
 """
 
 import math
@@ -135,22 +137,59 @@ def phantom(spec):
     return np.rint(data) if spec.quantize else data
 
 
+def carry_by_windows(bad, axis, factor):
+    """``bad`` carried through one axis of the grid of ``downsample`` by
+    ``factor``, one output sample at a time: it is bad when any source sample
+    from ceil(src - 3 factor) to floor(src + 3 factor), clamped to the axis,
+    is, src being (i + 0.5) factor - 0.5."""
+    n_in = bad.shape[axis]
+    moved = np.moveaxis(bad, axis, 0)
+    out = []
+    for i in range(math.floor(n_in / factor)):
+        src = (i + 0.5) * factor - 0.5
+        lo, hi = max(math.ceil(src - 3 * factor), 0), min(math.floor(src + 3 * factor), n_in - 1)
+        out.append(moved[lo : hi + 1].any(axis=0))
+    return np.moveaxis(np.array(out, dtype=bool).reshape(-1, *moved.shape[1:]), 0, axis)
+
+
 def sequential_curve(volume, factors, cfg=SearchConfig()):
     """The resolution curve of ``volume``, every step on the calling thread:
-    the volume's estimate, then per factor in the order given its downsample
-    and estimate, the factor-1 point taken from the volume's estimate."""
+    the volume's estimate, the factor-1 point, then per factor in the order
+    given its downsample and its noise. That noise is ``positive_noise`` of
+    each slice of the downsampled volume, over its samples outside the mask
+    of the voxels above the estimate's t_opt carried axis by axis with
+    ``carry_by_windows``, or over all its samples when that mask is empty or covers
+    every positive sample; the mean over the slices that keep a sample. Each
+    SNR is the estimate's signal mean over the point's noise."""
     factors = check_factors(factors)
     full = estimate(volume, cfg)
     outcomes = []
     for f in factors:
         try:
             vol = volume if f == 1.0 else downsample(volume, f)
-            est = full if f == 1.0 else estimate(vol, cfg)
-            if est.sigma <= 0:
-                raise EstimationError("estimated noise is not positive")
-            outcomes.append(CurvePoint(effective_resolution(vol.voxel_size), est.sigma, est.snr))
-        except (EstimationError, ValueError) as exc:
+        except ValueError as exc:
             outcomes.append(str(exc))
+            continue
+        if f == 1.0:
+            noise = full.sigma
+        else:
+            bad = np.asarray(volume.data, dtype=np.float64) > full.threshold.t_opt
+            for axis in range(3):
+                bad = carry_by_windows(bad, axis, f)
+            if not ((vol.data > 0) & ~bad).any():
+                bad = np.zeros_like(bad)
+            masked = np.where(bad, 0.0, vol.data)
+            present = [n for n in (positive_noise(img, math.inf, cfg.correction_factor) for img in masked) if n is not None]
+            noise = float(np.mean(present)) if present else None
+        if noise is None:
+            outcomes.append("no slice keeps a positive sample")
+        elif not noise > 0:
+            outcomes.append("estimated noise is not positive")
+        else:
+            snr = full.signal_mean / noise
+            finite = math.isfinite(noise) and math.isfinite(snr)
+            point = CurvePoint(effective_resolution(vol.voxel_size), noise, snr)
+            outcomes.append(point if finite else f"noise {noise!r} and SNR {snr!r} must be finite")
     points = sorted((o for o in outcomes if isinstance(o, CurvePoint)), key=lambda p: p.resolution_mm)
     failures = tuple((f, o) for f, o in zip(factors, outcomes) if isinstance(o, str))
     if len(points) < 2:

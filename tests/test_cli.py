@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbench
 from qbench import PhantomObject, PhantomSpec, SearchConfig, Volume, generate, load_volume, write_container
 from qbench import cli, qvol, report, resolution
 from qbench.cli import EXIT_ESTIMATION, EXIT_INTERNAL, EXIT_LOAD, EXIT_OK, EXIT_USAGE, main
@@ -374,8 +376,8 @@ class TestInternalError:
 
 
 class TestHashingThread:
-    """``estimate`` hashes the input on one worker thread, which every exit
-    joins; ``curve`` hashes it on the main thread, beside the curve's worker."""
+    """``estimate`` and ``curve`` each hash the input on one worker thread,
+    which every exit joins; in ``curve`` it is the curve's worker."""
 
     @staticmethod
     def raise_runtime_error(*args, **kwargs):
@@ -418,7 +420,7 @@ class TestHashingThread:
         assert main([command, str(disk_container), *extra, "--output", str(output)]) == EXIT_INTERNAL
         assert set(threading.enumerate()) == before
         assert capsys.readouterr().err == "qbench: internal error: RuntimeError: scan failed\n"
-        assert len(hashing) == 1 and (hashing[0] is threading.main_thread()) == (command == "curve")
+        assert len(hashing) == 1 and hashing[0] is not threading.main_thread()
         assert not output.exists()
 
     def test_a_failed_curve_supersedes_a_failed_hash(self, disk_container, tmp_path, monkeypatch, capsys):
@@ -441,24 +443,25 @@ class TestHashingThread:
         assert main([command, str(disk_container), *extra, "--output", str(tmp_path / "r.json")]) == EXIT_OK
         assert len(started) == 1
 
-    def test_curve_hashes_on_the_main_thread_after_the_last_downsample(self, disk_container, tmp_path, monkeypatch):
+    def test_curve_hashes_on_its_worker_after_the_estimate_and_the_carries(self, disk_container, tmp_path, monkeypatch):
         events = []
-        downsample, input_sha256 = resolution.downsample, cli.input_sha256
+        estimate, carry, input_sha256 = resolution.estimate, resolution._carry, cli.input_sha256
 
-        def traced_downsample(volume, factor):
-            result = downsample(volume, factor)
-            events.append(("downsampled", factor))
-            return result
+        def traced(name, fn):
+            def call(*args):
+                result = fn(*args)
+                events.append((name, threading.current_thread()))
+                return result
 
-        def traced_hash(*args):
-            events.append(("hash", threading.current_thread()))
-            return input_sha256(*args)
+            return call
 
-        monkeypatch.setattr(resolution, "downsample", traced_downsample)
-        monkeypatch.setattr(cli, "input_sha256", traced_hash)
+        monkeypatch.setattr(resolution, "estimate", traced("estimate", estimate))
+        monkeypatch.setattr(resolution, "_carry", traced("carry", carry))
+        monkeypatch.setattr(cli, "input_sha256", traced("hash", input_sha256))
         output = tmp_path / "r.json"
         assert main(["curve", str(disk_container), "--factors", "1,1.5,2,3", "--output", str(output)]) == EXIT_OK
-        assert events == [("downsampled", 1.5), ("downsampled", 2.0), ("downsampled", 3.0), ("hash", threading.main_thread())]
+        assert [name for name, _ in events] == ["estimate", "carry", "carry", "carry", "hash"]
+        assert len({thread for _, thread in events}) == 1 and events[0][1] is not threading.main_thread()
         assert json.loads(output.read_text())["input"]["sha256"] == hashlib.sha256(disk_container.read_bytes()).hexdigest()
 
     def test_pgm_stack_report_hashes_names_and_bytes(self, tmp_path, capsys):
@@ -585,15 +588,18 @@ class TestCurve:
 
     @pytest.mark.parametrize("factors, calls", [("1,1.5,2,3", 4), ("1.5,2", 3)])
     def test_input_volume_is_estimated_once(self, const_container, tmp_path, monkeypatch, factors, calls):
+        """One estimate, of the input volume, and one downsample per other
+        factor: ``calls`` volumes in all."""
         from qbench import cli, noise, resolution
 
-        made = []
-        counted = lambda v, cfg: made.append(v) or noise.estimate(v, cfg)  # noqa: E731
+        estimated, made, downsample = [], [], resolution.downsample
+        counted = lambda v, cfg: estimated.append(v) or noise.estimate(v, cfg)  # noqa: E731
         monkeypatch.setattr(cli, "estimate", counted)
         monkeypatch.setattr(resolution, "estimate", counted)
+        monkeypatch.setattr(resolution, "downsample", lambda v, f: made.append(f) or downsample(v, f))
         out = tmp_path / "c.json"
         assert main(["curve", str(const_container), "--factors", factors, "--output", str(out)]) == EXIT_OK
-        assert len(made) == calls
+        assert len(estimated) == 1 and len(estimated) + len(made) == calls
 
     @pytest.mark.parametrize(
         "case, code",
@@ -723,15 +729,16 @@ class TestBeyondTheFloatRange:
         assert not out.exists()
 
     def test_a_factor_whose_snr_overflows_is_a_curve_failure(self, disk_container, tmp_path):
-        # a correction factor between the two that take the input's SNR and the
-        # factor-2 SNR (the higher one) beyond the float range
-        curve = resolution.noise_resolution_curve(load_volume(disk_container), [1, 2])
-        full, half = (p.snr for p in curve.points)
-        assert full < half
+        # a correction factor between the two that take the factor-1.5 SNR and
+        # the factor-2 SNR beyond the float range; the SNR grows as the noise
+        # falls with the resolution, so the factor-1 SNR stays finite
+        curve = resolution.noise_resolution_curve(load_volume(disk_container), [1.5, 2])
+        lower, highest = (p.snr for p in curve.points)
+        assert lower < highest
         top = sys.float_info.max
-        factor = math.sqrt(full / top) * math.sqrt(half / top) * SearchConfig().correction_factor
+        factor = math.sqrt(lower / top) * math.sqrt(highest / top) * SearchConfig().correction_factor
         out = tmp_path / "c.json"
-        argv = ["curve", str(disk_container), "--factors", "1,2,3", "--correction-factor", repr(factor), "--output", str(out)]
+        argv = ["curve", str(disk_container), "--factors", "1,1.5,2", "--correction-factor", repr(factor), "--output", str(out)]
         assert main(argv) == EXIT_OK
         [failure] = json.loads(out.read_text())["resolution_curve"]["failures"]
         assert failure["factor"] == 2.0 and "SNR inf" in failure["reason"]
@@ -805,3 +812,14 @@ class TestPgmInputWarning:
         report = json.loads(capsys.readouterr().out)
         assert report["input"]["format"] == "pgm-stack"
         assert any("voxel size" in w for w in report["warnings"])
+
+
+def test_a_fresh_import_of_the_cli_after_numpy_loads_no_queue():
+    """The curve's one worker needs no queue: a new process that imports
+    numpy, then ``qbench.cli``, loads neither ``queue`` nor ``heapq``."""
+    code = "import sys, numpy; before = set(sys.modules); import qbench.cli; print(*sorted(set(sys.modules) - before))"
+    src = str(Path(qbench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split())
+    assert "qbench.cli" in loaded
+    assert not loaded & {"queue", "_queue", "heapq", "_heapq"}

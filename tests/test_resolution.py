@@ -21,10 +21,9 @@ from qbench import (
     noise_resolution_curve,
     normalize_quality,
 )
-from qbench._threads import pipeline
-from qbench.resolution import _bands, _resample_weights
+from qbench.resolution import _bands, _carry, _masked_noise, _resample_weights
 from conftest import const_phantom, disk_phantom, volume_from
-from oracle import sequential_curve
+from oracle import carry_by_windows, sequential_curve
 from test_scan import assert_same_threshold
 
 
@@ -370,8 +369,8 @@ class TestNoiseResolutionCurve:
         reused = noise_resolution_curve(vol, [1.0, 1.5, 2.0])
         assert reused == fresh
         assert (reused.points[0].noise, reused.points[0].snr) == (reused.full.sigma, reused.full.snr)
-        # the volume itself is estimated once, as ``full``
-        assert len(calls) == 3 and calls[0] is vol and all(v is not vol for v in calls[1:])
+        # the volume itself is estimated once, as ``full``, and no downsampled volume is
+        assert calls == [vol]
 
     def test_requires_two_factors(self, disk_volume):
         with pytest.raises(ValueError):
@@ -409,8 +408,9 @@ def assert_same_estimate(a, b):
 
 
 class TestCurvePipeline:
-    """The curve estimates on one worker thread while the calling thread
-    downsamples; it gives what the sequential loop gives, and every exit
+    """The curve's two threads: one worker estimates the volume, carries its
+    mask to every factor and runs ``meanwhile``, while the calling thread
+    downsamples. It gives what the sequential loop gives, and every exit
     joins the worker."""
 
     @staticmethod
@@ -430,132 +430,67 @@ class TestCurvePipeline:
         if 12.0 in factors:
             assert [f for f, _ in curve.failures] == [12.0]
 
+    def test_the_volume_keeps_part_of_its_background_at_every_factor(self):
+        # so the loop above reads each factor's noise inside a partial mask
+        vol = self.volume()
+        bad = vol.data > estimate(vol).threshold.t_opt
+        assert all(0 < (~_carry(bad, f)).mean() < 1 for f in (1.5, 2.0, 3.0))
+
     def test_estimates_run_on_one_worker_at_a_time(self, monkeypatch):
         from qbench import resolution
 
-        running, seen = [], []
+        seen = []
+        monkeypatch.setattr(resolution, "estimate", lambda v, cfg: seen.append((v, threading.current_thread())) or estimate(v, cfg))
+        vol = self.volume()
+        noise_resolution_curve(vol, [1.0, 1.5, 2.0, 3.0])
+        # one estimate per curve, of the volume itself, on a worker thread
+        [(estimated, thread)] = seen
+        assert estimated is vol and thread is not threading.main_thread()
 
-        def tracked(v, cfg):
-            running.append(v)
-            seen.append((threading.current_thread(), len(running)))
-            try:
-                return estimate(v, cfg)
-            finally:
-                running.remove(v)
+    def test_a_curve_builds_one_scan(self, monkeypatch):
+        from qbench import noise
 
-        monkeypatch.setattr(resolution, "estimate", tracked)
+        built, init = [], noise._VolumeScan.__init__
+        monkeypatch.setattr(noise._VolumeScan, "__init__", lambda scan, *args: built.append(args) or init(scan, *args))
         noise_resolution_curve(self.volume(), [1.0, 1.5, 2.0, 3.0])
-        assert len(seen) == 4
-        assert all(thread is not threading.main_thread() and n == 1 for thread, n in seen)
-        # one worker per curve, not one thread per estimate
-        assert len({thread for thread, _ in seen}) == 1
+        assert len(built) == 1
 
-    def test_the_caller_never_waits_on_a_consume(self):
-        # the first consume finishes only once the last item is produced, so
-        # a caller that waits on a consume before producing on times it out
-        last_produced = threading.Event()
+    def test_the_caller_downsamples_every_factor_while_the_worker_estimates(self, monkeypatch):
+        # the estimate finishes only once the last factor is downsampled, so
+        # a caller that waits on the worker before its downsamples times it out
+        from qbench import resolution
 
-        def produce(x):
-            if x == 3:
-                last_produced.set()
-            return x
+        downsampled = threading.Event()
 
-        def consume(y):
-            if y == 0:
-                assert last_produced.wait(timeout=10), "the caller waited on the first consume"
-            return 10 * y
-
-        assert pipeline(produce, consume, range(4)) == [0, 10, 20, 30]
-
-    def test_a_failed_consume_stops_production(self):
-        consumed, produced, workers = threading.Event(), [], []
-
-        def produce(x):
-            produced.append(x)
-            if x == 1:
-                # hold the caller until the worker has failed and ended
-                assert consumed.wait(timeout=10)
-                workers[0].join(timeout=10)
-                assert not workers[0].is_alive()
-            return x
-
-        def consume(y):
-            workers.append(threading.current_thread())
-            consumed.set()
-            raise RuntimeError(f"consume {y} failed")
-
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="consume 0 failed"):
-            pipeline(produce, consume, range(4))
-        assert produced == [0, 1]
-        assert set(threading.enumerate()) == before
-
-    def test_meanwhile_runs_on_the_caller_after_the_last_produce(self):
-        # the last consume finishes only once ``meanwhile`` has run, so a
-        # pipeline that runs it after joining the worker times it out
-        events, ran = [], threading.Event()
-
-        def consume(y):
-            if y == 3:
-                assert ran.wait(timeout=10), "meanwhile waited for the worker"
-            return 10 * y
-
-        def produce(x):
-            events.append(("produced", x))
-            return x
-
-        def meanwhile():
-            events.append(("meanwhile", threading.current_thread()))
-            ran.set()
-
-        assert pipeline(produce, consume, range(4), meanwhile=meanwhile) == [0, 10, 20, 30]
-        assert events == [*(("produced", x) for x in range(4)), ("meanwhile", threading.main_thread())]
-
-    def test_meanwhile_is_skipped_once_a_consume_failed(self):
-        consumed, ran, workers = threading.Event(), [], []
-
-        def produce(x):
-            if x == 1:  # the last produce waits until the worker has failed and ended
-                assert consumed.wait(timeout=10)
-                workers[0].join(timeout=10)
-                assert not workers[0].is_alive()
-            return x
-
-        def consume(y):
-            workers.append(threading.current_thread())
-            consumed.set()
-            raise RuntimeError(f"consume {y} failed")
-
-        with pytest.raises(RuntimeError, match="consume 0 failed"):
-            pipeline(produce, consume, range(2), meanwhile=lambda: ran.append(True))
-        assert ran == []
-
-    def test_a_consume_error_supersedes_meanwhile_s(self):
-        started = threading.Event()
-
-        def consume(y):
-            assert started.wait(timeout=10)
-            raise RuntimeError(f"consume {y} failed")
-
-        def meanwhile():
-            started.set()
-            raise ValueError("meanwhile failed")
-
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="consume 0 failed"):
-            pipeline(lambda x: x, consume, range(1), meanwhile=meanwhile)
-        assert set(threading.enumerate()) == before
-
-    @staticmethod
-    def fail_at(shape, exc):
-        """``estimate`` that raises ``exc`` on a volume of ``shape``."""
-
-        def fail(v, cfg):
-            if v.shape == shape:
-                raise exc
+        def waiting(v, cfg):
+            assert downsampled.wait(timeout=10), "the caller waited on the estimate"
             return estimate(v, cfg)
 
-        return fail
+        def traced(v, f):
+            out = downsample(v, f)
+            if f == 3.0:
+                downsampled.set()
+            return out
+
+        monkeypatch.setattr(resolution, "estimate", waiting)
+        monkeypatch.setattr(resolution, "downsample", traced)
+        noise_resolution_curve(self.volume(), [1.0, 1.5, 2.0, 3.0])
+
+    def test_meanwhile_runs_on_the_worker_after_the_carries(self, monkeypatch):
+        from qbench import resolution
+
+        events, carry = [], resolution._carry
+        monkeypatch.setattr(resolution, "_carry", lambda bad, f: events.append(("carry", f)) or carry(bad, f))
+        meanwhile = lambda: events.append(("meanwhile", threading.current_thread()))  # noqa: E731
+        noise_resolution_curve(self.volume(), [1.0, 1.5, 2.0, 3.0], meanwhile=meanwhile)
+        assert events[:3] == [("carry", 1.5), ("carry", 2.0), ("carry", 3.0)]
+        assert len(events) == 4 and events[3][0] == "meanwhile" and events[3][1] is not threading.main_thread()
+
+    def test_meanwhile_is_skipped_once_the_estimate_failed(self):
+        ran = []
+        with pytest.raises(EstimationError, match="over the cap"):
+            noise_resolution_curve(self.volume(), [1.0, 2.0], SearchConfig(grid_step=1e-6), meanwhile=lambda: ran.append(True))
+        assert ran == []
 
     @pytest.mark.parametrize("case", ["success", "full-fails", "factor-fails", "collapse", "raises"])
     def test_no_thread_outlives_the_curve(self, monkeypatch, case):
@@ -563,20 +498,28 @@ class TestCurvePipeline:
 
         vol, cfg, factors = self.volume(), SearchConfig(), [1.0, 1.5, 2.0]
         expected = None
+
+        def at_two(result):
+            def resample(v, f):
+                return result(downsample(v, f)) if f == 2.0 else downsample(v, f)
+
+            return resample
+
         if case == "full-fails":
             cfg, expected = SearchConfig(grid_step=1e-6), EstimationError
         elif case == "factor-fails":
-            monkeypatch.setattr(resolution, "estimate", self.fail_at((5, 16, 16), EstimationError("no noise here")))
+            zeros = lambda out: Volume.from_array(np.zeros(out.shape), out.voxel_size)  # noqa: E731
+            monkeypatch.setattr(resolution, "downsample", at_two(zeros))
         elif case == "collapse":
             factors = [1.0, 2.0, 12.0]
         elif case == "raises":
-            monkeypatch.setattr(resolution, "estimate", self.fail_at((6, 21, 21), RuntimeError("scan failed")))
-            expected = RuntimeError
+            monkeypatch.setattr(resolution, "downsample", at_two(lambda out: 1 / 0))
+            expected = ZeroDivisionError
         before = set(threading.enumerate())
         if expected is None:
             curve = noise_resolution_curve(vol, factors, cfg)
             if case == "factor-fails":
-                assert curve.failures == ((2.0, "no noise here"),)
+                assert curve.failures == ((2.0, "no slice keeps a positive sample"),)
         else:
             with pytest.raises(expected):
                 noise_resolution_curve(vol, factors, cfg)
@@ -597,6 +540,64 @@ class TestCurvePipeline:
         with pytest.raises(MemoryError):
             noise_resolution_curve(self.volume(), [1.0, 2.0])
         assert set(threading.enumerate()) == before
+
+
+class TestCarry:
+    @pytest.mark.parametrize("factor", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("length", [7, 13, 60, 128])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_equals_the_window_loop(self, axis, length, factor):
+        # the long axis in each place in turn; the others are long enough for one output
+        shape = [5, 4, 3]
+        shape[axis] = length
+        rng = np.random.default_rng(length)
+        for density in (0.01, 0.2):
+            bad = rng.random(shape) < density
+            expected = bad
+            for a in range(3):
+                expected = carry_by_windows(expected, a, factor)
+            assert np.array_equal(_carry(bad, factor), expected)
+
+    def test_no_object_reads_what_an_all_false_mask_reads(self):
+        # a no_object estimate makes and carries no mask; reading every
+        # positive sample is the carried path on a mask of nothing, bit for bit
+        vol = const_phantom(value=0.0, sigma=100.0, seed=48, width=40, height=36, n_slices=12)
+        assert estimate(vol).threshold.no_object
+        for factor in (1.5, 2.0, 3.0):
+            out, nothing = downsample(vol, factor), np.zeros(vol.shape, dtype=bool)
+            assert _masked_noise(out, None, 1.53) == _masked_noise(out, _carry(nothing, factor), 1.53)
+
+    def test_a_mask_over_every_sample_reads_every_positive_one(self):
+        # as when the full estimate's threshold cut the noise tail of an
+        # object-free volume, and its scattered voxels cover every window
+        vol = const_phantom(value=0.0, sigma=100.0, seed=49, width=40, height=36, n_slices=12)
+        out = downsample(vol, 2.0)
+        assert _masked_noise(out, np.ones(out.shape, dtype=bool), 1.53) == _masked_noise(out, None, 1.53)
+
+
+def _expected_gradient(shape, factors):
+    """The gradient of the power law through the noise that the resampling
+    filter passes of white noise: T(f) = the product over axes of the root
+    of the mean over output samples of the sum of their squared weights."""
+    transfer = [
+        math.prod(math.sqrt(np.mean(np.sum(_resample_weights(n, math.floor(n / f), f) ** 2, axis=1))) for n in shape)
+        for f in factors
+    ]
+    return fit_power_law(factors, transfer)[0]
+
+
+class TestCurveOnObjects:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("radius", [20, 30, 45])
+    def test_disk_gradient_is_the_filter_s(self, radius, seed):
+        # a centred disk at 15 sigma: each factor's noise is read outside the
+        # disk and the Lanczos smear around it, as the filter passes it
+        factors = [1.0, 1.5, 2.0, 3.0]
+        data = disk_phantom(radius=radius, value=1500.0, sigma=100.0, seed=seed, width=128, height=128, n_slices=60).data
+        vol = Volume.from_array(data.astype(np.float32))
+        curve = noise_resolution_curve(vol, factors)
+        assert not curve.full.threshold.no_object and curve.failures == ()
+        assert abs(curve.gradient_m - _expected_gradient(vol.shape, factors)) <= 0.03
 
 
 class TestNormalizeQuality:
