@@ -1,11 +1,11 @@
 """Threads that end before their caller goes on: one call in the background
 with a result slot, and a row split over the cores this process may use.
 
-numpy's ufuncs, its random fills, BLAS ``matmul`` and ``hashlib`` release the
-GIL for most of their run on large buffers, so work handed to these threads
-runs alongside the caller. ``np.bincount`` holds it for most of its run, on
-every input dtype: two threads of per-row ``bincount`` passes gain little
-over one thread running both passes (README).
+numpy's ufuncs, BLAS ``matmul`` and ``hashlib`` release the GIL for most of
+their run on large buffers, so work handed to these threads runs alongside
+the caller. ``np.bincount`` holds it for most of its run, on every input
+dtype: two threads of per-row ``bincount`` passes gain little over one
+thread running both passes (README).
 """
 
 from __future__ import annotations

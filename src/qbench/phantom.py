@@ -12,8 +12,8 @@ imaginary block second, each in C order over (slice, row, column). Identical
 (spec, seed) therefore reproduce volumes bit-exactly on the same numpy build.
 
 ``generate`` is the one builder. It paints the template, adds the noise and
-optionally rounds, all in one float64 buffer: the real block is drawn into
-it, and a worker thread scales and offsets it in place while the imaginary
+optionally rounds, all in one float64 buffer: on the calling thread the real
+block is drawn into it and scaled and offset in place, then the imaginary
 block is drawn. The rest (scaling the imaginary block, ``np.hypot`` into the
 buffer and the optional rounding) is elementwise and split by rows over the
 cores the process may use, so the bytes do not depend on the core count.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import Background, split_rows
+from ._threads import split_rows
 from .volume import Volume, voxel_size_mm
 
 __all__ = ["PhantomObject", "PhantomSpec", "generate"]
@@ -159,12 +159,6 @@ def _template_image(spec: PhantomSpec) -> np.ndarray:
     return image
 
 
-def _offset(real: np.ndarray, sigma: float, template: np.ndarray) -> None:
-    """``real`` becomes template + sigma * real in place: the same product and sum, so the same bytes."""
-    np.multiply(real, sigma, out=real)
-    np.add(real, template, out=real)
-
-
 def generate(spec: PhantomSpec) -> Volume:
     """The phantom of ``spec``: its template, plus the seeded complex noise
     when sigma > 0, rounded to integers when the spec quantizes.
@@ -183,9 +177,9 @@ def generate(spec: PhantomSpec) -> Volume:
     else:
         rng = np.random.Generator(np.random.PCG64(spec.seed))
         rng.standard_normal(out=out)
-        with Background(_offset, out, sigma, template) as real:
-            imag_rows = rng.standard_normal(rows.shape)
-        real.result()
+        out *= sigma
+        out += template
+        imag_rows = rng.standard_normal(rows.shape)
 
     def finish(lo: int, hi: int) -> None:
         r = rows[lo:hi]
@@ -198,4 +192,5 @@ def generate(spec: PhantomSpec) -> Volume:
 
     if imag_rows is not None or spec.quantize:
         split_rows(finish, rows.shape[0])
+    imag_rows = None  # freed before the volume copies the buffer, so the peak holds two blocks
     return Volume.from_array(out, spec.voxel_size)

@@ -60,6 +60,7 @@ UNITS = {
     "resolution_curve.gradient_m": "dimensionless",
     "resolution_curve.y0": "intensity",
     "resolution_curve.residual": "log-intensity",
+    "resolution_curve.failures.factor": "dimensionless",
     "quality_score.snr_measured": "dimensionless",
     "quality_score.resolution_mm": "mm",
     "quality_score.reference_resolution_mm": "mm",

@@ -195,6 +195,17 @@ class TestUnwritableOutput:
             assert main(argv) == EXIT_LOAD
             assert capsys.readouterr().err.startswith(f"qbench: I/O error: {named}: ")
 
+    def test_directory_not_writable(self, disk_container, tmp_path, monkeypatch, capsys):
+        # os.access grants root write access to every directory, so the denial is patched in
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != locked and access(path, mode))
+        assert main(["estimate", str(disk_container), "--output", str(locked / "r.json")]) == EXIT_LOAD
+        err = capsys.readouterr().err
+        assert err.startswith("qbench: I/O error: ") and f"directory not writable: {locked}" in err
+        assert not list(locked.iterdir())
+
     def test_synth(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         write_spec(spec_path)

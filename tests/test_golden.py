@@ -31,6 +31,12 @@ object-free phantom the noise at 2 mm moved from 35.93028049358535 to
 35.93028049358544 (2.5e-15 relative), in the report and in the CSV, and
 ``gradient_m``, ``y0`` and ``residual`` with it in their last digits; the
 point at 1.5 mm and every other value are unchanged.
+The report hashes were re-recorded when the ``units`` block gained the
+curve's failed factors, after the phantom build without its offset worker
+thread had passed the hashes before it unchanged. Every report differs from
+the one before by one line of that block, and the curve CSV did not change::
+
+    >     "resolution_curve.failures.factor": "dimensionless",
 Phantoms are bit-exact only on one numpy build (README, Determinism), so a
 numpy upgrade that changes the noise stream changes these hashes too.
 """
@@ -55,14 +61,14 @@ PHANTOMS = {
 }
 
 REPORT_SHA256 = {
-    "u16-disk": "c4eb0d94387c52526b2a5ce3c4a9553b37ca5dc8738ab7e8d08655ac86744f0d",
-    "f32-disk": "bbcfaa1e70851ad78036119c36a2b492d6ccd58e6a9f48c80558bfcfe2f68138",
-    "f32-noobj": "3c7f316a9b9c0827c54edb9a18c0589439892d62a6c31220d6a8899c407b7719",
-    "u16-offset": "42c79e0b244c15991db839f24cc078af76eba3b3d93d785ba85ff7ecc68992af",
+    "u16-disk": "845ed09c2b640a10b1a9accc6f01d246460cda49c619e796557dff856c80cee8",
+    "f32-disk": "e23aec7ee0c368fda2cba7771c8421351af88ee9397f3c8acd15997dc1bdb283",
+    "f32-noobj": "d8d7807e37d69113d7ed052a43fedf72e19897f45ebe8350b29a0bab51acbcd6",
+    "u16-offset": "4dec675a6d948e6371996e5da91144674eb07d8673978ee51078327d72b682c0",
 }
 
 CURVE_SHA256 = {
-    "report": "f156561613e8e5f65b3daae13adf2ddddbb67e0e549bd4469a541b33f1b2a88e",
+    "report": "7a88cd0fc97ddc544db1ce973a9eb4ce22a9643ee32e5a1a1f6b81b99ffa12e4",
     "csv": "f336084065d460d2e55208b5cab71f5935b7ddd75fd2519adbd7017f7891f454",
 }
 

@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbench import PhantomObject, PhantomSpec, _threads, generate
-from qbench import phantom as phantom_module
 from qbench.cli import EXIT_OK, main
 
 from oracle import phantom as out_of_place_phantom
@@ -200,15 +200,21 @@ class TestOneBuffer:
         assert set(threading.enumerate()) == before
         assert len(callers) == 3 and callers.count(threading.main_thread()) == 1
 
-    def test_exception_on_the_worker_beside_the_draw_propagates(self, monkeypatch):
-        def fail(*args):
-            raise RuntimeError("offset failed")
-
-        monkeypatch.setattr(phantom_module, "_offset", fail)
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="offset failed"):
-            generate(PhantomSpec(width=8, height=8, n_slices=6, sigma=5.0, seed=1))
-        assert set(threading.enumerate()) == before
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_peak_is_two_volume_blocks(self, quantize):
+        # the buffer and the imaginary block; the imaginary block is freed
+        # before the volume copies the buffer. The slack holds the template
+        # slice and numpy's small allocations.
+        spec = PhantomSpec(width=64, height=48, n_slices=40, sigma=30.0, seed=5, quantize=quantize)
+        block = spec.n_slices * spec.height * spec.width * 8
+        generate(PhantomSpec(width=4, height=4, n_slices=1, sigma=1.0))
+        tracemalloc.start()
+        try:
+            generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * block <= peak <= 2 * block + spec.height * spec.width * 8 + 64 * 1024
 
 
 class TestQuantize:

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import stat
 import struct
 import tempfile
@@ -346,6 +347,15 @@ class TestWriteErrors:
         with pytest.raises(OSError, match="cannot rename"):
             write_bytes_atomic(tmp_path / "v.qvol", b"payload")
         assert not list(tmp_path.iterdir())
+
+    def test_directory_not_writable(self, tmp_path, monkeypatch):
+        # os.access grants root write access to every directory, so the denial is patched in
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != tmp_path and access(path, mode))
+        with pytest.raises(OSError, match=re.escape(f"{tmp_path / 'v.qvol'}: directory not writable: {tmp_path}")):
+            qvol.check_writable(tmp_path / "v.qvol")
+        (tmp_path / "sub").mkdir()
+        qvol.check_writable(tmp_path / "sub" / "v.qvol")
 
 
 class TestFileMode:

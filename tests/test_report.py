@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qbench import SearchConfig, estimate, noise_resolution_curve
+from qbench import SearchConfig, effective_resolution, estimate, noise_resolution_curve, normalize_quality
 from qbench.qvol import read_input
 from qbench.report import UNITS, build_report, curve_csv, report_json
 from conftest import const_phantom, disk_phantom, resolved_digest, volume_from
@@ -11,12 +11,32 @@ import numpy as np
 
 
 @pytest.fixture(scope="module")
-def disk_report():
-    vol = disk_phantom(radius=14, value=1000.0, sigma=80.0, seed=61, width=48, height=48, n_slices=10)
+def report_volume():
+    return disk_phantom(radius=14, value=1000.0, sigma=80.0, seed=61, width=48, height=48, n_slices=10)
+
+
+@pytest.fixture(scope="module")
+def disk_curve(report_volume):
+    return noise_resolution_curve(report_volume, [1.0, 1.5, 2.0], SearchConfig())
+
+
+@pytest.fixture(scope="module")
+def disk_report(report_volume, disk_curve):
     cfg = SearchConfig()
-    est = estimate(vol, cfg)
-    curve = noise_resolution_curve(vol, [1.0, 1.5, 2.0], cfg)
-    return build_report(digest="0" * 64, input_format="qvol", volume=vol, cfg=cfg, est=est, curve=curve)
+    est = estimate(report_volume, cfg)
+    return build_report(digest="0" * 64, input_format="qvol", volume=report_volume, cfg=cfg, est=est, curve=disk_curve)
+
+
+def numeric_leaves(node, path=()):
+    """The dotted path of every number in ``node``; a list's items take the list's path."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_leaves(value, (*path, key))
+    elif isinstance(node, list):
+        for value in node:
+            yield from numeric_leaves(value, path)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield ".".join(path)
 
 
 class TestBuildReport:
@@ -26,9 +46,23 @@ class TestBuildReport:
         assert disk_report["input"]["sha256"] == "0" * 64
 
     def test_units_cover_numeric_fields(self, disk_report):
+        # a curve report with a failure and a quality score, and an estimate
+        # report whose guard rejected a minimum, hold every numeric field
         assert disk_report["units"] is UNITS
-        for key in ("noise.sigma", "threshold.t_opt", "resolution_curve.gradient_m"):
-            assert key in UNITS
+        cfg = SearchConfig()
+        vol = disk_phantom(radius=4, value=1000.0, sigma=80.0, seed=61, width=16, height=16, n_slices=6)
+        curve = noise_resolution_curve(vol, [1.0, 1.5, 2.0, 9.0], cfg)
+        score = normalize_quality(curve.full.snr, effective_resolution(vol.voxel_size), 1.0, 1.0)
+        flat = const_phantom(value=400.0, sigma=100.0, seed=1)
+        reports = [
+            build_report(digest="x", input_format="qvol", volume=vol, cfg=cfg, est=curve.full, curve=curve, score=score),
+            build_report(digest="x", input_format="qvol", volume=flat, cfg=cfg, est=estimate(flat, cfg)),
+        ]
+        assert reports[0]["resolution_curve"]["failures"] and reports[1]["threshold"]["t_rejected"] is not None
+        fields = set()
+        for report in reports:
+            fields |= set(numeric_leaves({k: v for k, v in json.loads(report_json(report)).items() if k != "units"}))
+        assert fields == set(UNITS)
 
     def test_analytic_correction_factor_noted(self, disk_report):
         cfgs = disk_report["config"]
@@ -76,8 +110,13 @@ class TestBuildReport:
 
 
 class TestCurveCsv:
-    def test_header_and_rows(self, disk_report):
-        pass  # covered via CLI test; format itself below
+    def test_header_and_rows(self, disk_curve, disk_report):
+        # the header, then one row of repr floats per point, in the report's point order
+        header, *rows = curve_csv(disk_curve).splitlines()
+        assert header == "resolution_mm,noise,snr"
+        points = disk_report["resolution_curve"]["points"]
+        assert len(points) == 3 and [p["resolution_mm"] for p in points] == [1.0, 1.5, 2.0]
+        assert rows == [",".join(repr(p[k]) for k in ("resolution_mm", "noise", "snr")) for p in points]
 
     def test_format(self):
         from qbench import CurvePoint, ResolutionCurve
