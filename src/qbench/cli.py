@@ -8,9 +8,11 @@ Exit codes: 0 success, 2 usage error, 3 input load error, 4 estimation error,
 5 internal error (an unexpected exception, reported as one
 ``qbench: internal error: ...`` line with no traceback).
 A no-object result is a successful run that prints a prominent warning.
-The input is read once: the loader parses the bytes it read and the report
-hashes the same bytes. ``curve`` estimates the input volume once, inside the
-curve, and reuses that estimate for the report and the curve's factor-1 point.
+``qvol.read_input`` reads the input once and decides once whether it is a
+container or a PGM stack: the loader parses the bytes by that kind, and the
+report hashes the same bytes and names the kind. ``curve`` estimates the
+input volume once, inside the curve, and reuses that estimate for the report
+and the curve's factor-1 point.
 ``estimate`` and ``curve`` each start one thread. In ``estimate`` the main
 thread's parse and estimate are the critical path, so the hash runs beside
 them, on a worker thread that starts before the parse. In ``curve`` the main
@@ -130,25 +132,25 @@ def _cmd_analyze(args) -> int:
         check_writable(args.output)
     if sidecar is not None:
         check_writable(sidecar)
-    files = read_input(args.input)
-    fmt = "pgm-stack" if Path(args.input).is_dir() else "qvol"
+    read = read_input(args.input)
+    fmt = read.kind
     # A container's bytes are the volume's array, so they live as long as the
     # volume; a PGM stack's are released once both the parse and the hash are
     # done, which in ``curve`` is when the curve returns.
     if factors is None:
         # the hash thread starts before the parse; leaving the block joins it,
         # on every exit path
-        with input_digest(args.input, files) as hashing:
-            volume = load_volume(args.input, files)
-            del files
+        with input_digest(args.input, read) as hashing:
+            volume = load_volume(args.input, read)
+            del read
             est, curve = estimate(volume, cfg), None
         digest = hashing.result
     else:
         # hashed on the curve's worker after its estimate and carries
         hashed = []
-        volume = load_volume(args.input, files)
-        curve = noise_resolution_curve(volume, factors, cfg, meanwhile=lambda: hashed.append(input_sha256(args.input, files)))
-        del files
+        volume = load_volume(args.input, read)
+        curve = noise_resolution_curve(volume, factors, cfg, meanwhile=lambda: hashed.append(input_sha256(read)))
+        del read
         est, digest = curve.full, hashed.pop
     try:
         score = normalize_quality(est.snr, effective_resolution(volume.voxel_size), args.exponent_m, args.ref_resolution)

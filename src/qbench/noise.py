@@ -210,12 +210,13 @@ class _VolumeScan:
     magnitude MR image", MRI 25(1), 2007.
     """
 
-    def __init__(self, volume: Volume, lattice: _Lattice):
+    def __init__(self, volume: Volume, cfg: SearchConfig):
+        # first, so a lattice over the step cap raises before any table exists
+        self.lattice = lattice = _lattice(cfg, volume.intensity_max, volume.n_slices)
         self.n_slices, h, w = volume.shape
         self.pixels_per_slice = h * w
         self.total_pixels = self.n_slices * self.pixels_per_slice
         self.t_max = volume.intensity_max
-        self.lattice = lattice
         flat = volume.data.reshape(self.n_slices, self.pixels_per_slice)
         if flat.dtype.kind == "u":
             self._levels = np.arange(int(self.t_max) + 1, dtype=np.float64)
@@ -414,9 +415,9 @@ def _probe_walk(scan: _VolumeScan) -> int | None:
 
 def find_t_lower(volume: Volume, cfg: SearchConfig = SearchConfig()) -> float:
     """Left end of the minimum-search bracket (see _probe_walk)."""
-    lattice = _lattice(cfg, volume.intensity_max, volume.n_slices)
-    n = _probe_walk(_VolumeScan(volume, lattice))
-    return volume.intensity_max if n is None else n * lattice.step
+    scan = _VolumeScan(volume, cfg)
+    n = _probe_walk(scan)
+    return volume.intensity_max if n is None else n * scan.lattice.step
 
 
 def _tied_argmin(values: np.ndarray) -> int:
@@ -445,14 +446,14 @@ def find_t_opt(
       is gap-free (see _gap_free): offset backgrounds develop false valleys
       mid-bulk, where the background is still filling up.
 
-    ``scan`` is a prebuilt scan of ``volume`` on the lattice of ``cfg``; one
-    is built when it is omitted. Raises EstimationError, before any scan is
-    built, when the lattice steps times the slices are over their cap.
+    ``scan`` is a prebuilt scan of ``volume``, and the search reads its
+    lattice; when it is omitted, one is built on the lattice of ``cfg``.
+    Raises EstimationError, before any table is built, when the lattice steps
+    times the slices are over their cap.
     """
-    lattice = _lattice(cfg, volume.intensity_max, volume.n_slices)
     if scan is None:
-        scan = _VolumeScan(volume, lattice)
-    eps, stop = lattice.epsilon, lattice.stop
+        scan = _VolumeScan(volume, cfg)
+    eps, stop = scan.lattice.epsilon, scan.lattice.stop
     lower = _probe_walk(scan)
     if lower is None:
         lower = stop  # the curve is t_max alone
@@ -467,7 +468,7 @@ def find_t_opt(
     gained = counts[k:] - counts[np.maximum(np.arange(k - eps, ns.size - eps), 0)]
     covered = _gap_free(scan, counts[k:], gained)
     # index stop reads t_max
-    ts = ns[k:] * lattice.step
+    ts = ns[k:] * scan.lattice.step
     ts[-1] = scan.t_max
     variances, mean_sigmas = variances[k:], mean_sigmas[k:]
     sigma_at_max = float(mean_sigmas[-1])
@@ -499,10 +500,9 @@ def estimate(volume: Volume, cfg: SearchConfig = SearchConfig()) -> NoiseEstimat
     the zero fraction included, comes from the one scan of the volume. A
     sigma or SNR beyond the float range is an EstimationError.
     """
-    lattice = _lattice(cfg, volume.intensity_max, volume.n_slices)
-    scan = _VolumeScan(volume, lattice)
+    scan = _VolumeScan(volume, cfg)
     threshold = find_t_opt(volume, cfg, scan=scan)
-    n = _lattice_index(threshold.t_opt, lattice.step)
+    n = _lattice_index(threshold.t_opt, scan.lattice.step)
     per_slice = tuple(scan.positive_sigmas(n, cfg.correction_factor))
     present = [v for v in per_slice if v is not None]
     if not present:

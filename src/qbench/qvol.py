@@ -15,15 +15,17 @@ u16 and PGM samples load as native u16 or u8 volumes, f32 samples as
 float32 ones. A container's volume is a read-only view of the bytes the
 loader read, not a copy. The parsers check the file structure; the pixel
 and voxel-size contracts are ``volume``'s, and a violation of them is a
-:class:`VolumeFormatError` here. :func:`load_volume` is the one loader, for
-both formats. :func:`read_input` reads the bytes of an input once;
-:func:`load_volume` parses them, and the report hashes the same bytes.
+:class:`VolumeFormatError` here. :func:`read_input` alone asks the file
+system what an input is: it reads its bytes once and names its kind,
+``"qvol"`` or ``"pgm-stack"``. :func:`load_volume`, the one loader, parses
+them by that kind; the report hashes the same bytes and names the kind.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,10 +40,6 @@ _HEADER_LIMIT = 4096
 
 class VolumeFormatError(ValueError):
     """Malformed or inconsistent volume file."""
-
-
-def _format_float(v: float) -> str:
-    return repr(float(v))
 
 
 def _parse_header(line: bytes, path: Path) -> tuple[tuple[int, int, int], tuple[float, float, float], str]:
@@ -152,7 +150,7 @@ def write_container(path, volume: Volume, dtype: str = "f32") -> None:
             raise ValueError("f32 container requires pixel values within the float32 range") from None
     n, h, w = volume.shape
     header = "{} dims={},{},{} voxel_size_mm={} dtype={} byteorder=le\n".format(
-        _MAGIC, w, h, n, ",".join(_format_float(v) for v in volume.voxel_size), dtype
+        _MAGIC, w, h, n, ",".join(repr(float(v)) for v in volume.voxel_size), dtype
     )
     write_bytes_atomic(path, header.encode("ascii") + payload)
 
@@ -202,12 +200,6 @@ def _read_pgm(path: Path, raw: bytes) -> np.ndarray:
     return samples
 
 
-def _pgm_slice_paths(directory) -> list[Path]:
-    """The slice files of a PGM stack, in load order: every ``*.pgm`` file
-    (suffix matched case-insensitively), sorted by name."""
-    return sorted(p for p in Path(directory).iterdir() if p.is_file() and p.suffix.lower() == ".pgm")
-
-
 def _parse_pgm_stack(files: list[tuple[Path, bytes]]) -> Volume:
     images = [_read_pgm(p, raw) for p, raw in files]
     shape = images[0].shape
@@ -220,32 +212,38 @@ def _parse_pgm_stack(files: list[tuple[Path, bytes]]) -> Volume:
     return Volume.from_array(np.stack(images), (1.0, 1.0, 1.0))
 
 
-def read_input(path) -> list[tuple[Path, bytes]]:
-    """The bytes of an input, each file read once: ``(path, bytes)`` of a
-    QVOL1 container file, or of every slice file of a PGM stack directory in
-    load order."""
+class Input(NamedTuple):
+    """An input as :func:`read_input` read it: its kind, ``"qvol"`` or
+    ``"pgm-stack"``, and the ``(path, bytes)`` of each file read, in load order."""
+
+    kind: str
+    files: list[tuple[Path, bytes]]
+
+
+def read_input(path) -> Input:
+    """The kind and the bytes of an input, each file read once: ``"qvol"``
+    for a QVOL1 container file, ``"pgm-stack"`` for a directory, whose slice
+    files are its ``*.pgm`` files (suffix in any case) sorted by name."""
     path = Path(path)
     if path.is_dir():
-        paths = _pgm_slice_paths(path)
+        paths = sorted(p for p in path.iterdir() if p.is_file() and p.suffix.lower() == ".pgm")
         if not paths:
             raise VolumeFormatError(f"{path}: no .pgm files found")
-    elif path.exists():
-        paths = [path]
-    else:
+        return Input("pgm-stack", [(p, p.read_bytes()) for p in paths])
+    if not path.exists():
         raise VolumeFormatError(f"{path}: no such file")
-    return [(p, p.read_bytes()) for p in paths]
+    return Input("qvol", [(path, path.read_bytes())])
 
 
-def load_volume(path, files: list[tuple[Path, bytes]] | None = None) -> Volume:
+def load_volume(path, read: Input | None = None) -> Volume:
     """Load either a QVOL1 container file or a directory of PGM slices.
 
-    ``files`` is what :func:`read_input` returned for ``path``; when it is
-    omitted, the input is read here.
+    ``read`` is what :func:`read_input` returned for ``path``, parsed by its
+    kind; when it is omitted, the input is read here.
     """
-    path = Path(path)
-    if files is None:
-        files = read_input(path)
-    if path.is_dir():
-        return _parse_pgm_stack(files)
-    [(_, raw)] = files
+    if read is None:
+        read = read_input(path)
+    if read.kind == "pgm-stack":
+        return _parse_pgm_stack(read.files)
+    [(path, raw)] = read.files
     return _parse_container(path, raw)

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from ._threads import Background
 from .noise import CORRECTION_FACTOR_ANALYTIC, NoiseEstimate, SearchConfig
-from .qvol import write_bytes_atomic
+from .qvol import Input, write_bytes_atomic
 from .resolution import QualityScore, ResolutionCurve
 from .volume import Volume
 
@@ -69,31 +69,31 @@ UNITS = {
 }
 
 
-def input_digest(path, files: list[tuple[Path, bytes]]) -> Background:
-    """:func:`input_sha256` of the input bytes, on a thread of its own, started here.
+def input_digest(path, read: Input) -> Background:
+    """:func:`input_sha256` of ``read``, read from ``path``, on a thread of its own, started here.
 
     The bytes are immutable and ``hashlib`` releases the GIL while it hashes
     them, so the caller can parse and analyse them meanwhile; ``result()``
     is the hex digest, and leaving a ``with`` block on the returned object
     joins the thread.
     """
-    return Background(input_sha256, path, files)
+    return Background(input_sha256, read)
 
 
-def input_sha256(path, files: list[tuple[Path, bytes]]) -> str:
+def input_sha256(read: Input) -> str:
     """The hex SHA-256 of the input bytes, hashed on the calling thread.
 
-    A container file hashes its bytes. A PGM stack directory hashes the
-    name's bytes as the file system stores them, a NUL byte and the bytes of
-    each slice file the loader reads, in load order; other files in the
-    directory do not count. ``files`` is what ``qvol.read_input`` returned
-    for ``path``, so the loader's one read is hashed.
+    ``read`` is what ``qvol.read_input`` returned, so the loader's one read
+    is hashed, by the kind it names. A container file hashes its bytes. A
+    PGM stack hashes, per slice file the loader reads, in load order, the
+    name's bytes as the file system stores them, a NUL byte and the file's
+    bytes; other files in the directory do not count.
     """
-    if not Path(path).is_dir():
-        [(_, raw)] = files
+    if read.kind == "qvol":
+        [(_, raw)] = read.files
         return hashlib.sha256(raw).hexdigest()
     digest = hashlib.sha256()
-    for p, raw in files:
+    for p, raw in read.files:
         digest.update(os.fsencode(p.name))
         digest.update(b"\x00")
         digest.update(raw)

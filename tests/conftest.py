@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbench import PhantomObject, PhantomSpec, SearchConfig, Volume, generate
-from qbench.noise import _lattice, _VolumeScan
+from qbench.noise import _VolumeScan
 from qbench.report import input_digest
 
 
@@ -27,9 +27,9 @@ def disk_mask(width, height, center, radius):
     return (xx - center[0]) ** 2 + (yy - center[1]) ** 2 <= radius**2
 
 
-def resolved_digest(path, files):
-    """``report.input_digest`` of ``path``'s files, hashed on its thread and resolved."""
-    return input_digest(path, files).result()
+def resolved_digest(path, read):
+    """``report.input_digest`` of what ``qvol.read_input`` read from ``path``, hashed on its thread and resolved."""
+    return input_digest(path, read).result()
 
 
 class _PixelScan(_VolumeScan):
@@ -42,8 +42,7 @@ class _PixelScan(_VolumeScan):
 def build_scan(volume, cfg=SearchConfig(), *, per_pixel=False):
     """The noise scan of ``volume`` on the lattice of ``cfg``; with
     ``per_pixel``, integer rows are binned pixel by pixel instead of by level."""
-    lattice = _lattice(cfg, volume.intensity_max, volume.n_slices)
-    return (_PixelScan if per_pixel else _VolumeScan)(volume, lattice)
+    return (_PixelScan if per_pixel else _VolumeScan)(volume, cfg)
 
 
 def volume_from(data, voxel=(1.0, 1.0, 1.0)):

@@ -534,14 +534,14 @@ class TestWarningsAreLeftAlone:
         a_loading, b_loading, a_loaded = threading.Event(), threading.Event(), threading.Event()
         real_load, real_estimate = cli.load_volume, cli.estimate
 
-        def load_volume(path, files):
+        def load_volume(path, read):
             if Path(path) == second:
                 b_loading.set()
                 assert a_loaded.wait(30)
             else:
                 a_loading.set()
                 assert b_loading.wait(30)
-            return real_load(path, files)
+            return real_load(path, read)
 
         def estimate(*args):
             a_loaded.set()  # run a estimates once its load has returned
@@ -810,19 +810,50 @@ class TestFloat32Containers:
             assert self.without_digest(self.outputs(directory, quantized)) == as_u16
 
 
+def write_pgm_stack(directory, volume):
+    """``volume``'s integral slices as a new PGM stack ``directory``, one 16-bit file a slice."""
+    directory.mkdir()
+    for i, pixels in enumerate(volume.data):
+        h, w = pixels.shape
+        (directory / f"s{i:02d}.pgm").write_bytes(f"P5\n{w} {h}\n65535\n".encode() + pixels.astype(">u2").tobytes())
+
+
 class TestPgmInputWarning:
     def test_pgm_stack_warning_lands_in_report(self, tmp_path, capsys):
         vol = generate(PhantomSpec(width=16, height=16, n_slices=3, background_value=300.0, sigma=60.0, seed=5, quantize=True))
         stack = tmp_path / "stack"
-        stack.mkdir()
-        for i, pixels in enumerate(vol.data):
-            img = pixels.astype(">u2")
-            header = f"P5\n16 16\n65535\n".encode()
-            (stack / f"s{i}.pgm").write_bytes(header + img.tobytes())
+        write_pgm_stack(stack, vol)
         assert main(["estimate", str(stack)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["input"]["format"] == "pgm-stack"
         assert any("voxel size" in w for w in report["warnings"])
+
+
+class TestInputKind:
+    """``qvol.read_input`` is the one code that asks the file system what
+    the input is; the parse, the hash and the report's ``input.format`` take
+    its answer."""
+
+    @pytest.mark.parametrize("kind", ["qvol", "pgm-stack"])
+    @pytest.mark.parametrize("command", [["estimate"], ["curve", "--factors", "1,1.5,2"]])
+    def test_the_input_path_is_queried_once(self, const_container, tmp_path, monkeypatch, command, kind):
+        path = const_container
+        if kind == "pgm-stack":
+            path = tmp_path / "stack"
+            write_pgm_stack(path, load_volume(const_container))
+        queried, is_dir = [], Path.is_dir
+
+        def spy(self):
+            queried.append(self)
+            return is_dir(self)
+
+        monkeypatch.setattr(Path, "is_dir", spy)
+        output = tmp_path / "r.json"
+        assert main([command[0], str(path), *command[1:], "--output", str(output)]) == EXIT_OK
+        assert queried.count(path) == 1
+        # the rest are ``check_writable``'s queries of the output paths
+        assert set(queried) - {path} <= {output, output.with_suffix(".csv"), tmp_path}
+        assert json.loads(output.read_text())["input"]["format"] == kind
 
 
 def test_a_fresh_import_of_the_cli_after_numpy_loads_no_queue():

@@ -277,6 +277,27 @@ class TestEstimate:
             estimate(vol)
 
 
+# Object-free 32x32x8 phantoms read no object at sigma 90 and 500, but a
+# false one at 900 and 2500, with sigma 9-11 % low and exit 0. Their maximum
+# at sigma 900 is below 4095, and the same volumes searched with t_start,
+# epsilon and grid_step scaled by sigma/90 read no object: the search
+# constants fixed in intensity units cause it, not the step's switch at 4095.
+FALSE_OBJECT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: t_start and epsilon are not scale-free")
+SMALL_NOISE_CASES = [
+    pytest.param(sigma, seed, np.float64, marks=FALSE_OBJECT if sigma > 500 else ())
+    for sigma in (90.0, 500.0, 900.0, 2500.0)
+    for seed in range(4)
+] + [pytest.param(900.0, 1, np.uint16, marks=FALSE_OBJECT)]
+
+
+@pytest.mark.parametrize("sigma, seed, dtype", SMALL_NOISE_CASES)
+def test_small_object_free_volume_reads_no_object(sigma, seed, dtype):
+    volume = pure_noise(sigma, seed, width=32, height=32, n_slices=8)
+    est = estimate(Volume.from_array(np.rint(volume.data).astype(dtype) if dtype == np.uint16 else volume.data))
+    assert est.threshold.no_object
+    assert est.sigma == pytest.approx(sigma, rel=0.02)
+
+
 class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qbench import Volume, VolumeFormatError, load_volume, qvol, read_input, write_container
 from qbench.cli import EXIT_LOAD, main
-from qbench.qvol import write_bytes_atomic
+from qbench.qvol import Input, write_bytes_atomic
 from qbench.report import write_text_atomic
 from conftest import resolved_digest, volume_from
 
@@ -227,22 +227,22 @@ class TestOneRead:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "vol.qvol"
             write_container(path, volume_from(data), dtype=dtype)
-            files = read_input(path)
-            assert [p for p, _ in files] == [path]
-            vol = load_volume(path, files)
+            read = read_input(path)
+            assert read.kind == "qvol" and [p for p, _ in read.files] == [path]
+            vol = load_volume(path, read)
             assert vol.data.dtype == (np.uint16 if dtype == "u16" else np.float32)
             assert np.array_equal(vol.data, data)
             assert load_volume(path).data.dtype == vol.data.dtype
             expected = hashlib.sha256(path.read_bytes()).hexdigest()
-            assert resolved_digest(path, files) == expected
+            assert resolved_digest(path, read) == expected
 
     @pytest.mark.parametrize("dtype", ["u16", "f32"])
     def test_container_volume_is_a_readonly_view_of_the_bytes_read(self, tmp_path, dtype):
         path = tmp_path / "vol.qvol"
         write_container(path, volume_from(np.arange(60.0).reshape(3, 4, 5)), dtype=dtype)
-        files = read_input(path)
-        vol = load_volume(path, files)
-        [(_, raw)] = files
+        read = read_input(path)
+        vol = load_volume(path, read)
+        [(_, raw)] = read.files
         assert np.shares_memory(vol.data, np.frombuffer(raw, dtype=np.uint8))
         assert not vol.data.flags.writeable
         with pytest.raises(ValueError):
@@ -261,15 +261,15 @@ class TestOneRead:
             for name, image in reversed(list(zip(names, images))):
                 write_pgm(directory / name, image, maxval=maxval)
             (directory / "notes.txt").write_text("not a slice")
-            files = read_input(directory)
-            assert [p.name for p, _ in files] == sorted(names)
-            vol = load_volume(directory, files)
+            read = read_input(directory)
+            assert read.kind == "pgm-stack" and [p.name for p, _ in read.files] == sorted(names)
+            vol = load_volume(directory, read)
             assert vol.data.dtype == (np.uint8 if eight_bit else np.uint16) and vol.data.dtype.isnative
             assert np.array_equal(vol.data, images)
             expected = hashlib.sha256()
             for name in sorted(names):
                 expected.update(name.encode() + b"\x00" + (directory / name).read_bytes())
-            assert resolved_digest(directory, files) == expected.hexdigest()
+            assert resolved_digest(directory, read) == expected.hexdigest()
 
 
 # one malformed container per message of the QVOL1 parser: (bytes, message)
@@ -411,7 +411,7 @@ class TestMutatedInput:
     def test_container(self, raw):
         path = Path("mutated.qvol")  # never read: the bytes are handed to the loader
         try:
-            volume = load_volume(path, [(path, raw)])
+            volume = load_volume(path, Input("qvol", [(path, raw)]))
         except VolumeFormatError:
             return
         assert isinstance(volume, Volume)
@@ -419,10 +419,9 @@ class TestMutatedInput:
     @settings(max_examples=150, **EXAMPLES)
     @given(st.sampled_from([255, 65535]).flatmap(lambda maxval: mutated(_valid_pgm(maxval))))
     def test_pgm_slice(self, raw):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp)
-            try:
-                volume = load_volume(path, [(path / "s0.pgm", raw)])
-            except VolumeFormatError:
-                return
+        path = Path("mutated")  # never read: the bytes are handed to the loader
+        try:
+            volume = load_volume(path, Input("pgm-stack", [(path / "s0.pgm", raw)]))
+        except VolumeFormatError:
+            return
         assert isinstance(volume, Volume)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from qbench import CORRECTION_FACTOR, EstimationError, SearchConfig, Volume, downsample, estimate, generate
 from qbench import noise
-from qbench.noise import _gap_free, _lattice, _lattice_index, _probe_walk, _VolumeScan, find_t_opt
+from qbench.noise import _gap_free, _lattice, _lattice_index, _probe_walk, _VolumeScan, find_t_lower, find_t_opt
 from conftest import build_scan, disk_phantom
 from oracle import (
     background_covered,
@@ -422,11 +422,21 @@ def test_search_flags_snap_to_whole_steps_ties_to_even(disk_volume, given, snapp
 
 
 def test_search_over_the_cap_fails_before_any_lookup(monkeypatch, disk_volume):
-    scan = build_scan(disk_volume)
-    monkeypatch.setattr(_VolumeScan, "__init__", lambda *_: pytest.fail("built a scan"))
+    """An over-cap config raises in the scan's constructor, before it
+    allocates its tables, and so before any lookup, in every search."""
+    monkeypatch.setattr(np, "empty", lambda *a, **k: pytest.fail("allocated the tables"))
+    monkeypatch.setattr(_VolumeScan, "_bin_sums", lambda *_: pytest.fail("binned a row"))
     monkeypatch.setattr(_VolumeScan, "curve_and_count", lambda *_: pytest.fail("looked up"))
-    with pytest.raises(EstimationError, match="over the cap"):
-        find_t_opt(disk_volume, SearchConfig(grid_step=1e-6), scan=scan)
+    for search in (find_t_opt, find_t_lower, estimate):
+        with pytest.raises(EstimationError, match="over the cap"):
+            search(disk_volume, SearchConfig(grid_step=1e-6))
+
+
+def test_a_given_scan_sets_the_lattice_of_the_search(disk_volume):
+    """The search reads the lattice of the scan it is given, not one derived
+    again from its config."""
+    fine = SearchConfig(grid_step=0.5)
+    assert_same_threshold(find_t_opt(disk_volume, SearchConfig(), scan=build_scan(disk_volume, fine)), find_t_opt(disk_volume, fine))
 
 
 def test_probe_walk_equals_the_two_lookup_saturation_test(monkeypatch):
@@ -610,9 +620,9 @@ def test_estimate_builds_one_scan_and_calls_find_t_opt(monkeypatch, disk_volume)
     built, searched = [], []
 
     class CountingScan(_VolumeScan):
-        def __init__(self, volume, lattice):
+        def __init__(self, volume, cfg):
             built.append(volume)
-            super().__init__(volume, lattice)
+            super().__init__(volume, cfg)
 
     original = noise.find_t_opt
     monkeypatch.setattr(noise, "_VolumeScan", CountingScan)
