@@ -38,8 +38,6 @@ __all__ = [
     "ThresholdResult",
     "NoiseEstimate",
     "EstimationError",
-    "find_t_lower",
-    "find_t_opt",
     "estimate",
     "background_roi_noise",
 ]
@@ -68,7 +66,7 @@ _MAX_STEP_SLICES = 2**22
 # tables: a grid at the cap copies 1.5 MB of them at a time, not 100 MB.
 _BLOCK = 2**16
 
-# Robustness constants for the descent detection in find_t_lower, frozen from
+# Robustness constants for the descent detection in _probe_walk, frozen from
 # a tuning corpus of seeded synthetic volumes (disjoint from the test seeds).
 # A descent probe only counts when the curve has fallen to below
 # _DESCENT_DROP x its running maximum for _DESCENT_PERSIST consecutive probes;
@@ -414,7 +412,8 @@ def _probe_walk(scan: _VolumeScan) -> int | None:
 
 
 def find_t_lower(volume: Volume, cfg: SearchConfig = SearchConfig()) -> float:
-    """Left end of the minimum-search bracket (see _probe_walk)."""
+    """``estimate(volume, cfg).threshold.t_lower``, from the probe walk alone
+    (see _probe_walk) on a scan of its own, for the bench harness to time."""
     scan = _VolumeScan(volume, cfg)
     n = _probe_walk(scan)
     return volume.intensity_max if n is None else n * scan.lattice.step
@@ -427,9 +426,7 @@ def _tied_argmin(values: np.ndarray) -> int:
     return int(ties[0])
 
 
-def find_t_opt(
-    volume: Volume, cfg: SearchConfig = SearchConfig(), *, scan: _VolumeScan | None = None
-) -> ThresholdResult:
+def find_t_opt(scan: _VolumeScan) -> ThresholdResult:
     """Select the threshold minimizing the across-slice variance of stds.
 
     The grid is every lattice point n * q from t_lower below t_max,
@@ -446,13 +443,9 @@ def find_t_opt(
       is gap-free (see _gap_free): offset backgrounds develop false valleys
       mid-bulk, where the background is still filling up.
 
-    ``scan`` is a prebuilt scan of ``volume``, and the search reads its
-    lattice; when it is omitted, one is built on the lattice of ``cfg``.
-    Raises EstimationError, before any table is built, when the lattice steps
-    times the slices are over their cap.
+    The scan, which ``estimate`` builds, is the search's one input, and its
+    lattice sets every threshold the search reads.
     """
-    if scan is None:
-        scan = _VolumeScan(volume, cfg)
     eps, stop = scan.lattice.epsilon, scan.lattice.stop
     lower = _probe_walk(scan)
     if lower is None:
@@ -501,7 +494,7 @@ def estimate(volume: Volume, cfg: SearchConfig = SearchConfig()) -> NoiseEstimat
     sigma or SNR beyond the float range is an EstimationError.
     """
     scan = _VolumeScan(volume, cfg)
-    threshold = find_t_opt(volume, cfg, scan=scan)
+    threshold = find_t_opt(scan)
     n = _lattice_index(threshold.t_opt, scan.lattice.step)
     per_slice = tuple(scan.positive_sigmas(n, cfg.correction_factor))
     present = [v for v in per_slice if v is not None]

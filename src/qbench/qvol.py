@@ -113,12 +113,12 @@ def write_bytes_atomic(path: Path, blob: bytes) -> None:
 
 def check_writable(path) -> None:
     """Raise OSError, naming ``path``, when :func:`write_bytes_atomic`
-    cannot write it: its directory is missing or takes no new file, or
-    ``path`` is a directory."""
+    cannot write it: its directory is missing, is not a directory or takes
+    no new file, or ``path`` is a directory."""
     path = Path(path)
     parent = path.parent
     if not parent.is_dir():
-        raise OSError(f"{path}: no such directory: {parent}")
+        raise OSError(f"{path}: {'not a' if parent.exists() else 'no such'} directory: {parent}")
     if path.is_dir():
         raise OSError(f"{path}: is a directory")
     if not os.access(parent, os.W_OK | os.X_OK):
@@ -239,7 +239,10 @@ def load_volume(path, read: Input | None = None) -> Volume:
     """Load either a QVOL1 container file or a directory of PGM slices.
 
     ``read`` is what :func:`read_input` returned for ``path``, parsed by its
-    kind; when it is omitted, the input is read here.
+    kind, and then ``path`` is not read; when it is omitted, the input is
+    read from ``path`` here. ``path`` stays for the bench harness's
+    ``qvol.load`` byte count, which for a PGM stack is the size of the
+    directory entry.
     """
     if read is None:
         read = read_input(path)

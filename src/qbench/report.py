@@ -70,7 +70,10 @@ UNITS = {
 
 
 def input_digest(path, read: Input) -> Background:
-    """:func:`input_sha256` of ``read``, read from ``path``, on a thread of its own, started here.
+    """:func:`input_sha256` of ``read``, on a thread of its own, started here.
+
+    ``path`` is never read. It stays for the bench harness's ``report.digest``
+    byte count, which for a PGM stack is the size of the directory entry.
 
     The bytes are immutable and ``hashlib`` releases the GIL while it hashes
     them, so the caller can parse and analyse them meanwhile; ``result()``

@@ -17,7 +17,6 @@ from qbench import (
     background_roi_noise,
     downsample,
     estimate,
-    find_t_opt,
     fit_power_law,
     generate,
     load_volume,
@@ -25,7 +24,7 @@ from qbench import (
     write_container,
 )
 from qbench.cli import EXIT_OK, main
-from qbench.noise import _lattice_index
+from qbench.noise import _lattice_index, find_t_opt
 from conftest import build_scan, const_phantom
 from oracle import background_covered, homogeneity_variance, select_t_opt
 
@@ -51,7 +50,7 @@ def test_criterion_1_rayleigh_calibration():
 
 def test_criterion_2_degenerate_constant_volume():
     vol = generate(PhantomSpec(width=64, height=64, n_slices=20, background_value=400.0, sigma=100.0, seed=2026))
-    tr = find_t_opt(vol)
+    tr = find_t_opt(build_scan(vol))
     ts, variances = tr.curve[:, 0], tr.curve[:, 1]
     window = (ts >= 380.0) & (ts <= 440.0)
     interior = np.zeros_like(window)
@@ -136,10 +135,10 @@ def test_criterion_3_search_oracle_equivalence():
         const_phantom(value=400.0, sigma=100.0, seed=1),
         generate(PhantomSpec(width=24, height=24, n_slices=10, sigma=50.0, seed=56)),
     )
-    rule_mismatches = sum(_selection_differs(vol, find_t_opt(vol)) for vol in extra)
+    rule_mismatches = sum(_selection_differs(vol, find_t_opt(build_scan(vol))) for vol in extra)
     for spec in _criterion_3_corpus():
         vol = generate(spec)
-        tr = find_t_opt(vol)
+        tr = find_t_opt(build_scan(vol))
         rule_mismatches += _selection_differs(vol, tr)
         ts, variances = tr.curve[:, 0], tr.curve[:, 1]
         checked += 1

@@ -206,6 +206,15 @@ class TestUnwritableOutput:
         assert err.startswith("qbench: I/O error: ") and f"directory not writable: {locked}" in err
         assert not list(locked.iterdir())
 
+    @pytest.mark.parametrize("command", [["estimate"], ["curve", "--factors", "1,2"]])
+    def test_output_under_a_file(self, disk_container, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"")
+        argv = [command[0], str(disk_container), *command[1:], "--output", str(afile / "r.json")]
+        assert main(argv) == EXIT_LOAD
+        assert capsys.readouterr().err == f"qbench: I/O error: {afile / 'r.json'}: not a directory: {afile}\n"
+        assert afile.read_bytes() == b""
+
     def test_synth(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         write_spec(spec_path)

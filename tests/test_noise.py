@@ -11,9 +11,8 @@ from qbench import (
     Volume,
     background_roi_noise,
     estimate,
-    find_t_opt,
 )
-from qbench.noise import _MAX_STEP_SLICES, _lattice
+from qbench.noise import _MAX_STEP_SLICES, _lattice, find_t_opt
 from conftest import build_scan, const_phantom, disk_phantom, pure_noise, volume_from
 from oracle import positive_noise
 
@@ -369,14 +368,14 @@ class TestSearchConfig:
         cfg = SearchConfig(grid_step=4095 / 2**16)
         tracemalloc.start()
         try:
-            result = find_t_opt(volume, cfg)
+            result = find_t_opt(build_scan(volume, cfg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert result.curve.shape[0] > 2**15
         assert peak < 160e6
         with pytest.raises(EstimationError, match="each of 65 slices, over the cap"):
-            find_t_opt(Volume.from_array(np.concatenate([data, data[:1]])), cfg)
+            find_t_opt(build_scan(Volume.from_array(np.concatenate([data, data[:1]])), cfg))
 
     @pytest.mark.parametrize("n_slices", [1, 4, 64])
     def test_search_bytes_per_step_and_slice(self, n_slices):
@@ -393,7 +392,7 @@ class TestSearchConfig:
         cfg = SearchConfig(grid_step=4095 / steps)
         tracemalloc.start()
         try:
-            result = find_t_opt(volume, cfg)
+            result = find_t_opt(build_scan(volume, cfg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,8 +1,10 @@
 """The public names: each is declared once, in its module's ``__all__``; every
-one that an ``__all__`` exports resolves, and the phantom module exports one builder."""
+one that an ``__all__`` exports resolves, the phantom module exports one
+builder, and README's "Library" example runs."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +40,16 @@ def test_generate_is_the_one_phantom_builder():
         assert not hasattr(qbench.phantom, removed) and not hasattr(qbench, removed), removed
 
 
-# the package's names as they were when qbench/__init__.py still listed them by hand
+def test_estimate_is_the_one_door_into_the_threshold_search():
+    """The search and its probe walk stay in ``qbench.noise`` for the bench
+    harness, and no ``__all__`` exports them."""
+    for name in ("find_t_opt", "find_t_lower"):
+        assert hasattr(qbench.noise, name) and name not in qbench.noise.__all__, name
+        assert not hasattr(qbench, name) and name not in qbench.__all__, name
+
+
+# the package's names as they were when qbench/__init__.py still listed them by
+# hand, less the threshold search and its probe walk, which left the package API
 PACKAGE_NAMES = [
     "__version__",
     "Volume",
@@ -48,8 +59,6 @@ PACKAGE_NAMES = [
     "ThresholdResult",
     "NoiseEstimate",
     "EstimationError",
-    "find_t_lower",
-    "find_t_opt",
     "estimate",
     "background_roi_noise",
     "PhantomObject",
@@ -78,3 +87,14 @@ def test_each_public_name_is_declared_once():
     declared = [name for m in map(importlib.import_module, MODULES) for name in getattr(m, "__all__", [])]
     assert len(set(declared)) == len(declared)
     assert qbench.__all__ == PACKAGE_NAMES
+
+
+def test_readme_library_example_runs():
+    """The code block of README's "Library" section runs as written, so an
+    example that names a removed API fails here."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert isinstance(namespace["est"], qbench.NoiseEstimate)

@@ -357,6 +357,14 @@ class TestWriteErrors:
         (tmp_path / "sub").mkdir()
         qvol.check_writable(tmp_path / "sub" / "v.qvol")
 
+    def test_directory_is_a_file(self, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"")
+        with pytest.raises(OSError, match=re.escape(f"{afile / 'v.qvol'}: not a directory: {afile}")):
+            qvol.check_writable(afile / "v.qvol")
+        with pytest.raises(OSError, match=re.escape(f"{tmp_path / 'gone' / 'v.qvol'}: no such directory: {tmp_path / 'gone'}")):
+            qvol.check_writable(tmp_path / "gone" / "v.qvol")
+
 
 class TestFileMode:
     """Written files take the process umask, as ``open`` would create them."""

@@ -171,7 +171,7 @@ def assert_fold_equals_per_pixel(volume, cfg):
     assert bits(*fold.curve_and_count(ns)) == bits(*pixel.curve_and_count(ns))
     n = ns[ns.size // 2]
     assert fold.positive_sigmas(n, CORRECTION_FACTOR) == pixel.positive_sigmas(n, CORRECTION_FACTOR)
-    assert_same_threshold(find_t_opt(volume, cfg, scan=fold), find_t_opt(volume, cfg, scan=pixel))
+    assert_same_threshold(find_t_opt(fold), find_t_opt(pixel))
 
 
 @settings(max_examples=60, **EXAMPLES)
@@ -253,7 +253,7 @@ def test_scaled_config_beyond_twelve_bits(seed):
     volume = Volume.from_array(np.rint(data).astype(np.uint16))
     assert volume.intensity_max > 4095
     assert_fold_equals_per_pixel(volume, SearchConfig())
-    result = find_t_opt(volume)
+    result = find_t_opt(build_scan(volume))
     scale = volume.intensity_max
     for t, var, mean in result.curve[:: max(1, len(result.curve) // 20)]:
         ref_var, ref_mean = homogeneity_variance(volume, t)
@@ -379,7 +379,7 @@ def test_every_threshold_is_a_lattice_point(volume, cfg):
         scan.curve_and_count = curve_and_count
         with pytest.MonkeyPatch.context() as m:
             m.setattr(noise, "_gap_free", gap_free)
-            result = find_t_opt(volume, cfg, scan=scan)
+            result = find_t_opt(scan)
         q, start, eps, stop = scan.lattice
         if len(takes) == 2:
             assert np.array_equal(takes[0][0], np.arange(start, stop, eps))
@@ -408,7 +408,7 @@ def test_find_t_opt_looks_the_scan_up_twice(monkeypatch, disk_volume):
         return curve_and_count(self, ns)
 
     monkeypatch.setattr(_VolumeScan, "curve_and_count", counting)
-    result = find_t_opt(disk_volume, scan=scan)
+    result = find_t_opt(scan)
     assert len(calls) == 2 and calls[0] > 0
     assert calls[1] >= len(result.curve)
 
@@ -418,25 +418,29 @@ def test_find_t_opt_looks_the_scan_up_twice(monkeypatch, disk_volume):
     [(dict(epsilon=2.5), dict(epsilon=2.0)), (dict(epsilon=3.5), dict(epsilon=4.0)), (dict(t_start=40.4), {})],
 )
 def test_search_flags_snap_to_whole_steps_ties_to_even(disk_volume, given, snapped):
-    assert_same_threshold(find_t_opt(disk_volume, SearchConfig(**given)), find_t_opt(disk_volume, SearchConfig(**snapped)))
+    assert_same_threshold(find_t_opt(build_scan(disk_volume, SearchConfig(**given))), find_t_opt(build_scan(disk_volume, SearchConfig(**snapped))))
 
 
 def test_search_over_the_cap_fails_before_any_lookup(monkeypatch, disk_volume):
     """An over-cap config raises in the scan's constructor, before it
-    allocates its tables, and so before any lookup, in every search."""
+    allocates its tables, and so before any lookup: the scan the search
+    takes, the benchmark's separate walk and ``estimate``."""
     monkeypatch.setattr(np, "empty", lambda *a, **k: pytest.fail("allocated the tables"))
     monkeypatch.setattr(_VolumeScan, "_bin_sums", lambda *_: pytest.fail("binned a row"))
     monkeypatch.setattr(_VolumeScan, "curve_and_count", lambda *_: pytest.fail("looked up"))
-    for search in (find_t_opt, find_t_lower, estimate):
+    for build in (_VolumeScan, find_t_lower, estimate):
         with pytest.raises(EstimationError, match="over the cap"):
-            search(disk_volume, SearchConfig(grid_step=1e-6))
+            build(disk_volume, SearchConfig(grid_step=1e-6))
 
 
 def test_a_given_scan_sets_the_lattice_of_the_search(disk_volume):
-    """The search reads the lattice of the scan it is given, not one derived
-    again from its config."""
+    """The search reads the lattice of the scan it is given: on a scan at
+    grid_step 0.5 it is the fine search of ``estimate``, not the default."""
     fine = SearchConfig(grid_step=0.5)
-    assert_same_threshold(find_t_opt(disk_volume, SearchConfig(), scan=build_scan(disk_volume, fine)), find_t_opt(disk_volume, fine))
+    result = find_t_opt(build_scan(disk_volume, fine))
+    assert_same_threshold(result, estimate(disk_volume, fine).threshold)
+    assert result.curve.shape[0] == 1980
+    assert estimate(disk_volume).threshold.curve.shape[0] == 991
 
 
 def test_probe_walk_equals_the_two_lookup_saturation_test(monkeypatch):

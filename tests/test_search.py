@@ -7,12 +7,11 @@ from qbench import (
     SearchConfig,
     ThresholdResult,
     Volume,
-    find_t_lower,
-    find_t_opt,
+    estimate,
     generate,
 )
-from qbench.noise import _tied_argmin
-from conftest import build_scan, const_phantom, pure_noise, volume_from
+from qbench.noise import _tied_argmin, find_t_lower, find_t_opt
+from conftest import build_scan, const_phantom, disk_phantom, pure_noise, volume_from
 from oracle import homogeneity_variance
 
 
@@ -83,6 +82,41 @@ class TestFindTLower:
         assert 300.0 <= t_l <= 440.0
 
 
+def _volumes_and_configs():
+    disk = disk_phantom(radius=20, value=1000.0, sigma=100.0, seed=3)
+    volumes = {
+        "disk": disk,
+        "object-free": pure_noise(sigma=100.0, seed=4),
+        "constant": const_phantom(value=400.0, sigma=100.0, seed=1),
+        "x40": volume_from(disk.data * 40.0),
+        "x0.01": volume_from(disk.data * 0.01),
+    }
+    configs = {
+        "default": SearchConfig(),
+        "step0.5": SearchConfig(grid_step=0.5),
+        "step3": SearchConfig(grid_step=3.0),
+        "start5-eps3": SearchConfig(t_start=5.0, epsilon=3.0),
+    }
+    for vname, vol in volumes.items():
+        u16 = Volume.from_array(np.rint(vol.data).astype(np.uint16))
+        for dname, v in (("float64", vol), ("uint16", u16)):
+            for cname, cfg in configs.items():
+                yield pytest.param(v, cfg, id=f"{vname}-{dname}-{cname}")
+
+
+@pytest.mark.parametrize("vol, cfg", list(_volumes_and_configs()))
+def test_the_search_on_a_scan_is_the_threshold_of_estimate(vol, cfg):
+    """``estimate(v, cfg).threshold`` is the package's search: the search
+    on a scan of v on the lattice of cfg gives it field by field, its curve
+    bit for bit, and the probe walk alone gives its t_lower."""
+    want = estimate(vol, cfg).threshold
+    got = find_t_opt(build_scan(vol, cfg))
+    fields = ("t_opt", "t_lower", "t_max", "no_object", "t_rejected")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert got.curve.dtype == want.curve.dtype and got.curve.tobytes() == want.curve.tobytes()
+    assert find_t_lower(vol, cfg) == want.t_lower
+
+
 class TestTiedArgmin:
     def test_prefers_smallest_index_within_tolerance(self):
         vals = np.array([5.0, 3.0 * (1 + 5e-13), 3.0, 4.0])
@@ -95,13 +129,13 @@ class TestTiedArgmin:
 
 class TestFindTOpt:
     def test_all_zero_volume(self):
-        tr = find_t_opt(volume_from(np.zeros((3, 6, 6))))
+        tr = find_t_opt(build_scan(volume_from(np.zeros((3, 6, 6)))))
         assert tr.t_opt == tr.t_max == 0.0
         assert tr.no_object
 
     def test_const_400_guard_rejects_interior_minimum(self):
         vol = const_phantom(value=400.0, sigma=100.0, seed=1)
-        tr = find_t_opt(vol)
+        tr = find_t_opt(build_scan(vol))
         assert tr.no_object and tr.t_opt == tr.t_max
         assert tr.t_rejected is not None
         assert 380.0 <= tr.t_rejected <= 440.0
@@ -112,21 +146,21 @@ class TestFindTOpt:
         # bit for bit, on all 20 slices
         vol = Volume.from_array(np.rint(disk_volume.data).astype(np.uint16))
         fold, pixel = build_scan(vol), build_scan(vol, per_pixel=True)
-        a, b = find_t_opt(vol, scan=fold), find_t_opt(vol, scan=pixel)
+        a, b = find_t_opt(fold), find_t_opt(pixel)
         assert (a.t_opt, a.t_lower, a.no_object, a.t_rejected) == (b.t_opt, b.t_lower, b.no_object, b.t_rejected)
         assert np.array_equal(a.curve, b.curve)
 
     def test_bracket_bounds_hold(self, disk_volume):
-        tr = find_t_opt(disk_volume)
+        tr = find_t_opt(build_scan(disk_volume))
         assert tr.t_lower <= tr.t_opt <= tr.t_max
         ts = tr.curve[:, 0]
         assert np.all(np.diff(ts) > 0)
         assert ts[0] == tr.t_lower and ts[-1] == tr.t_max  # the no-object guard reads the last sample
 
     def test_scaling_maps_t_opt_linearly(self, disk_volume):
-        base = find_t_opt(disk_volume)
+        base = find_t_opt(build_scan(disk_volume))
         doubled = volume_from(disk_volume.data * 2.0)
-        scaled = find_t_opt(doubled, SearchConfig(t_start=80.0, epsilon=20.0, grid_step=2.0))
+        scaled = find_t_opt(build_scan(doubled, SearchConfig(t_start=80.0, epsilon=20.0, grid_step=2.0)))
         assert scaled.t_opt == 2.0 * base.t_opt
         assert scaled.no_object == base.no_object
 
@@ -142,7 +176,7 @@ class TestFindTOpt:
             objects=(PhantomObject("disk", (32, 32), 24, 5000.0),),
         )
         vol = generate(spec)
-        tr = find_t_opt(vol)
+        tr = find_t_opt(build_scan(vol))
         ts, variances = tr.curve[:, 0], tr.curve[:, 1]
         hump = int(np.argmax(variances))
         valley = hump + int(np.argmin(variances[hump:]))
@@ -157,7 +191,7 @@ class TestFindTOpt:
         # an object-free volume whose variance minimum sits at t_max: the
         # no-object guard compares the mean std there with itself
         vol = generate(PhantomSpec(width=24, height=24, n_slices=10, sigma=50.0, seed=56))
-        tr = find_t_opt(vol)
+        tr = find_t_opt(build_scan(vol))
         assert tr.curve[_tied_argmin(tr.curve[:, 1]), 0] == tr.t_max  # shape precondition
         assert tr.no_object and tr.t_opt == tr.t_max
         assert tr.t_rejected is None
@@ -184,6 +218,6 @@ class TestPureNoiseBehaviour:
     @pytest.mark.parametrize("sigma,seed", [(50.0, 31), (100.0, 32), (200.0, 33)])
     def test_threshold_lands_in_the_tail(self, sigma, seed):
         vol = pure_noise(sigma=sigma, seed=seed)
-        tr = find_t_opt(vol)
+        tr = find_t_opt(build_scan(vol))
         # anything at or beyond ~4 sigma keeps the truncated-std bias under 1%
         assert tr.t_opt >= 3.9 * sigma
