@@ -15,9 +15,10 @@ input volume once, inside the curve, and reuses that estimate for the report
 and the curve's factor-1 point.
 ``estimate`` and ``curve`` each start one thread. In ``estimate`` the main
 thread's parse and estimate are the critical path, so the hash runs beside
-them, on a worker thread that starts before the parse. In ``curve`` the main
-thread's downsamples are the critical path: the curve's worker hashes after
-its estimate and its carries. Every exit joins every worker.
+them, on a worker thread that starts before the parse. In ``curve`` the
+curve's worker estimates and carries the mask while the main thread
+downsamples, in float32 for an f32 or u16 input, and then hashes, before it
+joins the worker. Every exit joins every worker.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _cmd_analyze(args) -> int:
             est, curve = estimate(volume, cfg), None
         digest = hashing.result
     else:
-        # hashed on the curve's worker after its estimate and carries
+        # hashed on this thread after the curve's last downsample, while its worker may still estimate and carry
         hashed = []
         volume = load_volume(args.input, read)
         curve = noise_resolution_curve(volume, factors, cfg, meanwhile=lambda: hashed.append(input_sha256(read)))

@@ -9,10 +9,14 @@ form of the search's one rule. ``is_saturated`` and ``background_covered``
 are the gap-free test of the probe walk and of the grid, each with count
 lookups of its own, an epsilon step up or down. ``phantom`` paints and
 builds a phantom out of place, step by step, for ``phantom.generate`` to
-match byte for byte. ``carry_by_windows`` carries a mask through one axis of the
-resampling grid one window at a time, and ``sequential_curve`` computes the
-resolution curve one step after another on the calling thread, each with its
-own window loop, for ``noise_resolution_curve`` to match.
+match byte for byte. ``band_products`` resamples with the float64 band
+products of ``resolution.downsample`` and any weights; ``downsample_f64``
+feeds it the resampling matrices, for a float64 volume to match bit for bit
+and float32 products within a bound.
+``carry_by_windows`` carries a mask through one axis of the resampling grid
+one window at a time, and ``sequential_curve`` computes the resolution curve
+one step after another on the calling thread, each with its own window
+loop, for ``noise_resolution_curve`` to match.
 """
 
 import math
@@ -30,7 +34,7 @@ from qbench import (
     fit_power_law,
 )
 from qbench.noise import _NEAR_FULL_FRACTION, _SATURATION_FLOOR, _TIE_REL_TOL, _stray_budget
-from qbench.resolution import check_factors
+from qbench.resolution import _bands, _resample_weights, check_factors
 
 
 def homogeneity_variance(volume, t):
@@ -135,6 +139,30 @@ def phantom(spec):
         imag = spec.sigma * rng.standard_normal(data.shape)
         data = np.hypot(real, imag)
     return np.rint(data) if spec.quantize else data
+
+
+def band_products(data, weights):
+    """``data`` resampled by one weight matrix per axis, float64: each band
+    (``resolution._bands``) of each axis's matrix is one matrix product over
+    its window, in axis order 0, 1, 2, clamped at zero."""
+    b0, b1, b2 = (_bands(w) for w in weights)
+    (n0, n1, n2), (m0, m1, m2) = data.shape, (w.shape[0] for w in weights)
+    x, a0 = np.asarray(data, dtype=np.float64).reshape(n0, n1 * n2), np.empty((m0, n1 * n2))
+    for rows, cols, w in b0:
+        np.matmul(w, x[cols], out=a0[rows])
+    a0, a1 = a0.reshape(m0, n1, n2), np.empty((m0, m1, n2))
+    for rows, cols, w in b1:
+        np.matmul(w, a0[:, cols], out=a1[:, rows])
+    a1, out = a1.reshape(m0 * m1, n2), np.empty((m0 * m1, m2))
+    for rows, cols, w in b2:
+        np.matmul(a1[:, cols], w.T, out=out[:, rows])
+    return np.maximum(out.reshape(m0, m1, m2), 0.0)
+
+
+def downsample_f64(volume, factor):
+    """``volume``'s float64 copy resampled by ``factor`` through
+    ``band_products`` of the resampling matrices (uncached)."""
+    return band_products(volume.data, [_resample_weights(dim, math.floor(dim / factor), factor) for dim in volume.shape])
 
 
 def carry_by_windows(bad, axis, factor):

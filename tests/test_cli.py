@@ -396,8 +396,10 @@ class TestInternalError:
 
 
 class TestHashingThread:
-    """``estimate`` and ``curve`` each hash the input on one worker thread,
-    which every exit joins; in ``curve`` it is the curve's worker."""
+    """``estimate`` and ``curve`` each start one worker thread, which every
+    exit joins. ``estimate`` hashes the input on it; ``curve`` hashes on the
+    calling thread after its last downsample, while the curve's worker
+    estimates and carries the mask."""
 
     @staticmethod
     def raise_runtime_error(*args, **kwargs):
@@ -440,7 +442,7 @@ class TestHashingThread:
         assert main([command, str(disk_container), *extra, "--output", str(output)]) == EXIT_INTERNAL
         assert set(threading.enumerate()) == before
         assert capsys.readouterr().err == "qbench: internal error: RuntimeError: scan failed\n"
-        assert len(hashing) == 1 and hashing[0] is not threading.main_thread()
+        assert len(hashing) == 1 and (hashing[0] is threading.main_thread()) == (command == "curve")
         assert not output.exists()
 
     def test_a_failed_curve_supersedes_a_failed_hash(self, disk_container, tmp_path, monkeypatch, capsys):
@@ -463,9 +465,9 @@ class TestHashingThread:
         assert main([command, str(disk_container), *extra, "--output", str(tmp_path / "r.json")]) == EXIT_OK
         assert len(started) == 1
 
-    def test_curve_hashes_on_its_worker_after_the_estimate_and_the_carries(self, disk_container, tmp_path, monkeypatch):
+    def test_curve_hashes_on_the_caller_after_its_last_downsample(self, disk_container, tmp_path, monkeypatch):
         events = []
-        estimate, carry, input_sha256 = resolution.estimate, resolution._carry, cli.input_sha256
+        estimate, carry, downsample, input_sha256 = resolution.estimate, resolution._carry, resolution.downsample, cli.input_sha256
 
         def traced(name, fn):
             def call(*args):
@@ -477,11 +479,15 @@ class TestHashingThread:
 
         monkeypatch.setattr(resolution, "estimate", traced("estimate", estimate))
         monkeypatch.setattr(resolution, "_carry", traced("carry", carry))
+        monkeypatch.setattr(resolution, "downsample", traced("downsample", downsample))
         monkeypatch.setattr(cli, "input_sha256", traced("hash", input_sha256))
         output = tmp_path / "r.json"
         assert main(["curve", str(disk_container), "--factors", "1,1.5,2,3", "--output", str(output)]) == EXIT_OK
-        assert [name for name, _ in events] == ["estimate", "carry", "carry", "carry", "hash"]
-        assert len({thread for _, thread in events}) == 1 and events[0][1] is not threading.main_thread()
+        caller = [name for name, thread in events if thread is threading.main_thread()]
+        worker = [name for name, thread in events if thread is not threading.main_thread()]
+        assert caller == ["downsample", "downsample", "downsample", "hash"]
+        assert worker == ["estimate", "carry", "carry", "carry"]
+        assert len({thread for _, thread in events}) == 2
         assert json.loads(output.read_text())["input"]["sha256"] == hashlib.sha256(disk_container.read_bytes()).hexdigest()
 
     def test_pgm_stack_report_hashes_names_and_bytes(self, tmp_path, capsys):
@@ -655,13 +661,25 @@ class TestCurve:
         assert "factor 100.0 collapses axis 0 (size 12) to zero" in err and err.count("\n") == 1
         assert not out.exists()
 
-    def test_constant_volume_has_no_positive_noise(self, tmp_path, capsys):
-        path = tmp_path / "const.qvol"
-        write_container(path, Volume.from_array(np.full((12, 16, 16), 500.0)), dtype="u16")
-        assert main(["curve", str(path), "--factors", "1,2", "--output", str(tmp_path / "c.json")]) == EXIT_ESTIMATION
-        err = capsys.readouterr().err
-        assert err.startswith("qbench: estimation failed: resolution curve collapsed: only 0 usable points")
-        assert err.count("estimated noise is not positive") == 2
+    def test_constant_volume_has_no_positive_noise(self, tmp_path, monkeypatch, capsys):
+        # its full-resolution noise is 0, and a resampled noise would be the
+        # rounding of the filter's weight sums: the curve ends before any fit
+        fitted = []
+        monkeypatch.setattr(resolution, "fit_power_law", lambda *args: fitted.append(args))
+        constant = Volume.from_array(np.full((12, 16, 16), 500.0))
+        out = tmp_path / "c.json"
+        for dtype in ("u16", "f32", "f64"):
+            path = tmp_path / f"const-{dtype}.qvol"
+            write_container(path, constant, dtype="u16" if dtype == "u16" else "f32")
+            with monkeypatch.context() as m:
+                if dtype == "f64":
+                    m.setattr(qvol, "Volume", _WideningLoader)
+                assert load_volume(path).data.dtype == {"u16": np.uint16, "f32": np.float32, "f64": np.float64}[dtype]
+                for factors in ("1,1.5,3", "1,2", "1,1.5,2,3"):
+                    assert main(["curve", str(path), "--factors", factors, "--output", str(out)]) == EXIT_ESTIMATION
+                    err = capsys.readouterr().err
+                    assert err == "qbench: estimation failed: resolution curve has no noise to measure: the full-resolution noise 0.0 is not positive\n"
+        assert fitted == [] and not out.exists() and not out.with_suffix(".csv").exists()
 
     def test_single_factor_is_usage_error(self, const_container, tmp_path, capsys):
         code = main(["curve", str(const_container), "--factors", "2", "--output", str(tmp_path / "c.json")])
@@ -773,8 +791,11 @@ class _WideningLoader:
 
 
 class TestFloat32Containers:
-    """An f32 container loads as a float32 volume: its reports are those of
-    its float64 copy, and, for integral samples, those of the u16 container."""
+    """An f32 container loads as a float32 volume. Its estimate report is
+    that of its float64 copy, and its curve that copy's within the float32
+    resampling's bound: each noise and SNR within 1e-6 relative, the fit
+    within 1e-6. For integral samples its reports are those of the u16
+    container, byte for byte apart from the digest."""
 
     @staticmethod
     def outputs(directory, container):
@@ -786,6 +807,23 @@ class TestFloat32Containers:
             assert main(argv + (["--factors", "1,1.5,2"] if command == "curve" else [])) == EXIT_OK
             texts.append(out.read_text())
         return texts + [out.with_suffix(".csv").read_text()]
+
+    @staticmethod
+    def assert_curve_within_bound(texts, wide):
+        """The outputs ``texts`` equal ``wide``'s, apart from the curve floats, which lie within the bound."""
+        assert texts[0] == wide[0]
+        report, wide_report = json.loads(texts[1]), json.loads(wide[1])
+        curve, exact = report.pop("resolution_curve"), wide_report.pop("resolution_curve")
+        assert report == wide_report and curve["failures"] == exact["failures"]
+        for key in ("gradient_m", "residual"):
+            assert curve[key] == pytest.approx(exact[key], rel=0, abs=1e-6)
+        assert curve["y0"] == pytest.approx(exact["y0"], rel=1e-6, abs=0)
+        rows = [[p["resolution_mm"], p["noise"], p["snr"]] for p in curve["points"]]
+        exact_rows = [[p["resolution_mm"], p["noise"], p["snr"]] for p in exact["points"]]
+        csv = [[float(v) for v in line.split(",")] for line in texts[2].splitlines()[1:]]
+        assert csv == rows and texts[2].splitlines()[0] == wide[2].splitlines()[0]
+        for (r, noise, snr), (r_exact, noise_exact, snr_exact) in zip(rows, exact_rows, strict=True):
+            assert r == r_exact and noise == pytest.approx(noise_exact, rel=1e-6, abs=0) and snr == pytest.approx(snr_exact, rel=1e-6, abs=0)
 
     @staticmethod
     def without_digest(texts):
@@ -811,7 +849,7 @@ class TestFloat32Containers:
             texts = self.outputs(directory, f32)
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(qvol, "Volume", _WideningLoader)
-                assert self.outputs(directory, f32) == texts
+                self.assert_curve_within_bound(texts, self.outputs(directory, f32))
             # the quantized phantom as f32: per-pixel bins against the u16 level fold
             quantized = directory / "quantized.qvol"
             write_container(quantized, load_volume(u16), dtype="f32")

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from qbench import (
     EstimationError,
+    PhantomObject,
+    PhantomSpec,
     QualityScore,
     ResolutionCurve,
     SearchConfig,
@@ -17,13 +19,14 @@ from qbench import (
     effective_resolution,
     estimate,
     fit_power_law,
+    generate,
     lanczos3_kernel,
     noise_resolution_curve,
     normalize_quality,
 )
 from qbench.resolution import _bands, _carry, _masked_noise, _resample_weights
 from conftest import const_phantom, disk_phantom, volume_from
-from oracle import carry_by_windows, sequential_curve
+from oracle import band_products, carry_by_windows, downsample_f64, sequential_curve
 from test_scan import assert_same_threshold
 
 
@@ -53,14 +56,9 @@ class TestLanczosKernel:
 
 
 class TestDownsample:
-    @pytest.mark.parametrize("factor", [1.5, 2.0, 3.0])
-    def test_peak_is_the_widening_and_the_axis_0_product(self, factor):
-        """One downsample of a float32 60x128x128 volume peaks within 5 % of
-        its float64 widening and the axis-0 products (tracemalloc): each
-        stage's array is freed before the one after next is allocated, and
-        no full-size temporary comes on top."""
-        rng = np.random.default_rng(5)
-        volume = Volume.from_array(rng.random((60, 128, 128), dtype=np.float32) * 1000)
+    @staticmethod
+    def peak(volume, factor):
+        """The tracemalloc peak of one warm downsample of ``volume``, and its output."""
         downsample(volume, factor)  # the bands are cached from here on
         tracemalloc.start()
         try:
@@ -68,8 +66,32 @@ class TestDownsample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        expected = 8 * (volume.data.size + out.shape[0] * 128 * 128)
-        assert out.data.dtype == np.float64
+        return peak, out
+
+    @pytest.mark.parametrize("factor", [1.5, 2.0, 3.0])
+    def test_peak_is_the_widening_and_the_axis_0_product(self, factor):
+        """One downsample of a u16 60x128x128 volume peaks within 5 % of its
+        float32 widening and the axis-0 products (tracemalloc), half of what
+        the float64 products took: each stage's array is freed before the one
+        after next is allocated, and no full-size temporary comes on top."""
+        rng = np.random.default_rng(5)
+        volume = Volume.from_array((rng.random((60, 128, 128)) * 1000).astype(np.uint16))
+        peak, out = self.peak(volume, factor)
+        expected = 4 * (volume.data.size + out.shape[0] * 128 * 128)
+        assert out.data.dtype == np.float32
+        assert expected <= peak <= 1.05 * expected
+
+    @pytest.mark.parametrize("factor", [1.5, 2.0, 3.0])
+    def test_a_float32_volume_is_resampled_without_a_copy(self, factor):
+        """A float32 60x128x128 volume is read as it is: one downsample peaks
+        within 5 % of its axis-0 and axis-1 products, alive together while
+        the axis-1 products are written."""
+        rng = np.random.default_rng(5)
+        volume = Volume.from_array(rng.random((60, 128, 128), dtype=np.float32) * 1000)
+        peak, out = self.peak(volume, factor)
+        m0, m1, _ = out.shape
+        expected = 4 * m0 * 128 * (128 + m1)
+        assert out.data.dtype == np.float32
         assert expected <= peak <= 1.05 * expected
 
     def test_identity_factor(self, disk_volume):
@@ -103,12 +125,12 @@ class TestDownsample:
         lanczos_std = float(out.data.std())
         assert abs(lanczos_std - box_std) / box_std <= 0.20
 
-    def test_u16_volume_resamples_like_its_float64_copy(self, disk_volume):
+    def test_u16_volume_resamples_like_its_float32_copy(self, disk_volume):
         data = np.rint(disk_volume.data)
-        u16, copy = Volume.from_array(data.astype(np.uint16)), volume_from(data)
+        u16, copy = Volume.from_array(data.astype(np.uint16)), Volume.from_array(data.astype(np.float32))
         for factor in (1.5, 2.0, 2.7, 3.0):
             a, b = downsample(u16, factor), downsample(copy, factor)
-            assert a.data.dtype == np.float64 and np.array_equal(a.data, b.data)
+            assert a.data.dtype == np.float32 and np.array_equal(a.data, b.data)
         factors = [1.0, 1.5, 2.0]
         assert noise_resolution_curve(u16, factors) == noise_resolution_curve(copy, factors)
 
@@ -144,14 +166,21 @@ class TestDownsample:
     def test_cached_bands_are_read_only_and_give_the_cold_result(self):
         from qbench import resolution
 
-        vol = volume_from(np.random.default_rng(4).random((9, 30, 26)) * 1000)
+        data = np.random.default_rng(4).random((9, 30, 26)) * 1000
         resolution._axis_bands.cache_clear()
-        cold = downsample(vol, 1.7).data
-        warm = downsample(vol, 1.7).data
-        assert resolution._axis_bands.cache_info().hits == 3
-        assert np.array_equal(cold, warm)
+        for dtype in (np.float64, np.float32):
+            vol = Volume.from_array(data.astype(dtype))
+            hits = resolution._axis_bands.cache_info().hits
+            cold = downsample(vol, 1.7).data
+            warm = downsample(vol, 1.7).data
+            assert resolution._axis_bands.cache_info().hits == hits + 3
+            assert cold.dtype == dtype and np.array_equal(cold, warm)
         for n_in, n_out in ((9, 5), (30, 17), (26, 15)):
-            assert all(not w.flags.writeable for _, _, w in resolution._axis_bands(n_in, n_out, 1.7))
+            wide, narrow = (resolution._axis_bands(n_in, n_out, 1.7, dtype) for dtype in (np.float64, np.float32))
+            assert all(not w.flags.writeable for _, _, w in wide + narrow)
+            # the float32 weights are the float64 ones, rounded once
+            for (rows, cols, w64), (rows32, cols32, w32) in zip(wide, narrow, strict=True):
+                assert (rows, cols) == (rows32, cols32) and w32.dtype == np.float32 and np.array_equal(w32, w64.astype(np.float32))
 
 
 def _loop_weights(n_in, n_out, factor):
@@ -187,25 +216,6 @@ def _dense_products(data, factor):
     return np.maximum(out, 0.0)
 
 
-def _band_products(data, factor):
-    """The loop-built weights through the band products of ``downsample``:
-    each band of each axis is one matrix product over its window, in axis
-    order 0, 1, 2, clamped at zero."""
-    n0, n1, n2 = data.shape
-    b0, b1, b2 = (_bands(w) for w in _axis_weights(data.shape, factor))
-    m0, m1, m2 = (bands[-1][0].stop for bands in (b0, b1, b2))
-    x, a0 = data.reshape(n0, n1 * n2), np.empty((m0, n1 * n2))
-    for rows, cols, w in b0:
-        a0[rows] = w @ x[cols]
-    a0, a1 = a0.reshape(m0, n1, n2), np.empty((m0, m1, n2))
-    for rows, cols, w in b1:
-        a1[:, rows] = np.matmul(w, a0[:, cols])
-    a1, out = a1.reshape(m0 * m1, n2), np.empty((m0 * m1, m2))
-    for rows, cols, w in b2:
-        out[:, rows] = a1[:, cols] @ w.T
-    return np.maximum(out.reshape(m0, m1, m2), 0.0)
-
-
 def _ulp_distance(got, ref, scale):
     return np.max(np.abs(got - ref)) / np.spacing(np.max(np.abs(scale)))
 
@@ -230,7 +240,7 @@ class TestResampleWeights:
         vol = volume_from(np.abs(500.0 + 80.0 * rng.standard_normal((7, 23, 41))), voxel=(2.0, 1.0, 0.5))
         for factor in (1.5, 2.7, 3.3):
             got = downsample(vol, factor).data
-            assert np.array_equal(got, _band_products(vol.data, factor))
+            assert np.array_equal(got, band_products(vol.data, _axis_weights(vol.shape, factor)))
             assert _ulp_distance(got, _dense_products(vol.data, factor), vol.data) <= 4
 
     @pytest.mark.parametrize("shape", [(7, 23, 41), (10, 40, 40), (12, 44, 48)])
@@ -295,6 +305,71 @@ class TestBands:
             assert np.array_equal(got, data)
         assert got.shape == tuple(math.floor(dim / factor) for dim in shape)
         assert _ulp_distance(got, _dense_products(data, factor), data) <= 4
+
+
+class TestFloat32Products:
+    """A float32 or integer volume is resampled with float32 products, a
+    float64 one with the float64 products of ``oracle.downsample_f64``."""
+
+    # the largest |float32 sample - float64 sample| over the largest float64
+    # sample: at most 4.3e-7 over 300 random float32 volumes of 3-140 samples
+    # per axis at factors 1.5-3.3 (about 5 float32 ulp of the largest sample)
+    BOUND = 1e-6
+
+    @staticmethod
+    def assert_within_bound(volume, factor):
+        got, ref = downsample(volume, factor).data, downsample_f64(volume, factor)
+        assert got.dtype == np.float32 and got.shape == ref.shape
+        if factor == 1.0:
+            assert np.array_equal(got, volume.data)
+        assert np.max(np.abs(got - ref)) <= TestFloat32Products.BOUND * np.max(ref)
+
+    @pytest.mark.parametrize("factor", RESAMPLE_FACTORS)
+    def test_float32_samples_lie_within_the_bound_of_the_float64_products(self, factor):
+        rng = np.random.default_rng(13)
+        for shape in ((7, 23, 41), (12, 44, 48)):
+            for data in (np.abs(500.0 + 80.0 * rng.standard_normal(shape)), 1000.0 * rng.random(shape)):
+                self.assert_within_bound(Volume.from_array(data.astype(np.float32)), factor)
+        disk = disk_phantom(radius=30, value=1500.0, sigma=100.0, seed=2, width=128, height=128, n_slices=60)
+        self.assert_within_bound(Volume.from_array(disk.data.astype(np.float32)), factor)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        factor=st.sampled_from(RESAMPLE_FACTORS),
+        dims=st.lists(st.integers(3, 140), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_float32_samples_of_any_shape_lie_within_the_bound(self, factor, dims, seed):
+        shape = tuple(max(dim, math.ceil(factor)) for dim in dims)
+        data = np.abs(500.0 + 80.0 * np.random.default_rng(seed).standard_normal(shape))
+        self.assert_within_bound(Volume.from_array(data.astype(np.float32)), factor)
+
+    @pytest.mark.parametrize("factor", RESAMPLE_FACTORS)
+    def test_a_float64_volume_takes_the_float64_products_bit_for_bit(self, factor):
+        rng = np.random.default_rng(17)
+        for shape in ((7, 23, 41), (60, 128, 128)):
+            vol = volume_from(np.abs(500.0 + 80.0 * rng.standard_normal(shape)))
+            got = downsample(vol, factor).data
+            assert got.dtype == np.float64 and np.array_equal(got, downsample_f64(vol, factor))
+
+    @pytest.mark.parametrize("has_disk", [False, True], ids=["object-free", "disk"])
+    @pytest.mark.parametrize("sigma", [50.0, 400.0])
+    def test_curve_noises_lie_within_1e_6_of_the_float64_path(self, sigma, has_disk):
+        # the bench's curve volumes: f32 128x128x60, at its factors 1, 1.5, 2 and 3;
+        # 1.2e-7 relative was the most over 36 such volumes, seeds 0-5
+        factors = [1.0, 1.5, 2.0, 3.0]
+        objects = (PhantomObject("disk", (64.0, 64.0), 30.0, 15.0 * sigma),) if has_disk else ()
+        data = generate(PhantomSpec(width=128, height=128, n_slices=60, objects=objects, sigma=sigma, seed=1)).data
+        f32 = Volume.from_array(data.astype(np.float32))
+        curve, wide = noise_resolution_curve(f32, factors), noise_resolution_curve(volume_from(f32.data), factors)
+        assert curve.full.threshold.no_object is not has_disk
+        assert_same_estimate(curve.full, wide.full)
+        assert curve.failures == wide.failures == ()
+        for point, exact in zip(curve.points, wide.points, strict=True):
+            assert point.resolution_mm == exact.resolution_mm
+            assert point.noise == pytest.approx(exact.noise, rel=1e-6, abs=0)
+            assert point.snr == pytest.approx(exact.snr, rel=1e-6, abs=0)
+        assert curve.gradient_m == pytest.approx(wide.gradient_m, rel=0, abs=1e-6)
 
 
 class TestFitPowerLaw:
@@ -372,6 +447,19 @@ class TestNoiseResolutionCurve:
         # the volume itself is estimated once, as ``full``, and no downsampled volume is
         assert calls == [vol]
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32, np.float64])
+    def test_constant_volume_ends_the_curve_before_any_downsampled_noise(self, monkeypatch, dtype):
+        # whether or not 1 is a factor: nothing is left to resample
+        from qbench import resolution
+
+        read = []
+        monkeypatch.setattr(resolution, "_masked_noise", lambda *args: read.append(args))
+        vol = Volume.from_array(np.full((12, 16, 16), 500, dtype=dtype))
+        for factors in ([1.0, 1.5, 3.0], [1.0, 2.0], [1.5, 3.0]):
+            with pytest.raises(EstimationError, match="no noise to measure: the full-resolution noise 0.0 is not positive"):
+                noise_resolution_curve(vol, factors)
+        assert read == []
+
     def test_requires_two_factors(self, disk_volume):
         with pytest.raises(ValueError):
             noise_resolution_curve(disk_volume, [2.0])
@@ -408,10 +496,10 @@ def assert_same_estimate(a, b):
 
 
 class TestCurvePipeline:
-    """The curve's two threads: one worker estimates the volume, carries its
-    mask to every factor and runs ``meanwhile``, while the calling thread
-    downsamples. It gives what the sequential loop gives, and every exit
-    joins the worker."""
+    """The curve's two threads: one worker estimates the volume and carries
+    its mask to every factor, while the calling thread downsamples and then
+    runs ``meanwhile``. It gives what the sequential loop gives, and every
+    exit joins the worker."""
 
     @staticmethod
     def volume():
@@ -476,21 +564,42 @@ class TestCurvePipeline:
         monkeypatch.setattr(resolution, "downsample", traced)
         noise_resolution_curve(self.volume(), [1.0, 1.5, 2.0, 3.0])
 
-    def test_meanwhile_runs_on_the_worker_after_the_carries(self, monkeypatch):
+    def test_meanwhile_runs_on_the_caller_after_its_last_downsample(self, monkeypatch):
+        # the estimate finishes only once ``meanwhile`` has run, so a caller
+        # that joins the worker before it times the estimate out
         from qbench import resolution
 
-        events, carry = [], resolution._carry
-        monkeypatch.setattr(resolution, "_carry", lambda bad, f: events.append(("carry", f)) or carry(bad, f))
-        meanwhile = lambda: events.append(("meanwhile", threading.current_thread()))  # noqa: E731
-        noise_resolution_curve(self.volume(), [1.0, 1.5, 2.0, 3.0], meanwhile=meanwhile)
-        assert events[:3] == [("carry", 1.5), ("carry", 2.0), ("carry", 3.0)]
-        assert len(events) == 4 and events[3][0] == "meanwhile" and events[3][1] is not threading.main_thread()
+        events, ran = [], threading.Event()
 
-    def test_meanwhile_is_skipped_once_the_estimate_failed(self):
+        def waiting(v, cfg):
+            assert ran.wait(timeout=10), "the caller joined the worker before meanwhile"
+            return estimate(v, cfg)
+
+        def meanwhile():
+            events.append(("meanwhile", threading.current_thread()))
+            ran.set()
+
+        monkeypatch.setattr(resolution, "estimate", waiting)
+        monkeypatch.setattr(resolution, "downsample", lambda v, f: events.append((f, threading.current_thread())) or downsample(v, f))
+        curve = noise_resolution_curve(self.volume(), [1.0, 1.5, 2.0, 3.0], meanwhile=meanwhile)
+        assert [name for name, _ in events] == [1.5, 2.0, 3.0, "meanwhile"]
+        assert {thread for _, thread in events} == {threading.main_thread()}
+        assert curve == sequential_curve(self.volume(), [1.0, 1.5, 2.0, 3.0])
+
+    def test_a_failed_estimate_supersedes_meanwhile(self):
+        # ``meanwhile`` runs on the caller whatever the worker's estimate does,
+        # and the estimate's failure is raised over the exception of ``meanwhile``
         ran = []
+
+        def meanwhile():
+            ran.append(threading.current_thread())
+            raise OSError("hash failed")
+
         with pytest.raises(EstimationError, match="over the cap"):
-            noise_resolution_curve(self.volume(), [1.0, 2.0], SearchConfig(grid_step=1e-6), meanwhile=lambda: ran.append(True))
-        assert ran == []
+            noise_resolution_curve(self.volume(), [1.0, 2.0], SearchConfig(grid_step=1e-6), meanwhile=meanwhile)
+        assert ran == [threading.main_thread()]
+        with pytest.raises(OSError, match="hash failed"):
+            noise_resolution_curve(self.volume(), [1.0, 2.0], meanwhile=meanwhile)
 
     @pytest.mark.parametrize("case", ["success", "full-fails", "factor-fails", "collapse", "raises"])
     def test_no_thread_outlives_the_curve(self, monkeypatch, case):
