@@ -1,11 +1,11 @@
 """Threads that end before their caller goes on: one call in the background
 with a result slot, and a row split over the cores this process may use.
 
-numpy's ufuncs, BLAS ``matmul`` and ``hashlib`` release the GIL for most of
-their run on large buffers, so work handed to these threads runs alongside
-the caller. ``np.bincount`` holds it for most of its run, on every input
-dtype: two threads of per-row ``bincount`` passes gain little over one
-thread running both passes (README).
+numpy's ufuncs, BLAS ``matmul``, ``hashlib`` and, in numpy 2.4.6,
+``np.bincount`` release the GIL for most of their run on large buffers, so
+work handed to these threads can run alongside the caller. Warm and back to
+back, two threads overlap such work; in short cold runs on a 2-vCPU VM
+they did not, even for ``hashlib`` (README).
 """
 
 from __future__ import annotations

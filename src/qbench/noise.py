@@ -300,17 +300,26 @@ class _VolumeScan:
         return math.fsum(s1[:, -1] - s1[:, n]) / n_above
 
     def positive_sigmas(self, n: int, f_e: float) -> list[float | None]:
-        """Corrected positive-pixel std per slice at lattice index n (None when empty).
-
-        (s1/k)**2 is libm's pow() (``float_power``), as the per-slice sigmas
-        have always had it; the product in ``_stds`` can differ from it in
-        the last bit."""
+        """Corrected positive-pixel std per slice at lattice index n (None
+        when empty), from the tables' moments (:func:`slice_sigmas`)."""
         count, s1, s2 = self._tables[:, :, n]
-        count = count - self._zeros
-        with np.errstate(divide="ignore", invalid="ignore"):
-            var = s2 / count - np.float_power(s1 / count, 2)
-        stds = np.sqrt(np.maximum(var, 0.0)).tolist()
-        return [None if k == 0 else f_e * v for k, v in zip(count, stds)]
+        return slice_sigmas(count - self._zeros, s1, s2, f_e)
+
+
+def slice_sigmas(count: np.ndarray, s1: np.ndarray, s2: np.ndarray, f_e: float) -> list[float | None]:
+    """Per slice, ``f_e`` times the population std of its ``count`` samples
+    of sum ``s1`` and sum of squares ``s2``, all float64: s2/k - (s1/k)**2,
+    floored at 0, then the root; None where k is 0 and exactly 0 where k is
+    1, whose float64 square can round away from pow(). The estimate and the
+    resolution curve take every per-slice sigma from here.
+
+    (s1/k)**2 is libm's pow() (``float_power``), as the per-slice sigmas
+    have always had it; the product in ``_VolumeScan._stds`` can differ from
+    it in the last bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = s2 / count - np.float_power(s1 / count, 2)
+    stds = np.sqrt(np.maximum(var, 0.0)).tolist()
+    return [None if k == 0 else 0.0 if k == 1 else f_e * v for k, v in zip(count, stds)]
 
 
 def _stray_budget(scan: _VolumeScan) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._threads import Background
-from .noise import EstimationError, NoiseEstimate, SearchConfig, estimate
+from .noise import EstimationError, NoiseEstimate, SearchConfig, estimate, slice_sigmas
 from .volume import Volume
 
 __all__ = [
@@ -255,7 +255,8 @@ def fit_power_law(resolutions, noises) -> tuple[float, float, float]:
     # NaN fails both comparisons; a non-finite point would reach the SVD of the fit
     if not (np.all((r > 0) & (r < np.inf)) and np.all((n > 0) & (n < np.inf))):
         raise ValueError("resolutions and noises must be finite and positive")
-    if np.unique(r).size < 2:
+    # not np.unique, whose first call imports numpy.ma (about 8 ms)
+    if r.min() == r.max():
         raise ValueError("resolutions must not all coincide")
     log_r, log_n = np.log(r), np.log(n)
     slope, intercept = np.polyfit(log_r, log_n, 1)
@@ -307,15 +308,41 @@ def _carry(bad: np.ndarray, factor: float) -> np.ndarray:
     return bad
 
 
-def _masked_noise(vol: Volume, bad: np.ndarray | None, correction_factor: float) -> float | None:
-    """``correction_factor`` times the mean over slices of the std of the positive samples outside
-    ``bad``, each std taken in float64; None when no slice keeps one. A mask that leaves none counts
-    as no mask: the noise-tail voxels of a threshold cut into an object-free background can reach
-    every window."""
-    keep = vol.data > 0
-    if bad is not None and (outside := keep & ~bad).any():
-        keep = outside
-    present = [correction_factor * float((pixels if kept.all() else pixels[kept]).std(dtype=np.float64)) for pixels, kept in zip(vol.data, keep) if kept.any()]
+def _positive_moments(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per slice of ``data``, whose samples are >= 0: the count, the sum and
+    the sum of squares of its positive samples, the sums in float64, each a
+    pairwise sum over the slice's samples in order. A zero adds nothing to
+    either sum, so the sums run over every sample."""
+    rows = data.reshape(data.shape[0], -1)
+    x = rows.astype(np.float64)
+    s1 = x.sum(axis=1)
+    np.square(x, out=x)
+    return np.count_nonzero(rows, axis=1), s1, x.sum(axis=1)
+
+
+def _masked_noise(data: np.ndarray, moments: tuple[np.ndarray, np.ndarray, np.ndarray], bad: np.ndarray | None, correction_factor: float) -> float | None:
+    """``correction_factor`` times the mean over slices of the std of the positive samples of
+    ``data`` outside ``bad``, each from the slice's moments (:func:`noise.slice_sigmas`); None when
+    no slice keeps one. ``moments`` are :func:`_positive_moments` of ``data``, which serve as they
+    are without a mask. Under a mask the moments are taken again over the samples outside it. A
+    mask that leaves none counts as no mask: the noise-tail voxels of a threshold cut into an
+    object-free background can reach every window.
+
+    A slice whose positive samples all hold one value reads exactly 0, as ``np.std`` reads it:
+    its sum of squares can round, and the moments then leave a std of up to about 4e-8 of the
+    value. A slice whose std reads at most 1e-6 of its mean is checked sample by sample."""
+    if bad is not None:
+        outside = np.where(bad, 0, data)
+        if (kept := _positive_moments(outside))[0].any():
+            data, moments = outside, kept
+    count, s1, _ = moments
+    stds = slice_sigmas(*moments, 1.0)
+    for i, (std, k, total) in enumerate(zip(stds, count.tolist(), s1.tolist())):
+        if std and std <= 1e-6 * total / k:
+            positive = data[i][data[i] > 0]
+            if positive.min() == positive.max():
+                stds[i] = 0.0
+    present = [correction_factor * s for s in stds if s is not None]
     return float(np.mean(present)) if present else None
 
 
@@ -348,9 +375,12 @@ def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchCo
     is resampled in float32 (:func:`downsample`), and every statistic of the
     curve is computed in float64.
 
-    One worker thread runs the estimate and the carries while the caller
-    downsamples and then calls ``meanwhile()``; the worker's exception
-    supersedes the caller's.
+    One worker thread runs the estimate and the carries. Meanwhile the
+    caller downsamples by each factor and takes the result's per-slice
+    moments (:func:`_positive_moments`) right after it, then calls
+    ``meanwhile()``, and only then joins the worker. A factor without a
+    carried mask reads its noise from those moments alone. The worker's
+    exception supersedes the caller's.
     """
     factors = check_factors(factors)
     scaled = [f for f in factors if f != 1.0]
@@ -369,16 +399,19 @@ def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchCo
         by_factor = {}
         for f in scaled:
             try:
-                by_factor[f] = downsample(volume, f)
+                vol = downsample(volume, f)
             except ValueError as exc:
                 by_factor[f] = str(exc)
+            else:
+                by_factor[f] = vol, _positive_moments(vol.data)
         if meanwhile is not None:
             meanwhile()
     finally:
         full, carried = worker.result()
-    for f, vol in by_factor.items():
-        if isinstance(vol, Volume):
-            by_factor[f] = _curve_point(vol, _masked_noise(vol, carried[f], cfg.correction_factor), full.signal_mean)
+    for f, read in by_factor.items():
+        if not isinstance(read, str):
+            vol, moments = read
+            by_factor[f] = _curve_point(vol, _masked_noise(vol.data, moments, carried[f], cfg.correction_factor), full.signal_mean)
     by_factor[1.0] = _curve_point(volume, full.sigma, full.signal_mean)
     outcomes = [by_factor[f] for f in factors]
     points = sorted((o for o in outcomes if isinstance(o, CurvePoint)), key=lambda p: p.resolution_mm)

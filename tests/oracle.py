@@ -16,7 +16,8 @@ and float32 products within a bound.
 ``carry_by_windows`` carries a mask through one axis of the resampling grid
 one window at a time, and ``sequential_curve`` computes the resolution curve
 one step after another on the calling thread, each with its own window
-loop, for ``noise_resolution_curve`` to match.
+loop and each slice's noise from its own moments (``moments_noise``), for
+``noise_resolution_curve`` to match.
 """
 
 import math
@@ -55,6 +56,24 @@ def positive_noise(image, t, f_e):
     pixels = np.asarray(image, dtype=np.float64)
     kept = pixels[(pixels > 0) & (pixels <= t)]
     return f_e * float(kept.std()) if kept.size else None
+
+
+def moments_noise(image, f_e):
+    """``f_e`` times the population std of the positive samples of one 2-d
+    image, from the image's own moments: its count k of positive samples,
+    their sum s1 and sum of squares s2, each sum numpy's pairwise sum of the
+    image's float64 samples or squares in order, zeros included. The std is
+    sqrt(max(s2/k - (s1/k)**2, 0)) in Python floats, the square libm's pow();
+    None when k is 0, and exactly 0 when the positive samples all hold one
+    value, as ``np.std`` reads them."""
+    pixels = np.asarray(image, dtype=np.float64).ravel()
+    k = np.count_nonzero(pixels)
+    if not k:
+        return None
+    if pixels[pixels > 0].min() == pixels.max():
+        return 0.0
+    s1, s2 = float(pixels.sum()), float((pixels * pixels).sum())
+    return f_e * math.sqrt(max(s2 / k - math.pow(s1 / k, 2), 0.0))
 
 
 def zero_fraction(volume):
@@ -183,7 +202,7 @@ def carry_by_windows(bad, axis, factor):
 def sequential_curve(volume, factors, cfg=SearchConfig()):
     """The resolution curve of ``volume``, every step on the calling thread:
     the volume's estimate, the factor-1 point, then per factor in the order
-    given its downsample and its noise. That noise is ``positive_noise`` of
+    given its downsample and its noise. That noise is ``moments_noise`` of
     each slice of the downsampled volume, over its samples outside the mask
     of the voxels above the estimate's t_opt carried axis by axis with
     ``carry_by_windows``, or over all its samples when that mask is empty or covers
@@ -207,7 +226,7 @@ def sequential_curve(volume, factors, cfg=SearchConfig()):
             if not ((vol.data > 0) & ~bad).any():
                 bad = np.zeros_like(bad)
             masked = np.where(bad, 0.0, vol.data)
-            present = [n for n in (positive_noise(img, math.inf, cfg.correction_factor) for img in masked) if n is not None]
+            present = [n for n in (moments_noise(img, cfg.correction_factor) for img in masked) if n is not None]
             noise = float(np.mean(present)) if present else None
         if noise is None:
             outcomes.append("no slice keeps a positive sample")

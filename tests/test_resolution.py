@@ -24,9 +24,10 @@ from qbench import (
     noise_resolution_curve,
     normalize_quality,
 )
-from qbench.resolution import _bands, _carry, _masked_noise, _resample_weights
-from conftest import const_phantom, disk_phantom, volume_from
-from oracle import band_products, carry_by_windows, downsample_f64, sequential_curve
+from qbench.noise import slice_sigmas
+from qbench.resolution import _bands, _carry, _masked_noise, _positive_moments, _resample_weights
+from conftest import const_phantom, disk_mask, disk_phantom, volume_from
+from oracle import band_products, carry_by_windows, downsample_f64, positive_noise, sequential_curve
 from test_scan import assert_same_threshold
 
 
@@ -673,15 +674,92 @@ class TestCarry:
         vol = const_phantom(value=0.0, sigma=100.0, seed=48, width=40, height=36, n_slices=12)
         assert estimate(vol).threshold.no_object
         for factor in (1.5, 2.0, 3.0):
-            out, nothing = downsample(vol, factor), np.zeros(vol.shape, dtype=bool)
-            assert _masked_noise(out, None, 1.53) == _masked_noise(out, _carry(nothing, factor), 1.53)
+            out, nothing = downsample(vol, factor).data, np.zeros(vol.shape, dtype=bool)
+            moments = _positive_moments(out)
+            assert _masked_noise(out, moments, None, 1.53) == _masked_noise(out, moments, _carry(nothing, factor), 1.53)
 
     def test_a_mask_over_every_sample_reads_every_positive_one(self):
         # as when the full estimate's threshold cut the noise tail of an
         # object-free volume, and its scattered voxels cover every window
         vol = const_phantom(value=0.0, sigma=100.0, seed=49, width=40, height=36, n_slices=12)
-        out = downsample(vol, 2.0)
-        assert _masked_noise(out, np.ones(out.shape, dtype=bool), 1.53) == _masked_noise(out, None, 1.53)
+        out = downsample(vol, 2.0).data
+        moments = _positive_moments(out)
+        assert _masked_noise(out, moments, np.ones(out.shape, dtype=bool), 1.53) == _masked_noise(out, moments, None, 1.53)
+
+
+class TestMomentsNoise:
+    """A factor's noise comes from each slice's count, sum and sum of
+    squares (``noise.slice_sigmas``), the formula of the estimate's
+    per-slice sigmas."""
+
+    @pytest.mark.parametrize("has_disk", [False, True], ids=["object-free", "disk"])
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32, np.float64])
+    def test_moments_noise_lies_within_1e_12_of_the_two_pass_std(self, dtype, has_disk):
+        objects = (PhantomObject("disk", (32.0, 30.0), 18.0, 1500.0),) if has_disk else ()
+        data = generate(PhantomSpec(width=64, height=60, n_slices=24, objects=objects, sigma=100.0, seed=5)).data
+        vol = Volume.from_array(np.rint(data).astype(dtype) if dtype == np.uint16 else data.astype(dtype))
+        # the disk's own region, whether or not the phantom holds it
+        region = np.broadcast_to(disk_mask(64, 60, (32.0, 30.0), 22.0), vol.shape)
+        # oracle.positive_noise is np.std of the float64 positive samples: the
+        # mean first, then the squared deviations
+        for factor in (1.5, 2.0, 3.0):
+            out = downsample(vol, factor).data
+            moments = _positive_moments(out)
+            for bad in (None, _carry(region, factor)):
+                kept = out if bad is None else np.where(bad, 0, out)
+                expected = [v for v in (positive_noise(img, math.inf, 1.53) for img in kept) if v is not None]
+                assert _masked_noise(out, moments, bad, 1.53) == pytest.approx(np.mean(expected), rel=1e-12, abs=0)
+            for got, img in zip(slice_sigmas(*moments, 1.53), out, strict=True):
+                assert got == pytest.approx(positive_noise(img, math.inf, 1.53), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32, np.float64])
+    def test_single_sample_slices_read_exactly_0_and_fail(self, dtype):
+        # at factor 3 the carried disk leaves each slice of TestCurvePipeline's
+        # volume one sample: its noise is exactly 0, not the rounding of a
+        # difference of moments, and the factor is a failures entry
+        data = TestCurvePipeline.volume().data
+        vol = Volume.from_array(np.rint(data).astype(dtype) if dtype == np.uint16 else data.astype(dtype))
+        bad = _carry(vol.data > estimate(vol).threshold.t_opt, 3.0)
+        out = downsample(vol, 3.0).data
+        assert np.array_equal(np.count_nonzero((out > 0) & ~bad, axis=(1, 2)), [1, 1, 1])
+        assert _masked_noise(out, _positive_moments(out), bad, 1.53) == 0.0
+        curve = noise_resolution_curve(vol, [1.0, 1.5, 2.0, 3.0])
+        assert curve.failures == ((3.0, "estimated noise is not positive"),)
+        assert [p.resolution_mm for p in curve.points] == [1.0, 1.5, 2.0]
+
+    def test_random_float64_single_samples_read_exactly_0(self):
+        # a float64 sample's square can round away from libm's pow(), so
+        # s2/k - pow(s1/k, 2) of one sample need not be 0: slice_sigmas reads
+        # every one-sample slice as exactly 0, for the estimate and the curve
+        slices = np.zeros((2000, 3, 4))
+        slices[:, 1, 2] = np.random.default_rng(0).uniform(1.0, 5000.0, 2000)
+        moments = _positive_moments(slices)
+        assert set(slice_sigmas(*moments, 1.53)) == {0.0}
+        assert _masked_noise(slices, moments, None, 1.53) == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_constant_slices_read_exactly_0_and_fail(self, dtype, monkeypatch):
+        # 85x85 slices that each hold one random value, one of them on a
+        # single pixel: their sums of squares round, so the bare moments read
+        # some of them as a std of a few 1e-8 of the value, where np.std reads
+        # 0. The curve reads each as exactly 0, and the factor is a failures entry
+        from qbench import resolution
+
+        rng = np.random.default_rng(31)
+        slices = np.broadcast_to(rng.uniform(1.0, 5000.0, (120, 1, 1)).astype(dtype), (120, 85, 85)).copy()
+        slices[0, 1:] = 0
+        slices[0, 0, 1:] = 0
+        moments = _positive_moments(slices)
+        assert any(slice_sigmas(*moments, 1.0))
+        assert _masked_noise(slices, moments, None, 1.53) == 0.0
+        half = np.zeros(slices.shape, dtype=bool)
+        half[:, :40] = True
+        assert _masked_noise(slices, moments, half, 1.53) == 0.0
+        flat = Volume.from_array(slices)
+        monkeypatch.setattr(resolution, "downsample", lambda v, f: flat if f == 2.0 else downsample(v, f))
+        vol = const_phantom(value=0.0, sigma=100.0, seed=48, width=22, height=18, n_slices=6)
+        curve = noise_resolution_curve(vol, [1.0, 1.5, 2.0])
+        assert curve.failures == ((2.0, "estimated noise is not positive"),)
 
 
 def _expected_gradient(shape, factors):
