@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._threads import Background
-from .noise import EstimationError, NoiseEstimate, SearchConfig, estimate, slice_sigmas
+from .noise import EstimationError, NoiseEstimate, SearchConfig, estimate, mean_sigma, slice_sigmas
 from .volume import Volume
 
 __all__ = [
@@ -322,28 +322,15 @@ def _positive_moments(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _masked_noise(data: np.ndarray, moments: tuple[np.ndarray, np.ndarray, np.ndarray], bad: np.ndarray | None, correction_factor: float) -> float | None:
     """``correction_factor`` times the mean over slices of the std of the positive samples of
-    ``data`` outside ``bad``, each from the slice's moments (:func:`noise.slice_sigmas`); None when
-    no slice keeps one. ``moments`` are :func:`_positive_moments` of ``data``, which serve as they
-    are without a mask. Under a mask the moments are taken again over the samples outside it. A
-    mask that leaves none counts as no mask: the noise-tail voxels of a threshold cut into an
-    object-free background can reach every window.
-
-    A slice whose positive samples all hold one value reads exactly 0, as ``np.std`` reads it:
-    its sum of squares can round, and the moments then leave a std of up to about 4e-8 of the
-    value. A slice whose std reads at most 1e-6 of its mean is checked sample by sample."""
-    if bad is not None:
-        outside = np.where(bad, 0, data)
-        if (kept := _positive_moments(outside))[0].any():
-            data, moments = outside, kept
-    count, s1, _ = moments
-    stds = slice_sigmas(*moments, 1.0)
-    for i, (std, k, total) in enumerate(zip(stds, count.tolist(), s1.tolist())):
-        if std and std <= 1e-6 * total / k:
-            positive = data[i][data[i] > 0]
-            if positive.min() == positive.max():
-                stds[i] = 0.0
-    present = [correction_factor * s for s in stds if s is not None]
-    return float(np.mean(present)) if present else None
+    ``data`` outside ``bad``, each from the slice's moments by the estimate's rule
+    (:func:`noise.slice_sigmas`, :func:`noise.mean_sigma`); None when no slice keeps one.
+    ``moments`` are :func:`_positive_moments` of ``data``, which serve as they are without a
+    mask. Under a mask the moments are taken again over the samples outside it. A mask that
+    leaves none counts as no mask: the noise-tail voxels of a threshold cut into an
+    object-free background can reach every window. A slice of one value reads exactly 0."""
+    if bad is not None and (kept := _positive_moments(np.where(bad, 0, data)))[0].any():
+        moments = kept
+    return mean_sigma(slice_sigmas(*moments, correction_factor))
 
 
 def _curve_point(vol: Volume, noise: float | None, signal_mean: float) -> CurvePoint | str:
@@ -396,22 +383,20 @@ def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchCo
 
     worker = Background(background)
     try:
-        by_factor = {}
+        resampled, by_factor = {}, {}
         for f in scaled:
             try:
                 vol = downsample(volume, f)
             except ValueError as exc:
                 by_factor[f] = str(exc)
             else:
-                by_factor[f] = vol, _positive_moments(vol.data)
+                resampled[f] = vol, _positive_moments(vol.data)
         if meanwhile is not None:
             meanwhile()
     finally:
         full, carried = worker.result()
-    for f, read in by_factor.items():
-        if not isinstance(read, str):
-            vol, moments = read
-            by_factor[f] = _curve_point(vol, _masked_noise(vol.data, moments, carried[f], cfg.correction_factor), full.signal_mean)
+    for f, (vol, moments) in resampled.items():
+        by_factor[f] = _curve_point(vol, _masked_noise(vol.data, moments, carried[f], cfg.correction_factor), full.signal_mean)
     by_factor[1.0] = _curve_point(volume, full.sigma, full.signal_mean)
     outcomes = [by_factor[f] for f in factors]
     points = sorted((o for o in outcomes if isinstance(o, CurvePoint)), key=lambda p: p.resolution_mm)

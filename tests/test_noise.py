@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qbench import (
     CORRECTION_FACTOR,
@@ -12,7 +14,8 @@ from qbench import (
     background_roi_noise,
     estimate,
 )
-from qbench.noise import _MAX_STEP_SLICES, _lattice, find_t_opt
+from qbench.noise import _MAX_STEP_SLICES, _lattice, find_t_opt, mean_sigma, slice_sigmas
+from qbench.resolution import _positive_moments
 from conftest import build_scan, const_phantom, disk_phantom, pure_noise, volume_from
 from oracle import positive_noise
 
@@ -274,6 +277,83 @@ class TestEstimate:
         vol = volume_from(np.zeros((3, 8, 8)))
         with pytest.raises(EstimationError):
             estimate(vol)
+
+
+class TestSliceSigmas:
+    """One per-slice rule for the estimate and the curve: ``slice_sigmas``
+    reads a variance of at most 2k·eps·(s1/k)**2, the first-order rounding
+    of its k-term sums, as exactly 0, and ``mean_sigma`` averages what is
+    present."""
+
+    EPS = np.finfo(np.float64).eps
+
+    @staticmethod
+    def tables_and_moments(data):
+        """The (count, s1, s2) of each slice's positive samples, from the
+        scan's tables at t_max and from the curve's moments."""
+        scan = build_scan(Volume.from_array(data))
+        count, s1, s2 = scan._tables[:, :, scan.lattice.stop]
+        return (count - scan._zeros, s1, s2), _positive_moments(data)
+
+    @staticmethod
+    def plain_sigmas(count, s1, s2, f_e):
+        """The rule before the floor: s2/k - pow(s1/k, 2), floored at 0,
+        then the root; a one-sample slice reads 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            var = s2 / count - np.float_power(s1 / count, 2)
+        stds = np.sqrt(np.maximum(var, 0.0)).tolist()
+        return [None if k == 0 else 0.0 if k == 1 else f_e * v for k, v in zip(count, stds)]
+
+    def test_a_one_value_f32_slice_below_t_opt_reads_exactly_0(self):
+        # the scan's bin sums of 512x512 copies of one float32 value round:
+        # the bare difference of moments reads this slice as about 3.3e-4
+        vol = disk_phantom(radius=150, value=1500.0, sigma=100.0, seed=3, width=512, height=512, n_slices=8)
+        data = vol.data.astype(np.float32)
+        data[0] = np.float32(123.456)
+        est = estimate(Volume.from_array(data))
+        assert not est.threshold.no_object and est.threshold.t_opt > 123.456
+        assert est.per_slice_sigma[0] == 0.0
+        assert all(v > 90.0 for v in est.per_slice_sigma[1:])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side", [1, 2, 3, 5, 17, 85, 256, 1024])
+    def test_one_value_slices_read_exactly_0(self, side, dtype):
+        # random values over seven decades, one per slice; float64 one-sample
+        # squares and sequential sums of many samples both round
+        n = 3 if side == 1024 else 8 if side == 256 else 64
+        rng = np.random.default_rng(side)
+        values = (rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-3, 4, n)).astype(dtype)
+        data = np.broadcast_to(values[:, None, None], (n, side, side)).copy()
+        for moments in self.tables_and_moments(data):
+            assert slice_sigmas(*moments, 1.53) == [0.0] * n
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 64), st.integers(1, 64)).filter(lambda s: s[0] * s[1] > 1),
+        mean=st.floats(1e-3, 1e4),
+        spread=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_a_spread_above_the_floor_reads_the_plain_rule_bit_for_bit(self, shape, mean, spread, seed, dtype):
+        # uniform noise of relative half-width from 2 sqrt(3) sqrt(2k eps), a
+        # std of twice the floor, up to 0.5, so every sample stays positive
+        k = shape[0] * shape[1]
+        floor = math.sqrt(2 * k * self.EPS)
+        low = 2 * math.sqrt(3) * floor
+        width = low * (0.5 / low) ** spread
+        rng = np.random.default_rng(seed)
+        data = (mean * (1.0 + width * rng.uniform(-1.0, 1.0, (1, *shape)))).astype(dtype)
+        for moments in self.tables_and_moments(data):
+            plain = self.plain_sigmas(*moments, 1.0)
+            # above the floor with a margin for the rounding of either side
+            assume(plain[0] > (1 + 1e-6) * floor * moments[1][0] / k)
+            assert slice_sigmas(*moments, 1.53) == self.plain_sigmas(*moments, 1.53)
+
+    def test_mean_sigma_skips_the_absent(self):
+        assert mean_sigma([None, 2.0, None, 4.0]) == 3.0
+        assert mean_sigma([None, None]) is None
+        assert mean_sigma([]) is None
 
 
 # Object-free 32x32x8 phantoms read no object at sigma 90 and 500, but a

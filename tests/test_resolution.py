@@ -740,9 +740,10 @@ class TestMomentsNoise:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_random_constant_slices_read_exactly_0_and_fail(self, dtype, monkeypatch):
         # 85x85 slices that each hold one random value, one of them on a
-        # single pixel: their sums of squares round, so the bare moments read
-        # some of them as a std of a few 1e-8 of the value, where np.std reads
-        # 0. The curve reads each as exactly 0, and the factor is a failures entry
+        # single pixel: their sums of squares round, so the bare difference of
+        # moments reads some of them as a std of a few 1e-8 of the value, where
+        # np.std reads 0. slice_sigmas reads each as exactly 0, within the
+        # rounding of its sums, and the factor is a failures entry
         from qbench import resolution
 
         rng = np.random.default_rng(31)
@@ -750,7 +751,7 @@ class TestMomentsNoise:
         slices[0, 1:] = 0
         slices[0, 0, 1:] = 0
         moments = _positive_moments(slices)
-        assert any(slice_sigmas(*moments, 1.0))
+        assert slice_sigmas(*moments, 1.0) == [0.0] * 120
         assert _masked_noise(slices, moments, None, 1.53) == 0.0
         half = np.zeros(slices.shape, dtype=bool)
         half[:, :40] = True
