@@ -1,11 +1,14 @@
 """Threads that end before their caller goes on: one call in the background
-with a result slot, and a row split over the cores this process may use.
+with a result slot, a row split over the cores this process may use, and a
+call that runs once on whichever thread asks first.
 
-numpy's ufuncs, BLAS ``matmul``, ``hashlib`` and, in numpy 2.4.6,
-``np.bincount`` release the GIL for most of their run on large buffers, so
-work handed to these threads can run alongside the caller. Warm and back to
-back, two threads overlap such work; in short cold runs on a 2-vCPU VM
-they did not, even for ``hashlib`` (README).
+numpy's ufuncs, BLAS ``matmul`` and ``hashlib`` release the GIL for most of
+their run on large buffers, so work handed to these threads can run
+alongside the caller. ``np.bincount`` (numpy 2.4.6) releases it for only
+part of its run: two threads each running 60 per-row ``bincount``s did
+1.20-1.40 times one thread's work, where float64 row sums did 1.63-2.08
+times. Warm and back to back, two threads overlap such work; in short cold
+runs on a 2-vCPU VM they did not, even for ``hashlib`` (README).
 """
 
 from __future__ import annotations
@@ -48,6 +51,21 @@ class Background:
 
     def __exit__(self, *exc_info) -> None:
         self._thread.join()
+
+
+def once(fn):
+    """A callable that runs ``fn()`` on its first call, from whichever thread
+    makes it, and returns at once on every later call, even while that first
+    call is still running. ``fn``'s exception reaches only the thread that ran
+    it. One non-blocking ``Lock.acquire`` decides the race; the lock is never
+    released."""
+    lock = threading.Lock()
+
+    def call() -> None:
+        if lock.acquire(blocking=False):
+            fn()
+
+    return call
 
 
 def split_rows(fn, n_rows: int) -> None:

@@ -17,9 +17,10 @@ and the curve's factor-1 point.
 thread's parse and estimate are the critical path, so the hash runs beside
 them, on a worker thread that starts before the parse. In ``curve`` the
 curve's worker estimates and carries the mask while the main thread
-downsamples, in float32 for an f32 or u16 input, takes each factor's
-per-slice moments and then hashes, before it joins the worker. Every exit
-joins every worker.
+downsamples, in float32 for an f32 or u16 input, and takes each factor's
+per-slice moments. The hash runs once, on whichever of the two finishes
+first, before the main thread joins the worker. Every exit joins every
+worker.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _cmd_analyze(args) -> int:
             est, curve = estimate(volume, cfg), None
         digest = hashing.result
     else:
-        # hashed on this thread after the curve's last downsample and moments, while its worker may still estimate and carry
+        # hashed once, by the curve's worker after its estimate and carries or by this thread after its last downsample and moments, whichever is first
         hashed = []
         volume = load_volume(args.input, read)
         curve = noise_resolution_curve(volume, factors, cfg, meanwhile=lambda: hashed.append(input_sha256(read)))

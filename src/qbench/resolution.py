@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._threads import Background
+from ._threads import Background, once
 from .noise import EstimationError, NoiseEstimate, SearchConfig, estimate, mean_sigma, slice_sigmas
 from .volume import Volume
 
@@ -364,13 +364,17 @@ def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchCo
 
     One worker thread runs the estimate and the carries. Meanwhile the
     caller downsamples by each factor and takes the result's per-slice
-    moments (:func:`_positive_moments`) right after it, then calls
-    ``meanwhile()``, and only then joins the worker. A factor without a
-    carried mask reads its noise from those moments alone. The worker's
-    exception supersedes the caller's.
+    moments (:func:`_positive_moments`) right after it. ``meanwhile()`` runs
+    once, on whichever thread finishes its own part first (:func:`_threads.once`):
+    the worker after its carries, or the caller after its last moments. A
+    failed estimate leaves it to the caller. The caller then joins the
+    worker, which waits for a ``meanwhile()`` still running there. A factor
+    without a carried mask reads its noise from those moments alone. The
+    worker's exception supersedes the caller's.
     """
     factors = check_factors(factors)
     scaled = [f for f in factors if f != 1.0]
+    run_meanwhile = once(meanwhile or (lambda: None))
 
     def background() -> tuple[NoiseEstimate, dict]:
         full = estimate(volume, cfg)
@@ -379,6 +383,7 @@ def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchCo
         # compared in float64, so a float32 volume's mask is its float64 copy's
         bad = None if full.threshold.no_object else volume.data > np.float64(full.threshold.t_opt)
         carried = {f: None if bad is None else _carry(bad, f) for f in scaled}
+        run_meanwhile()
         return full, carried
 
     worker = Background(background)
@@ -391,8 +396,7 @@ def noise_resolution_curve(volume: Volume, factors, cfg: SearchConfig = SearchCo
                 by_factor[f] = str(exc)
             else:
                 resampled[f] = vol, _positive_moments(vol.data)
-        if meanwhile is not None:
-            meanwhile()
+        run_meanwhile()
     finally:
         full, carried = worker.result()
     for f, (vol, moments) in resampled.items():

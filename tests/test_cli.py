@@ -397,9 +397,10 @@ class TestInternalError:
 
 class TestHashingThread:
     """``estimate`` and ``curve`` each start one worker thread, which every
-    exit joins. ``estimate`` hashes the input on it; ``curve`` hashes on the
-    calling thread after its last downsample, while the curve's worker
-    estimates and carries the mask."""
+    exit joins. ``estimate`` hashes the input on it. ``curve`` hashes once,
+    on whichever of its two threads finishes its own part first: the curve's
+    worker after its estimate and carries, or the caller after its last
+    downsample and moments."""
 
     @staticmethod
     def raise_runtime_error(*args, **kwargs):
@@ -442,7 +443,10 @@ class TestHashingThread:
         assert main([command, str(disk_container), *extra, "--output", str(output)]) == EXIT_INTERNAL
         assert set(threading.enumerate()) == before
         assert capsys.readouterr().err == "qbench: internal error: RuntimeError: scan failed\n"
-        assert len(hashing) == 1 and (hashing[0] is threading.main_thread()) == (command == "curve")
+        # ``curve`` hashes on whichever of its threads finishes first
+        assert len(hashing) == 1
+        if command == "estimate":
+            assert hashing[0] is not threading.main_thread()
         assert not output.exists()
 
     def test_a_failed_curve_supersedes_a_failed_hash(self, disk_container, tmp_path, monkeypatch, capsys):
@@ -465,14 +469,22 @@ class TestHashingThread:
         assert main([command, str(disk_container), *extra, "--output", str(tmp_path / "r.json")]) == EXIT_OK
         assert len(started) == 1
 
-    def test_curve_hashes_on_the_caller_after_its_last_downsample(self, disk_container, tmp_path, monkeypatch):
-        events = []
+    @staticmethod
+    def traced_curve(monkeypatch, gate):
+        """Trace the curve's estimate, carries, downsamples and hash as (name,
+        thread) events. ``hashed`` is set once the hash has run. ``gate(name,
+        factor)`` runs before the traced call: the worker's estimate is
+        ("estimate", None), a downsample ("downsample", factor)."""
+        events, hashed = [], threading.Event()
         estimate, carry, downsample, input_sha256 = resolution.estimate, resolution._carry, resolution.downsample, cli.input_sha256
 
         def traced(name, fn):
             def call(*args):
+                gate(name, args[1] if name == "downsample" else None)
                 result = fn(*args)
                 events.append((name, threading.current_thread()))
+                if name == "hash":
+                    hashed.set()
                 return result
 
             return call
@@ -481,14 +493,39 @@ class TestHashingThread:
         monkeypatch.setattr(resolution, "_carry", traced("carry", carry))
         monkeypatch.setattr(resolution, "downsample", traced("downsample", downsample))
         monkeypatch.setattr(cli, "input_sha256", traced("hash", input_sha256))
+        return events, hashed
+
+    def run_traced_curve(self, disk_container, tmp_path, events):
+        """One ``curve`` op; returns the caller's and the worker's event names."""
         output = tmp_path / "r.json"
         assert main(["curve", str(disk_container), "--factors", "1,1.5,2,3", "--output", str(output)]) == EXIT_OK
-        caller = [name for name, thread in events if thread is threading.main_thread()]
-        worker = [name for name, thread in events if thread is not threading.main_thread()]
-        assert caller == ["downsample", "downsample", "downsample", "hash"]
-        assert worker == ["estimate", "carry", "carry", "carry"]
         assert len({thread for _, thread in events}) == 2
         assert json.loads(output.read_text())["input"]["sha256"] == hashlib.sha256(disk_container.read_bytes()).hexdigest()
+        caller = [name for name, thread in events if thread is threading.main_thread()]
+        worker = [name for name, thread in events if thread is not threading.main_thread()]
+        return caller, worker
+
+    def test_curve_hashes_on_the_worker_when_it_finishes_first(self, disk_container, tmp_path, monkeypatch):
+        # the caller's last downsample waits for the hash, so a hash left to the caller times it out
+        def gate(name, factor):
+            if name == "downsample" and factor == 3.0:
+                assert hashed.wait(timeout=10), "the worker did not hash"
+
+        events, hashed = self.traced_curve(monkeypatch, gate)
+        caller, worker = self.run_traced_curve(disk_container, tmp_path, events)
+        assert caller == ["downsample", "downsample", "downsample"]
+        assert worker == ["estimate", "carry", "carry", "carry", "hash"]
+
+    def test_curve_hashes_on_the_caller_when_it_finishes_first(self, disk_container, tmp_path, monkeypatch):
+        # the worker's estimate waits for the hash, so a hash left to the worker times it out
+        def gate(name, factor):
+            if name == "estimate":
+                assert hashed.wait(timeout=10), "the caller did not hash"
+
+        events, hashed = self.traced_curve(monkeypatch, gate)
+        caller, worker = self.run_traced_curve(disk_container, tmp_path, events)
+        assert caller == ["downsample", "downsample", "downsample", "hash"]
+        assert worker == ["estimate", "carry", "carry", "carry"]
 
     def test_pgm_stack_report_hashes_names_and_bytes(self, tmp_path, capsys):
         vol = generate(PhantomSpec(width=16, height=12, n_slices=3, background_value=300.0, sigma=60.0, seed=5, quantize=True))

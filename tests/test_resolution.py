@@ -498,9 +498,10 @@ def assert_same_estimate(a, b):
 
 class TestCurvePipeline:
     """The curve's two threads: one worker estimates the volume and carries
-    its mask to every factor, while the calling thread downsamples and then
-    runs ``meanwhile``. It gives what the sequential loop gives, and every
-    exit joins the worker."""
+    its mask to every factor, while the calling thread downsamples.
+    ``meanwhile`` runs once, on whichever thread finishes its own part
+    first. It gives what the sequential loop gives, and every exit joins the
+    worker."""
 
     @staticmethod
     def volume():
@@ -565,9 +566,10 @@ class TestCurvePipeline:
         monkeypatch.setattr(resolution, "downsample", traced)
         noise_resolution_curve(self.volume(), [1.0, 1.5, 2.0, 3.0])
 
-    def test_meanwhile_runs_on_the_caller_after_its_last_downsample(self, monkeypatch):
+    def test_meanwhile_runs_on_the_caller_when_it_finishes_first(self, monkeypatch):
         # the estimate finishes only once ``meanwhile`` has run, so a caller
-        # that joins the worker before it times the estimate out
+        # that joins the worker before it, or leaves it to the worker, times
+        # the estimate out
         from qbench import resolution
 
         events, ran = [], threading.Event()
@@ -587,9 +589,57 @@ class TestCurvePipeline:
         assert {thread for _, thread in events} == {threading.main_thread()}
         assert curve == sequential_curve(self.volume(), [1.0, 1.5, 2.0, 3.0])
 
+    def test_meanwhile_runs_on_the_worker_when_it_finishes_first(self, monkeypatch):
+        # the last downsample waits for ``meanwhile``, so a ``meanwhile``
+        # left to the caller times it out; the caller does not run it again
+        from qbench import resolution
+
+        events, ran = [], threading.Event()
+
+        def waiting(v, f):
+            if f == 3.0:
+                assert ran.wait(timeout=10), "the worker did not run meanwhile"
+            events.append((f, threading.current_thread()))
+            return downsample(v, f)
+
+        def meanwhile():
+            events.append(("meanwhile", threading.current_thread()))
+            ran.set()
+
+        monkeypatch.setattr(resolution, "downsample", waiting)
+        curve = noise_resolution_curve(self.volume(), [1.0, 1.5, 2.0, 3.0], meanwhile=meanwhile)
+        [(_, worker)] = [(name, thread) for name, thread in events if name == "meanwhile"]
+        assert worker is not threading.main_thread()
+        assert [name for name, thread in events if thread is threading.main_thread()] == [1.5, 2.0, 3.0]
+        assert curve == sequential_curve(self.volume(), [1.0, 1.5, 2.0, 3.0])
+
+    def test_a_failed_estimate_leaves_meanwhile_to_the_caller(self, monkeypatch):
+        # the last downsample starts only once the estimate has failed, so
+        # the worker is done first and has not run ``meanwhile``
+        from qbench import resolution
+
+        ran, failed = [], threading.Event()
+
+        def failing(v, cfg):
+            try:
+                return estimate(v, cfg)
+            finally:
+                failed.set()
+
+        def waiting(v, f):
+            if f == 2.0:
+                assert failed.wait(timeout=10), "the estimate did not end"
+            return downsample(v, f)
+
+        monkeypatch.setattr(resolution, "estimate", failing)
+        monkeypatch.setattr(resolution, "downsample", waiting)
+        with pytest.raises(EstimationError, match="over the cap"):
+            noise_resolution_curve(self.volume(), [1.0, 1.5, 2.0], SearchConfig(grid_step=1e-6), meanwhile=lambda: ran.append(threading.current_thread()))
+        assert ran == [threading.main_thread()]
+
     def test_a_failed_estimate_supersedes_meanwhile(self):
-        # ``meanwhile`` runs on the caller whatever the worker's estimate does,
-        # and the estimate's failure is raised over the exception of ``meanwhile``
+        # a failed estimate leaves ``meanwhile`` to the caller, and the
+        # estimate's failure is raised over the exception of ``meanwhile``
         ran = []
 
         def meanwhile():
